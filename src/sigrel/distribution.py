@@ -13,7 +13,6 @@ component i working at time t sets bit i - 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -32,6 +31,7 @@ __all__ = [
     "condition_w",
     "distribution_from_json",
     "distribution_to_json",
+    "evaluate_conditions",
     "group_reliability",
     "has_ties",
     "is_q_symmetric",
@@ -177,15 +177,23 @@ def state_distribution(d: LifetimeDistribution, t: object) -> StateDistribution:
     return StateDistribution(d.n, t, tuple(probs))
 
 
-def states_exchangeable_at(d: LifetimeDistribution, t: object) -> bool:
-    """True iff state probabilities at t depend only on how many components work."""
+def _state_exchangeability_at(
+    d: LifetimeDistribution, t: object
+) -> tuple[int, int, Fraction, Fraction] | None:
+    """First same-level state pair, by level then index, with unequal probabilities at t."""
     sd = state_distribution(d, t)
     for k in range(d.n + 1):
         idxs = level_indices(d.n, k)
         first = sd.probs[idxs[0]]
-        if any(sd.probs[i] != first for i in idxs[1:]):
-            return False
-    return True
+        for other in idxs[1:]:
+            if sd.probs[other] != first:
+                return idxs[0], other, first, sd.probs[other]
+    return None
+
+
+def states_exchangeable_at(d: LifetimeDistribution, t: object) -> bool:
+    """True iff state probabilities at t depend only on how many components work."""
+    return _state_exchangeability_at(d, t) is None
 
 
 def _state_exchangeability_witness(
@@ -193,13 +201,9 @@ def _state_exchangeability_witness(
 ) -> tuple[Fraction, int, int, Fraction, Fraction] | None:
     """Smallest (breakpoint, state, state) pair with unequal same-level probabilities."""
     for t in breakpoints(d):
-        sd = state_distribution(d, t)
-        for k in range(d.n + 1):
-            idxs = level_indices(d.n, k)
-            first = sd.probs[idxs[0]]
-            for other in idxs[1:]:
-                if sd.probs[other] != first:
-                    return t, idxs[0], other, first, sd.probs[other]
+        witness = _state_exchangeability_at(d, t)
+        if witness is not None:
+            return (t, *witness)
     return None
 
 
@@ -237,10 +241,10 @@ def is_q_symmetric(q: QualityFunction) -> bool:
 def _q_symmetry_witness(
     q: QualityFunction,
 ) -> tuple[int, Fraction, Fraction] | None:
-    for mask in range(1 << q.n):
-        expected = Fraction(1, math.comb(q.n, mask.bit_count()))
-        if q.values[mask] != expected:
-            return mask, q.values[mask], expected
+    symmetric = WeightFunction.symmetric(q.n).values
+    for mask, (value, expected) in enumerate(zip(q.values, symmetric)):
+        if value != expected:
+            return mask, value, expected
     return None
 
 
@@ -386,6 +390,100 @@ def _condition_w_witness(
         if sd.probs[x] != expected:
             return x, sd.probs[x], expected
     return None
+
+
+def _state_vector(n: int, index: int) -> list[int]:
+    return [(index >> i) & 1 for i in range(n)]
+
+
+def _subset_members(mask: int) -> list[int]:
+    return [i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def evaluate_conditions(
+    d: LifetimeDistribution,
+) -> tuple[dict, QualityFunction, tuple[tuple[int, ...], ...], dict]:
+    """Evaluate every condition of the equivalences once.
+
+    Returns (flags, quality, skipped orderings, witnesses). ``flags`` maps
+    has_ties, q_symmetric, states_exchangeable_everywhere,
+    lifetimes_exchangeable, weakly_exchangeable (None for tied laws) and
+    condition_q_everywhere to their values; ``witnesses`` maps each failed
+    condition to its lexicographically first counterexample, rationals as
+    strings.
+    """
+    ties = has_ties(d)
+    quality = relative_quality(d)
+    witnesses: dict = {}
+
+    q_wit = _q_symmetry_witness(quality)
+    if q_wit is not None:
+        mask, value, expected = q_wit
+        witnesses["q_symmetric"] = {
+            "subset": _subset_members(mask),
+            "value": format_rational(value),
+            "symmetric_value": format_rational(expected),
+        }
+
+    state_wit = _state_exchangeability_witness(d)
+    if state_wit is not None:
+        t, x, x_other, p, p_other = state_wit
+        witnesses["states_exchangeable"] = {
+            "t": format_rational(t),
+            "state": _state_vector(d.n, x),
+            "other_state": _state_vector(d.n, x_other),
+            "probability": format_rational(p),
+            "other_probability": format_rational(p_other),
+        }
+
+    life_wit = _lifetime_exchangeability_witness(d)
+    if life_wit is not None:
+        sigma, xs, p, p_pushed = life_wit
+        witnesses["lifetimes_exchangeable"] = {
+            "permutation": list(sigma),
+            "lifetimes": [format_rational(x) for x in xs],
+            "probability": format_rational(p),
+            "permuted_probability": format_rational(p_pushed),
+        }
+
+    skipped: tuple[tuple[int, ...], ...] = ()
+    weak: bool | None = None
+    if not ties:
+        weak, weak_wit, skipped = _weak_exchangeability_scan(d)
+        if weak_wit is not None:
+            sigma, k, t, unconditional, conditional = weak_wit
+            witnesses["weakly_exchangeable"] = {
+                "permutation": list(sigma),
+                "k": k,
+                "t": format_rational(t),
+                "unconditional": format_rational(unconditional),
+                "conditional": format_rational(conditional),
+            }
+
+    w = WeightFunction.from_quality(quality)
+    cond_q = True
+    for t in breakpoints(d):
+        cond_wit = _condition_w_witness(d, w, t)
+        if cond_wit is not None:
+            x, p, expected = cond_wit
+            witnesses["condition_q"] = {
+                "t": format_rational(t),
+                "state": _state_vector(d.n, x),
+                "probability": format_rational(p),
+                "expected": format_rational(expected),
+            }
+            cond_q = False
+            break
+
+    flags = {
+        "has_ties": ties,
+        "q_symmetric": q_wit is None,
+        "states_exchangeable_everywhere": state_wit is None,
+        "lifetimes_exchangeable": life_wit is None,
+        "weakly_exchangeable": weak,
+        "condition_q_everywhere": cond_q,
+    }
+    return flags, quality, skipped, witnesses
 
 
 def distribution_to_json(d: LifetimeDistribution) -> dict:

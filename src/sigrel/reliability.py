@@ -12,6 +12,7 @@ disagreement as a fatal implementation bug.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,17 +20,13 @@ from typing import Sequence
 
 from .distribution import (
     LifetimeDistribution,
+    StateDistribution,
     breakpoints,
+    evaluate_conditions,
     has_ties,
+    order_stat_survival,
     relative_quality,
     state_distribution,
-    order_stat_survival,
-    _condition_w_witness,
-    _lifetime_exchangeability_witness,
-    _order_stat_survival_extended,
-    _q_symmetry_witness,
-    _state_exchangeability_witness,
-    _weak_exchangeability_scan,
 )
 from .errors import TheoremInconsistencyError, TiesError
 from .rationals import format_rational, parse_rational
@@ -38,7 +35,7 @@ from .signature import (
     WeightFunction,
     boland_signature,
     probability_signature,
-    weighted_phi_level,
+    weighted_signature,
 )
 from .structure import (
     StructureFunction,
@@ -95,13 +92,7 @@ class ReliabilityCurve:
         t = parse_rational(t)
         if t <= 0:
             raise ValueError(f"time must be positive, got {t}")
-        index = 0
-        for b in self.breakpoints:
-            if t >= b:
-                index += 1
-            else:
-                break
-        return self.values[index]
+        return self.values[bisect.bisect_right(self.breakpoints, t)]
 
     def to_json(self) -> dict:
         return {
@@ -157,17 +148,31 @@ def probability_signature_oracle(
     return Signature(tuple(acc))
 
 
+def _reliability_sum(phi: StructureFunction, sd: StateDistribution) -> Fraction:
+    """Sum of the state probabilities over the states in which ``phi`` works."""
+    return sum(
+        (p for index, p in enumerate(sd.probs) if p and phi.value(index)),
+        Fraction(0),
+    )
+
+
+def _order_stat_survivals(d: LifetimeDistribution, t: object) -> tuple[Fraction, ...]:
+    """P(X_(k:n) > t) for k = 1..n."""
+    return tuple(order_stat_survival(d, k, t) for k in range(1, d.n + 1))
+
+
+def _order_stat_mixture(sig: Signature, survivals: Sequence[Fraction]) -> Fraction:
+    """The representation formula: sum over k of sig[k] * P(X_(k:n) > t)."""
+    return sum((s * p for s, p in zip(sig, survivals)), Fraction(0))
+
+
 def system_reliability(
     phi: StructureFunction, d: LifetimeDistribution, t: object
 ) -> Fraction:
     """Probability that the system works at time t, via the state distribution."""
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
-    sd = state_distribution(d, t)
-    return sum(
-        (p for index, p in enumerate(sd.probs) if p and phi.value(index)),
-        Fraction(0),
-    )
+    return _reliability_sum(phi, state_distribution(d, t))
 
 
 def reliability_curve(
@@ -185,11 +190,7 @@ def repr_boland(phi: StructureFunction, d: LifetimeDistribution, t: object) -> F
     """Design-signature mixture of order-statistic survivals at time t."""
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
-    s = boland_signature(phi)
-    return sum(
-        (s[k - 1] * order_stat_survival(d, k, t) for k in range(1, d.n + 1)),
-        Fraction(0),
-    )
+    return _order_stat_mixture(boland_signature(phi), _order_stat_survivals(d, t))
 
 
 def repr_prob_signature(
@@ -203,10 +204,7 @@ def repr_prob_signature(
             "probability-signature representation needs a distribution without ties"
         )
     p = probability_signature(phi, relative_quality(d))
-    return sum(
-        (p[k - 1] * order_stat_survival(d, k, t) for k in range(1, d.n + 1)),
-        Fraction(0),
-    )
+    return _order_stat_mixture(p, _order_stat_survivals(d, t))
 
 
 def repr_weighted(
@@ -215,12 +213,7 @@ def repr_weighted(
     """Mixture of order-statistic survivals weighted by differenced level sums of w."""
     if phi.n != d.n or w.n != d.n:
         raise ValueError("system, weights, and distribution disagree on component count")
-    n = d.n
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        coeff = weighted_phi_level(phi, w, n - k + 1) - weighted_phi_level(phi, w, n - k)
-        total += coeff * order_stat_survival(d, k, t)
-    return total
+    return _order_stat_mixture(weighted_signature(phi, w), _order_stat_survivals(d, t))
 
 
 @dataclass(frozen=True)
@@ -315,90 +308,19 @@ class DiagnosisReport:
         return out
 
 
-def _state_vector(n: int, index: int) -> list[int]:
-    return [(index >> i) & 1 for i in range(n)]
-
-
-def _subset_members(mask: int) -> list[int]:
-    return [i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1]
-
-
-def _condition_witnesses(d: LifetimeDistribution) -> tuple[dict, dict]:
-    """Evaluate every condition once; returns (flag values, witness structures)."""
-    ties = has_ties(d)
-    quality = relative_quality(d)
-    witnesses: dict = {}
-
-    q_wit = _q_symmetry_witness(quality)
-    if q_wit is not None:
-        mask, value, expected = q_wit
-        witnesses["q_symmetric"] = {
-            "subset": _subset_members(mask),
-            "value": format_rational(value),
-            "symmetric_value": format_rational(expected),
-        }
-
-    state_wit = _state_exchangeability_witness(d)
-    if state_wit is not None:
-        t, x, x_other, p, p_other = state_wit
-        witnesses["states_exchangeable"] = {
-            "t": format_rational(t),
-            "state": _state_vector(d.n, x),
-            "other_state": _state_vector(d.n, x_other),
-            "probability": format_rational(p),
-            "other_probability": format_rational(p_other),
-        }
-
-    life_wit = _lifetime_exchangeability_witness(d)
-    if life_wit is not None:
-        sigma, xs, p, p_pushed = life_wit
-        witnesses["lifetimes_exchangeable"] = {
-            "permutation": list(sigma),
-            "lifetimes": [format_rational(x) for x in xs],
-            "probability": format_rational(p),
-            "permuted_probability": format_rational(p_pushed),
-        }
-
-    skipped: tuple[tuple[int, ...], ...] = ()
-    weak: bool | None = None
-    if not ties:
-        weak, weak_wit, skipped = _weak_exchangeability_scan(d)
-        if weak_wit is not None:
-            sigma, k, t, unconditional, conditional = weak_wit
-            witnesses["weakly_exchangeable"] = {
-                "permutation": list(sigma),
-                "k": k,
-                "t": format_rational(t),
-                "unconditional": format_rational(unconditional),
-                "conditional": format_rational(conditional),
-            }
-
-    w = WeightFunction.from_quality(quality)
-    cond_q = True
-    for t in breakpoints(d):
-        cond_wit = _condition_w_witness(d, w, t)
-        if cond_wit is not None:
-            x, p, expected = cond_wit
-            witnesses["condition_q"] = {
-                "t": format_rational(t),
-                "state": _state_vector(d.n, x),
-                "probability": format_rational(p),
-                "expected": format_rational(expected),
-            }
-            cond_q = False
-            break
-
-    flags = {
-        "has_ties": ties,
-        "q_symmetric": q_wit is None,
-        "states_exchangeable_everywhere": state_wit is None,
-        "lifetimes_exchangeable": life_wit is None,
-        "weakly_exchangeable": weak,
-        "condition_q_everywhere": cond_q,
-        "quality": quality,
-        "skipped_orderings": skipped,
-    }
-    return flags, witnesses
+def _build_report(
+    d: LifetimeDistribution, conditions: tuple, **fields
+) -> DiagnosisReport:
+    """Report with the condition fields from :func:`evaluate_conditions` filled in."""
+    flags, _, skipped, witnesses = conditions
+    return DiagnosisReport(
+        n=d.n,
+        breakpoints=breakpoints(d),
+        **flags,
+        witnesses=witnesses,
+        skipped_orderings=skipped,
+        **fields,
+    )
 
 
 def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
@@ -408,30 +330,17 @@ def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
     equivalence forces for the family of all semicoherent systems given the
     measured conditions. Tie-dependent entries are None for tied inputs.
     """
-    flags, witnesses = _condition_witnesses(d)
+    conditions = evaluate_conditions(d)
+    flags = conditions[0]
     ties = flags["has_ties"]
-    predicted_boland = flags["states_exchangeable_everywhere"]
-    predicted_prob = None if ties else flags["condition_q_everywhere"]
-    predicted_both = (
-        None
-        if ties
-        else flags["q_symmetric"] and flags["states_exchangeable_everywhere"]
-    )
-    return DiagnosisReport(
+    states = flags["states_exchangeable_everywhere"]
+    return _build_report(
+        d,
+        conditions,
         mode="predicted",
-        n=d.n,
-        breakpoints=breakpoints(d),
-        has_ties=ties,
-        q_symmetric=flags["q_symmetric"],
-        states_exchangeable_everywhere=flags["states_exchangeable_everywhere"],
-        lifetimes_exchangeable=flags["lifetimes_exchangeable"],
-        weakly_exchangeable=flags["weakly_exchangeable"],
-        condition_q_everywhere=flags["condition_q_everywhere"],
-        boland_repr_all_systems=predicted_boland,
-        prob_repr_all_systems=predicted_prob,
-        both_representations=predicted_both,
-        witnesses=witnesses,
-        skipped_orderings=flags["skipped_orderings"],
+        boland_repr_all_systems=states,
+        prob_repr_all_systems=None if ties else flags["condition_q_everywhere"],
+        both_representations=None if ties else flags["q_symmetric"] and states,
     )
 
 
@@ -460,115 +369,87 @@ def verify_theorems(
     if n != d.n:
         raise ValueError(f"n={n} does not match the distribution's n={d.n}")
     systems = enumerate_systems(n, system_class)
-    flags, witnesses = _condition_witnesses(d)
+    conditions = evaluate_conditions(d)
+    flags, quality, _, witnesses = conditions
     ties = flags["has_ties"]
-    quality = flags["quality"]
     bps = breakpoints(d)
+    weights = WeightFunction.from_quality(quality)
 
     state_dists = [state_distribution(d, t) for t in bps]
-    survivals = [
-        [_order_stat_survival_extended(d, k, t) for k in range(0, n + 2)] for t in bps
-    ]
+    survivals = [_order_stat_survivals(d, t) for t in bps]
 
-    def representation_scan(signature_of) -> tuple[bool, dict | None]:
-        for phi in systems:
-            sig = signature_of(phi)
-            for ti, t in enumerate(bps):
-                lhs = sum(
-                    (sig[k - 1] * survivals[ti][k] for k in range(1, n + 1)),
-                    Fraction(0),
-                )
-                rhs = sum(
-                    (
-                        p
-                        for index, p in enumerate(state_dists[ti].probs)
-                        if p and phi.value(index)
-                    ),
-                    Fraction(0),
-                )
-                if lhs != rhs:
-                    witness = {
-                        "system": system_to_json(phi),
-                        "t": format_rational(t),
-                        "representation": format_rational(lhs),
-                        "reliability": format_rational(rhs),
-                    }
-                    return False, witness
-        return True, None
+    def representation_witness(phi: StructureFunction, sig: Signature) -> dict | None:
+        for t, surv, sd in zip(bps, survivals, state_dists):
+            lhs = _order_stat_mixture(sig, surv)
+            rhs = _reliability_sum(phi, sd)
+            if lhs != rhs:
+                return {
+                    "system": system_to_json(phi),
+                    "t": format_rational(t),
+                    "representation": format_rational(lhs),
+                    "reliability": format_rational(rhs),
+                }
+        return None
 
-    boland_all, boland_wit = representation_scan(boland_signature)
-    if boland_wit is not None:
-        witnesses["boland_repr"] = boland_wit
-
-    prob_all: bool | None = None
-    agree_all: bool | None = None
-    if not ties:
-        prob_all, prob_wit = representation_scan(
-            lambda phi: probability_signature(phi, quality)
-        )
-        if prob_wit is not None:
-            witnesses["prob_repr"] = prob_wit
-        agree_all = True
-        for phi in systems:
-            design = boland_signature(phi)
-            probability = probability_signature(phi, quality)
-            if design != probability:
-                agree_all = False
-                witnesses["signature_agreement"] = {
+    # One pass over the systems; each claim keeps the first system that
+    # breaks it, and the pass stops once every claim is broken.
+    boland_wit = prob_wit = agree_wit = None
+    for phi in systems:
+        # Only the two design-signature claims read it; skip it once both broke.
+        design = None if boland_wit and agree_wit else boland_signature(phi)
+        if boland_wit is None:
+            boland_wit = representation_witness(phi, design)
+        if not ties:
+            probability = weighted_signature(phi, weights)
+            if prob_wit is None:
+                prob_wit = representation_witness(phi, probability)
+            if agree_wit is None and design != probability:
+                agree_wit = {
                     "system": system_to_json(phi),
                     "boland": design.as_strings(),
                     "probability": probability.as_strings(),
                 }
-                break
+        if boland_wit is not None and (
+            ties or (prob_wit is not None and agree_wit is not None)
+        ):
+            break
+
+    for key, wit in (
+        ("boland_repr", boland_wit),
+        ("prob_repr", prob_wit),
+        ("signature_agreement", agree_wit),
+    ):
+        if wit is not None:
+            witnesses[key] = wit
+    boland_all = boland_wit is None
+    prob_all = None if ties else prob_wit is None
+    agree_all = None if ties else agree_wit is None
 
     class_rank = _class_rank(n, system_class)
     full_rank = class_rank == (1 << n) - 1
     relation = "iff" if full_rank else "if"
 
-    checks = [
-        TheoremCheck(
-            "boland_repr_iff_states_exchangeable",
-            relation,
-            boland_all,
-            flags["states_exchangeable_everywhere"],
-        )
-    ]
+    states = flags["states_exchangeable_everywhere"]
+    claims = [("boland_repr_iff_states_exchangeable", boland_all, states)]
     both: bool | None = None
     if not ties:
         assert prob_all is not None and agree_all is not None
         both = boland_all and prob_all
-        checks.append(
-            TheoremCheck(
-                "prob_repr_iff_condition_q",
-                relation,
-                prob_all,
-                flags["condition_q_everywhere"],
-            )
-        )
-        checks.append(
-            TheoremCheck(
-                "signatures_agree_iff_q_symmetric",
-                relation,
-                agree_all,
-                flags["q_symmetric"],
-            )
-        )
-        checks.append(
-            TheoremCheck(
+        claims += [
+            ("prob_repr_iff_condition_q", prob_all, flags["condition_q_everywhere"]),
+            ("signatures_agree_iff_q_symmetric", agree_all, flags["q_symmetric"]),
+            (
                 "both_reprs_iff_agreement_and_state_exchangeability",
-                relation,
                 both,
-                agree_all and flags["states_exchangeable_everywhere"],
-            )
-        )
-        checks.append(
-            TheoremCheck(
+                agree_all and states,
+            ),
+            (
                 "both_reprs_iff_q_symmetry_and_state_exchangeability",
-                relation,
                 both,
-                flags["q_symmetric"] and flags["states_exchangeable_everywhere"],
-            )
-        )
+                flags["q_symmetric"] and states,
+            ),
+        ]
+    checks = [TheoremCheck(name, relation, lhs, rhs) for name, lhs, rhs in claims]
 
     broken = [c for c in checks if not c.consistent]
     if broken:
@@ -579,21 +460,13 @@ def verify_theorems(
             f"independently computed sides disagree: {details}"
         )
 
-    return DiagnosisReport(
+    return _build_report(
+        d,
+        conditions,
         mode="verified",
-        n=n,
-        breakpoints=bps,
-        has_ties=ties,
-        q_symmetric=flags["q_symmetric"],
-        states_exchangeable_everywhere=flags["states_exchangeable_everywhere"],
-        lifetimes_exchangeable=flags["lifetimes_exchangeable"],
-        weakly_exchangeable=flags["weakly_exchangeable"],
-        condition_q_everywhere=flags["condition_q_everywhere"],
         boland_repr_all_systems=boland_all,
         prob_repr_all_systems=prob_all,
         both_representations=both,
-        witnesses=witnesses,
-        skipped_orderings=flags["skipped_orderings"],
         system_class=system_class,
         systems_checked=len(systems),
         class_rank=class_rank,

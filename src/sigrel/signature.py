@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import TiesError
@@ -31,6 +32,7 @@ __all__ = [
     "probability_signature",
     "signatures_agree",
     "weighted_phi_level",
+    "weighted_signature",
 ]
 
 
@@ -84,8 +86,12 @@ class WeightFunction:
         object.__setattr__(self, "values", coerced)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def symmetric(cls, n: int) -> "WeightFunction":
-        """Level-uniform weights 1 / C(n, |x|); weighted sums become level averages."""
+        """Level-uniform weights 1 / C(n, |x|); weighted sums become level averages.
+
+        One instance per n is built and shared; instances are frozen.
+        """
         values = [
             Fraction(1, math.comb(n, mask.bit_count())) for mask in range(1 << n)
         ]
@@ -121,17 +127,16 @@ def boland_signature(phi: StructureFunction) -> Signature:
 
     Entry k is the drop in the level average between n - k + 1 and n - k
     working components; the boundary values 0 and 1 make the entries
-    telescope to exactly 1.
+    telescope to exactly 1. This is :func:`weighted_signature` under the
+    symmetric weights: their level sums are the level averages, and the
+    convention W(0) = 0 equals phi(0) = 0 for every semicoherent system.
     """
     if not phi.semicoherent:
         raise ValueError(
             "signature needs value 0 at the all-failed state and 1 at the "
             "all-working state"
         )
-    levels = [phi_level(phi, k) for k in range(phi.n + 1)]
-    return Signature(
-        tuple(levels[phi.n - k + 1] - levels[phi.n - k] for k in range(1, phi.n + 1))
-    )
+    return weighted_signature(phi, WeightFunction.symmetric(phi.n))
 
 
 def weighted_phi_level(phi: StructureFunction, w: WeightFunction, k: int) -> Fraction:
@@ -151,6 +156,18 @@ def weighted_phi_level(phi: StructureFunction, w: WeightFunction, k: int) -> Fra
     )
 
 
+def weighted_signature(phi: StructureFunction, w: WeightFunction) -> Signature:
+    """Differenced weighted level sums: entry k is W(n - k + 1) - W(n - k).
+
+    W(k) is :func:`weighted_phi_level`, so W(0) = 0. The design signature
+    takes the symmetric weights and the probability signature the relative
+    quality; the entries telescope to W(n).
+    """
+    n = phi.n
+    levels = [weighted_phi_level(phi, w, k) for k in range(n + 1)]
+    return Signature(tuple(levels[n - k + 1] - levels[n - k] for k in range(1, n + 1)))
+
+
 def probability_signature(
     phi: StructureFunction, quality: "QualityFunction"
 ) -> Signature:
@@ -167,14 +184,7 @@ def probability_signature(
         )
     if quality.n != phi.n:
         raise ValueError("quality function and system disagree on component count")
-    w = WeightFunction.from_quality(quality)
-    n = phi.n
-    return Signature(
-        tuple(
-            weighted_phi_level(phi, w, n - k + 1) - weighted_phi_level(phi, w, n - k)
-            for k in range(1, n + 1)
-        )
-    )
+    return weighted_signature(phi, WeightFunction.from_quality(quality))
 
 
 def signatures_agree(phi: StructureFunction, quality: "QualityFunction") -> bool:

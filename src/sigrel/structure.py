@@ -52,7 +52,15 @@ ENUMERATION_LIMIT = 5
 
 
 class SystemClass(Enum):
-    """Family of systems an enumeration or basis construction ranges over."""
+    """Family of systems an enumeration or basis construction ranges over.
+
+    :func:`enumerate_systems` lists, for both classes, only the systems in
+    which every component is essential, so at n >= 3 SEMICOHERENT lists the
+    same 9/114/6,894 systems as COHERENT and differs from it only by
+    admitting n = 2. This is narrower than :attr:`StructureFunction.semicoherent`,
+    which means only value 0 at the all-failed state and 1 at the
+    all-working state.
+    """
 
     COHERENT = "coherent"
     SEMICOHERENT = "semicoherent"

@@ -12,6 +12,7 @@ from sigrel import (
     condition_w,
     distribution_from_json,
     distribution_to_json,
+    format_rational,
     group_reliability,
     has_ties,
     is_q_symmetric,
@@ -23,7 +24,7 @@ from sigrel import (
     states_exchangeable_everywhere,
     weakly_exchangeable,
 )
-from sigrel.distribution import _weak_exchangeability_scan
+from sigrel.distribution import _weak_exchangeability_scan, evaluate_conditions
 
 from conftest import (
     exchangeable_mixture,
@@ -342,3 +343,25 @@ class TestJson:
             distribution_from_json({"n": 2, "atoms": []})
         with pytest.raises(ValueError):
             distribution_from_json("not an object")
+
+
+class TestStateExchangeabilityScan:
+    def test_everywhere_is_every_breakpoint(self, theorem_corpus):
+        for _, d in theorem_corpus:
+            assert states_exchangeable_everywhere(d) == all(
+                states_exchangeable_at(d, t) for t in breakpoints(d)
+            )
+
+    def test_witness_is_at_first_failing_breakpoint(self, theorem_corpus):
+        failures = 0
+        for _, d in theorem_corpus:
+            witnesses = evaluate_conditions(d)[3]
+            failing = [t for t in breakpoints(d) if not states_exchangeable_at(d, t)]
+            if not failing:
+                assert "states_exchangeable" not in witnesses
+                continue
+            failures += 1
+            witness = witnesses["states_exchangeable"]
+            assert witness["t"] == format_rational(failing[0])
+            assert sum(witness["state"]) == sum(witness["other_state"])
+        assert failures > 0

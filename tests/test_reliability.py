@@ -388,3 +388,43 @@ class TestTheoremCheck:
         assert TheoremCheck("x", "if", True, False).consistent
         assert TheoremCheck("x", "if", False, False).consistent
         assert not TheoremCheck("x", "if", False, True).consistent
+
+
+# Witness keys that only verify_theorems can produce: measured over systems.
+MEASURED_WITNESSES = ("boland_repr", "prob_repr", "signature_agreement")
+
+
+class TestSharedConditionsAndMixture:
+    def test_verify_reports_the_conditions_diagnose_reports(self, theorem_corpus):
+        for _, d in theorem_corpus:
+            predicted = diagnose(d)
+            verified = verify_theorems(3, d, SystemClass.COHERENT)
+            assert verified.to_json()["conditions"] == predicted.to_json()["conditions"]
+            assert verified.skipped_orderings == predicted.skipped_orderings
+            condition_witnesses = {
+                k: v
+                for k, v in verified.witnesses.items()
+                if k not in MEASURED_WITNESSES
+            }
+            assert condition_witnesses == predicted.witnesses
+
+    def test_repr_weighted_matches_inline_level_sum_formula(self):
+        def level_sum(phi, w, m):
+            # W(m), with the convention W(0) = 0.
+            if m == 0:
+                return F(0)
+            states = [x for x in range(1 << phi.n) if x.bit_count() == m]
+            return sum((w.values[x] * phi.value(x) for x in states), F(0))
+
+        rng = random.Random(4242)
+        for n in (3, 4):
+            for _ in range(4):
+                d = random_no_ties(rng, n)
+                w = WeightFunction.from_quality(relative_quality(d))
+                for phi in enumerate_systems(n, SystemClass.COHERENT)[::7]:
+                    for t in breakpoints(d):
+                        expected = F(0)
+                        for k in range(1, n + 1):
+                            coeff = level_sum(phi, w, n - k + 1) - level_sum(phi, w, n - k)
+                            expected += coeff * order_stat_survival(d, k, t)
+                        assert repr_weighted(phi, d, w, t) == expected
