@@ -282,16 +282,6 @@ def order_stat_survival(d: LifetimeDistribution, k: int, t: object) -> Fraction:
     """Probability that the k-th smallest lifetime exceeds t (k in 1..n)."""
     if not 1 <= k <= d.n:
         raise ValueError(f"order statistic index {k} out of range 1..{d.n}")
-    return _order_stat_survival_extended(d, k, t)
-
-
-def _order_stat_survival_extended(d: LifetimeDistribution, k: int, t: object) -> Fraction:
-    # Internal boundary conventions: the 0-th order statistic never survives,
-    # the (n+1)-th always does.
-    if k == 0:
-        return Fraction(0)
-    if k == d.n + 1:
-        return Fraction(1)
     t = parse_rational(t)
     threshold = d.n - k + 1
     return sum(

@@ -25,7 +25,7 @@ class TiesError(ValueError):
 
 
 class EnumerationBoundError(ValueError):
-    """System enumeration was requested above the supported component count."""
+    """An enumeration or spanning family was requested above its component limit."""
 
 
 class TheoremInconsistencyError(RuntimeError):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .distribution import (
@@ -344,11 +343,6 @@ def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
     )
 
 
-@lru_cache(maxsize=None)
-def _class_rank(n: int, system_class: SystemClass) -> int:
-    return rank_over_rationals(enumerate_systems(n, system_class))
-
-
 def verify_theorems(
     n: int, d: LifetimeDistribution, system_class: SystemClass
 ) -> DiagnosisReport:
@@ -425,7 +419,7 @@ def verify_theorems(
     prob_all = None if ties else prob_wit is None
     agree_all = None if ties else agree_wit is None
 
-    class_rank = _class_rank(n, system_class)
+    class_rank = rank_over_rationals(systems)
     full_rank = class_rank == (1 << n) - 1
     relation = "iff" if full_rank else "if"
 

@@ -16,6 +16,7 @@ from sigrel import (
     appendix_basis,
     breakpoints,
     enumerate_systems,
+    order_stat_survival,
     probability_signature,
     probability_signature_oracle,
     rank_over_rationals,
@@ -27,7 +28,6 @@ from sigrel import (
     system_reliability,
     verify_theorems,
 )
-from sigrel.distribution import _order_stat_survival_extended
 import sigrel.structure
 
 from conftest import orbit_dist, shifted_ladders_dist, staggered_pairs_dist
@@ -227,15 +227,17 @@ def test_criterion_8_exact_identities(capsys, theorem_corpus):
     with verdict(capsys, 8, "exact identities"):
         named = [("pairs", staggered_pairs_dist()), ("ladders", shifted_ladders_dist())]
 
+        def survival(d, k, t):
+            # the 0-th order statistic never survives
+            return F(0) if k == 0 else order_stat_survival(d, k, t)
+
         # survival differences equal level totals at every breakpoint
         for _, d in list(theorem_corpus) + named:
             n = d.n
             for t in breakpoints(d):
                 sd = state_distribution(d, t)
                 for k in range(1, n + 1):
-                    diff = _order_stat_survival_extended(
-                        d, n - k + 1, t
-                    ) - _order_stat_survival_extended(d, n - k, t)
+                    diff = survival(d, n - k + 1, t) - survival(d, n - k, t)
                     assert diff == sd.level_total(k)
 
         # the summation-by-parts reshuffle, on randomized rational tuples

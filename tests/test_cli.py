@@ -224,6 +224,13 @@ class TestBasisCommand:
             phi = system_from_json(entry)
             assert phi.coherent
 
+    def test_basis_bound_exit_2(self, capsys):
+        # refused before any table is built, so this returns at once
+        code, err = run_error(capsys, ["basis", "--n", "30"])
+        assert code == 2
+        assert err["error"] == "precondition"
+        assert "n <= 12" in err["detail"]
+
 
 class TestErrorPaths:
     def test_missing_file_exit_1(self, capsys):

@@ -1,10 +1,13 @@
 """Structure functions: validation, enumeration, the spanning family, rank."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
 from sigrel import (
+    BASIS_LIMIT,
     ENUMERATION_LIMIT,
     EnumerationBoundError,
     NonMonotoneError,
@@ -268,6 +271,45 @@ class TestBasis:
         with pytest.raises(ValueError):
             appendix_basis(2, SystemClass.COHERENT)
 
+    def test_size_bound(self):
+        for system_class in SystemClass:
+            with pytest.raises(EnumerationBoundError, match=f"n <= {BASIS_LIMIT}"):
+                appendix_basis(BASIS_LIMIT + 1, system_class)
+
+
+def fraction_rank(functions):
+    """Oracle: rank of the table rows by exact Fraction Gaussian elimination."""
+    rows = [[Fraction((f.table >> j) & 1) for j in range(1 << f.n)] for f in functions]
+    rank = 0
+    for col in range(1 << functions[0].n):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            scale = rows[r][col] / rows[rank][col]
+            if scale:
+                rows[r] = [x - scale * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def random_families(n, count, seed):
+    """Seeded families of monotone tables: plain subsets, subsets with
+    repeats and the constant-0 function, and rank-deficient ones that add
+    the pointwise max and min of two members (max + min = sum)."""
+    rng = random.Random(seed)
+    tables = _monotone_tables(n)
+    for i in range(count):
+        family = rng.sample(tables, rng.randint(1, min(len(tables), (1 << n) + 3)))
+        if i % 3 == 1:
+            family += [0] + rng.choices(family, k=rng.randint(1, 3))
+        elif i % 3 == 2:
+            a, b = rng.sample(tables, 2)
+            family += [a, b, a | b, a & b]
+        rng.shuffle(family)
+        yield [StructureFunction(n, t) for t in family]
+
 
 class TestRank:
     def test_basis_ranks(self):
@@ -280,6 +322,25 @@ class TestRank:
         assert rank_over_rationals(systems) == 7
         pair = enumerate_systems(2, SystemClass.SEMICOHERENT)
         assert rank_over_rationals(pair) == 2
+
+    def test_enumerated_classes_span(self):
+        for n in (3, 4, 5):
+            for system_class in SystemClass:
+                systems = enumerate_systems(n, system_class)
+                assert rank_over_rationals(systems) == (1 << n) - 1
+
+    def test_matches_fraction_oracle(self):
+        deficient = 0
+        for n in (2, 3, 4, 5):
+            for family in random_families(n, 60, seed=n):
+                expected = fraction_rank(family)
+                assert rank_over_rationals(family) == expected
+                deficient += expected < len(family)
+        assert deficient >= 100
+
+    def test_zero_function_has_rank_0(self):
+        zero = StructureFunction(3, 0)
+        assert rank_over_rationals([zero, zero]) == 0
 
     def test_duplicates_collapse(self):
         series = k_out_of_n(3, 1)
