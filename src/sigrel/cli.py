@@ -15,8 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
+from typing import Callable, TypeVar
 
-from .distribution import LifetimeDistribution, distribution_from_json, relative_quality
+from .distribution import distribution_from_json, relative_quality
 from .errors import EnumerationBoundError, TheoremInconsistencyError, TiesError
 from .rationals import format_rational, parse_rational
 from .reliability import (
@@ -28,7 +30,6 @@ from .reliability import (
 )
 from .signature import boland_signature, probability_signature
 from .structure import (
-    StructureFunction,
     SystemClass,
     appendix_basis,
     rank_over_rationals,
@@ -52,40 +53,39 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_json(path: str) -> object:
+_T = TypeVar("_T")
+
+
+def _load(path: str, parse: Callable[[object], _T]) -> _T:
+    """Read one JSON input file and parse it; any failure names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _load_system(path: str) -> StructureFunction:
-    obj = _load_json(path)
     try:
-        return system_from_json(obj)
+        return parse(obj)
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _load_distribution(path: str) -> LifetimeDistribution:
-    obj = _load_json(path)
-    try:
-        return distribution_from_json(obj)
+def _time_arg(text: str) -> Fraction:
+    try:  # argparse would replace the reason, such as a limit, with its own text
+        return parse_rational(text)
     except ValueError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _cmd_signature(args: argparse.Namespace) -> object:
-    phi = _load_system(args.system)
+    phi = _load(args.system, system_from_json)
     return list(boland_signature(phi).as_strings())
 
 
 def _cmd_prob_signature(args: argparse.Namespace) -> object:
-    phi = _load_system(args.system)
-    d = _load_distribution(args.dist)
+    phi = _load(args.system, system_from_json)
+    d = _load(args.dist, distribution_from_json)
     quality_based = probability_signature(phi, relative_quality(d))
     atom_oracle = probability_signature_oracle(phi, d)
     return {
@@ -96,8 +96,8 @@ def _cmd_prob_signature(args: argparse.Namespace) -> object:
 
 
 def _cmd_reliability(args: argparse.Namespace) -> object:
-    phi = _load_system(args.system)
-    d = _load_distribution(args.dist)
+    phi = _load(args.system, system_from_json)
+    d = _load(args.dist, distribution_from_json)
     if args.t is not None:
         value = system_reliability(phi, d, args.t)
         return {"t": format_rational(args.t), "value": format_rational(value)}
@@ -105,12 +105,12 @@ def _cmd_reliability(args: argparse.Namespace) -> object:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> object:
-    d = _load_distribution(args.dist)
+    d = _load(args.dist, distribution_from_json)
     return diagnose(d).to_json()
 
 
 def _cmd_verify(args: argparse.Namespace) -> object:
-    d = _load_distribution(args.dist)
+    d = _load(args.dist, distribution_from_json)
     system_class = SystemClass(args.system_class)
     return verify_theorems(d.n, d, system_class).to_json()
 
@@ -152,7 +152,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("reliability", help="survival curve, or one value at --t")
     p.add_argument("--system", required=True, help="system JSON file")
     p.add_argument("--dist", required=True, help="distribution JSON file")
-    p.add_argument("--t", type=parse_rational, help='time as "a/b" or an integer')
+    p.add_argument("--t", type=_time_arg, help='time as "a/b" or an integer')
     p.set_defaults(handler=_cmd_reliability)
 
     p = sub.add_parser(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterable
 
 from .errors import TiesError
@@ -215,21 +215,20 @@ def states_exchangeable_everywhere(d: LifetimeDistribution) -> bool:
 def relative_quality(d: LifetimeDistribution) -> QualityFunction:
     """Probability, per subset, that its components outlive all of the others.
 
-    Computed for tied distributions as well; the result then carries
+    One sweep over the atoms: a subset outlives the rest in an atom exactly
+    when it is the top-j set of the atom's descending order and v_j > v_(j+1)
+    there. Computed for tied distributions as well; the result then carries
     ``from_tied`` so that downstream signature operations can refuse it.
     """
-    full = (1 << d.n) - 1
     values = [Fraction(0)] * (1 << d.n)
-    values[0] = Fraction(1)
-    values[full] = Fraction(1)
-    for mask in range(1, full):
-        inside = [i for i in range(d.n) if (mask >> i) & 1]
-        outside = [i for i in range(d.n) if not (mask >> i) & 1]
-        acc = Fraction(0)
-        for xs, p in d.atoms:
-            if max(xs[i] for i in outside) < min(xs[i] for i in inside):
-                acc += p
-        values[mask] = acc
+    for xs, p in d.atoms:
+        order = sorted(range(d.n), key=xs.__getitem__, reverse=True)
+        mask = 0
+        for j in range(d.n - 1):
+            mask |= 1 << order[j]
+            if xs[order[j]] > xs[order[j + 1]]:
+                values[mask] += p
+    values[0] = values[-1] = Fraction(1)
     return QualityFunction(d.n, tuple(values), from_tied=has_ties(d))
 
 
@@ -257,24 +256,23 @@ def _lifetime_exchangeability_witness(
     d: LifetimeDistribution,
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fraction, Fraction] | None:
     """First permutation (lexicographic) and vector where the pushforward law differs."""
-    base = {xs: p for xs, p in d.atoms}
-    zero = Fraction(0)
-    for sigma in permutations(range(d.n)):
-        if sigma == tuple(range(d.n)):
-            continue
-        pushed: dict[tuple[Fraction, ...], Fraction] = {}
-        for xs, p in d.atoms:
-            key = tuple(xs[sigma[i]] for i in range(d.n))
-            pushed[key] = pushed.get(key, zero) + p
+    base = dict(d.atoms)
+
+    def pushforward(sigma: tuple[int, ...]) -> dict[tuple[Fraction, ...], Fraction]:
+        # Atoms are distinct vectors, so relabeling merges none of them.
+        return {tuple(xs[i] for i in sigma): p for xs, p in d.atoms}
+
+    identity = tuple(range(d.n))
+    adjacent = (identity[:i] + (i + 1, i) + identity[i + 2 :] for i in range(d.n - 1))
+    # The adjacent transpositions generate S_n: a law they all fix has no witness.
+    if all(pushforward(sigma) == base for sigma in adjacent):
+        return None
+    for sigma in permutations(identity):
+        pushed = pushforward(sigma)
         if pushed != base:
-            for xs in sorted(set(base) | set(pushed)):
-                if base.get(xs, zero) != pushed.get(xs, zero):
-                    return (
-                        tuple(s + 1 for s in sigma),
-                        xs,
-                        base.get(xs, zero),
-                        pushed.get(xs, zero),
-                    )
+            xs = min(v for v in base.keys() | pushed if base.get(v) != pushed.get(v))
+            zero = Fraction(0)
+            return tuple(s + 1 for s in sigma), xs, base.get(xs, zero), pushed.get(xs, zero)
     return None
 
 
@@ -325,36 +323,38 @@ def _weak_exchangeability_scan(
     tuple[tuple[int, ...], int, Fraction, Fraction, Fraction] | None,
     tuple[tuple[int, ...], ...],
 ]:
-    """(holds, witness, skipped zero-probability orderings), witness lexicographically first."""
+    """(holds, witness, skipped zero-probability orderings), witness lexicographically first.
+
+    One sweep groups the atoms by realized ordering; P(X_(k:n) <= t, group)
+    is then a cumulative sum over the breakpoints, per group and overall.
+    """
     if has_ties(d):
         raise TiesError("weak exchangeability needs a distribution without ties")
     bps = breakpoints(d)
+    rank = {t: b for b, t in enumerate(bps)}
+
+    def cdfs(atoms: Iterable[Atom]) -> list[list[Fraction]]:
+        mass = [[Fraction(0)] * len(bps) for _ in range(d.n)]
+        for xs, p in atoms:
+            for k, x in enumerate(sorted(xs)):
+                mass[k][rank[x]] += p
+        return [list(accumulate(row)) for row in mass]
+
+    by_order: dict[tuple[int, ...], list[Atom]] = {}
+    for xs, p in d.atoms:
+        by_order.setdefault(tuple(sorted(range(d.n), key=xs.__getitem__)), []).append((xs, p))
+    unconditional = cdfs(d.atoms)
     skipped = []
     for sigma in permutations(range(d.n)):
-        members = []
-        total = Fraction(0)
-        for xs, p in d.atoms:
-            if all(xs[sigma[i]] < xs[sigma[i + 1]] for i in range(d.n - 1)):
-                members.append((xs, p))
-                total += p
-        if total == 0:
+        members = by_order.get(sigma)
+        if members is None:
             skipped.append(tuple(s + 1 for s in sigma))
             continue
-        for k in range(1, d.n + 1):
-            for t in bps:
-                unconditional = 1 - order_stat_survival(d, k, t)
-                conditional = (
-                    sum((p for xs, p in members if sorted(xs)[k - 1] <= t), Fraction(0))
-                    / total
-                )
-                if conditional != unconditional:
-                    witness = (
-                        tuple(s + 1 for s in sigma),
-                        k,
-                        t,
-                        unconditional,
-                        conditional,
-                    )
+        total = sum((p for _, p in members), Fraction(0))
+        for k, (joint, marginal) in enumerate(zip(cdfs(members), unconditional), start=1):
+            for t, mass, u in zip(bps, joint, marginal):
+                if mass != u * total:
+                    witness = (tuple(s + 1 for s in sigma), k, t, u, mass / total)
                     return False, witness, tuple(skipped)
     return True, None, tuple(skipped)
 

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# Largest |decimal exponent| in a string such as "1e4300": Python's default
+# int_max_str_digits, so no expansion outgrows a literal the interpreter accepts.
+_EXPONENT_LIMIT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def parse_rational(value: object) -> Fraction:
@@ -10,7 +16,7 @@ def parse_rational(value: object) -> Fraction:
 
     Accepts Fractions, ints, and strings such as ``"3/8"`` or ``"2"``.
     Floats are rejected: they would smuggle binary rounding into code that
-    relies on exact equality.
+    relies on exact equality. So is a decimal exponent beyond ±4300.
     """
     if isinstance(value, Fraction):
         return value
@@ -19,6 +25,14 @@ def parse_rational(value: object) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        # The length test keeps int() off exponents with thousands of digits.
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(_EXPONENT_LIMIT)) or int(digits or 0) > _EXPONENT_LIMIT:
+            raise ValueError(
+                f"not a rational: {value!r} has a decimal exponent beyond the "
+                f"limit of {_EXPONENT_LIMIT}"
+            )
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

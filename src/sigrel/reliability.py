@@ -15,11 +15,12 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 from typing import Sequence
 
 from .distribution import (
     LifetimeDistribution,
-    StateDistribution,
     breakpoints,
     evaluate_conditions,
     has_ties,
@@ -116,13 +117,12 @@ def system_lifetime(phi: StructureFunction, lifetimes: Sequence[object]) -> Frac
         raise ValueError(f"expected {phi.n} lifetimes, got {len(xs)}")
     if any(x <= 0 for x in xs):
         raise ValueError("lifetimes must be strictly positive")
-    for v in sorted(set(xs)):
-        index = 0
-        for i, x in enumerate(xs):
-            if x > v:
-                index |= 1 << i
+    # Fail components in lifetime order; by monotonicity, ties cannot move the time.
+    index = (1 << phi.n) - 1
+    for i in sorted(range(phi.n), key=xs.__getitem__):
+        index &= ~(1 << i)
         if phi.value(index) == 0:
-            return v
+            return xs[i]
     raise AssertionError("unreachable: a semicoherent system fails by the last failure")
 
 
@@ -147,12 +147,16 @@ def probability_signature_oracle(
     return Signature(tuple(acc))
 
 
-def _reliability_sum(phi: StructureFunction, sd: StateDistribution) -> Fraction:
-    """Sum of the state probabilities over the states in which ``phi`` works."""
-    return sum(
-        (p for index, p in enumerate(sd.probs) if p and phi.value(index)),
-        Fraction(0),
-    )
+def _state_support(d: LifetimeDistribution, t: object) -> tuple[tuple[int, Fraction], ...]:
+    """(state index, probability) of each state with positive probability at t."""
+    return tuple((i, p) for i, p in enumerate(state_distribution(d, t).probs) if p)
+
+
+def _reliability_sum(
+    phi: StructureFunction, support: Sequence[tuple[int, Fraction]]
+) -> Fraction:
+    """Sum of the state probabilities over the supported states in which ``phi`` works."""
+    return sum((p for index, p in support if phi.value(index)), Fraction(0))
 
 
 def _order_stat_survivals(d: LifetimeDistribution, t: object) -> tuple[Fraction, ...]:
@@ -171,18 +175,28 @@ def system_reliability(
     """Probability that the system works at time t, via the state distribution."""
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
-    return _reliability_sum(phi, state_distribution(d, t))
+    return _reliability_sum(phi, _state_support(d, t))
 
 
 def reliability_curve(
     phi: StructureFunction, d: LifetimeDistribution
 ) -> ReliabilityCurve:
-    """Full survival curve of the system, one exact value per interval."""
+    """Full survival curve of the system, one exact value per interval.
+
+    The system works at t iff its lifetime exceeds t, so one system lifetime
+    per atom and one cumulative sum over the breakpoints give every value.
+    """
+    if phi.n != d.n:
+        raise ValueError("system and distribution disagree on component count")
     bps = breakpoints(d)
-    # On (0, b_1) every component is alive, so evaluating at b_1 / 2 is exact.
-    times = [bps[0] / 2, *bps]
-    values = tuple(system_reliability(phi, d, t) for t in times)
-    return ReliabilityCurve(bps, values)
+    if not phi.semicoherent:
+        # A monotone system without the semicoherent boundary values is constant.
+        return ReliabilityCurve(bps, (Fraction(phi.value(0)),) * (len(bps) + 1))
+    failing = [Fraction(0)] * len(bps)
+    for xs, p in d.atoms:
+        failing[bisect.bisect_left(bps, system_lifetime(phi, xs))] += p
+    # On (0, b_1) every component works, and so does the system.
+    return ReliabilityCurve(bps, tuple(accumulate(failing, sub, initial=Fraction(1))))
 
 
 def repr_boland(phi: StructureFunction, d: LifetimeDistribution, t: object) -> Fraction:
@@ -369,13 +383,13 @@ def verify_theorems(
     bps = breakpoints(d)
     weights = WeightFunction.from_quality(quality)
 
-    state_dists = [state_distribution(d, t) for t in bps]
+    supports = [_state_support(d, t) for t in bps]
     survivals = [_order_stat_survivals(d, t) for t in bps]
 
     def representation_witness(phi: StructureFunction, sig: Signature) -> dict | None:
-        for t, surv, sd in zip(bps, survivals, state_dists):
+        for t, surv, support in zip(bps, survivals, supports):
             lhs = _order_stat_mixture(sig, surv)
-            rhs = _reliability_sum(phi, sd)
+            rhs = _reliability_sum(phi, support)
             if lhs != rhs:
                 return {
                     "system": system_to_json(phi),

@@ -159,7 +159,7 @@ class StructureFunction:
 
     def bits(self) -> str:
         """Truth table as a string of '0'/'1', index 0 first."""
-        return "".join(str((self.table >> j) & 1) for j in range(1 << self.n))
+        return format(self.table, f"0{1 << self.n}b")[::-1]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StructureFunction(n={self.n}, bits={self.bits()!r})"
@@ -173,15 +173,9 @@ def from_truth_table(n: int, bits: Sequence[int] | str) -> StructureFunction:
         raise ValueError(f"expected {1 << n} table entries for n={n}, got {len(bits)}")
     table = 0
     for j, entry in enumerate(bits):
-        if isinstance(entry, str):
-            if entry not in ("0", "1"):
-                raise ValueError(f"table entry {entry!r} at index {j} is not 0 or 1")
-            bit = int(entry)
-        elif entry in (0, 1):
-            bit = int(entry)
-        else:
+        if entry not in ("0", "1", 0, 1):
             raise ValueError(f"table entry {entry!r} at index {j} is not 0 or 1")
-        table |= bit << j
+        table |= int(entry) << j
     return StructureFunction(n, table)
 
 
@@ -204,10 +198,7 @@ def from_path_sets(n: int, paths: Iterable[Iterable[int]]) -> StructureFunction:
         masks.append(mask)
     if not masks:
         raise ValueError("at least one path is required")
-    table = 0
-    for j in range(1 << n):
-        if any(j & mask == mask for mask in masks):
-            table |= 1 << j
+    table = sum(1 << j for j in range(1 << n) if any(j & m == m for m in masks))
     return StructureFunction(n, table)
 
 
@@ -219,11 +210,7 @@ def k_out_of_n(n: int, k: int) -> StructureFunction:
     """
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    threshold = n - k + 1
-    table = 0
-    for j in range(1 << n):
-        if j.bit_count() >= threshold:
-            table |= 1 << j
+    table = sum(1 << j for j in range(1 << n) if j.bit_count() >= n - k + 1)
     return StructureFunction(n, table)
 
 
@@ -250,12 +237,7 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
     tables: tuple[int, ...] = (0, 1)
     for k in range(1, n + 1):
         shift = 1 << (k - 1)
-        merged = [
-            g | (h << shift)
-            for g in tables
-            for h in tables
-            if g & ~h == 0
-        ]
+        merged = (g | (h << shift) for g in tables for h in tables if g & ~h == 0)
         tables = tuple(sorted(merged))
     return tables
 
@@ -282,21 +264,13 @@ def enumerate_systems(
         raise EnumerationBoundError(
             f"enumeration supports n <= {ENUMERATION_LIMIT}, got n={n}"
         )
-    out = []
-    for table in _monotone_tables(n):
-        phi = StructureFunction(n, table)
-        if len(phi.essential) == n:
-            out.append(phi)
-    return tuple(out)
+    systems = (StructureFunction(n, table) for table in _monotone_tables(n))
+    return tuple(phi for phi in systems if len(phi.essential) == n)
 
 
 def _monomial_table(n: int, subset: int) -> int:
     """Table of the indicator that every component in ``subset`` works."""
-    table = 0
-    for j in range(1 << n):
-        if j & subset == subset:
-            table |= 1 << j
-    return table
+    return sum(1 << j for j in range(1 << n) if j & subset == subset)
 
 
 def _pairing_map(n: int) -> dict[int, int]:
@@ -341,12 +315,10 @@ def appendix_basis(n: int, system_class: SystemClass) -> list[StructureFunction]
         raise EnumerationBoundError(
             f"the spanning family supports n <= {BASIS_LIMIT}, got n={n}"
         )
+    if system_class is SystemClass.SEMICOHERENT:
+        return [StructureFunction(n, _monomial_table(n, s)) for s in range(1, 1 << n)]
     full = (1 << n) - 1
     functions = []
-    if system_class is SystemClass.SEMICOHERENT:
-        for subset in range(1, 1 << n):
-            functions.append(StructureFunction(n, _monomial_table(n, subset)))
-        return functions
     pairing = _pairing_map(n)
     for subset in range(1, 1 << n):
         if subset == full:

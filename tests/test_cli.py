@@ -1,10 +1,16 @@
 """Command-line behavior: outputs, exit codes, error JSON, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from sigrel import TheoremInconsistencyError, distribution_to_json, system_to_json
+from sigrel import (
+    TheoremInconsistencyError,
+    distribution_to_json,
+    parse_rational,
+    system_to_json,
+)
 from sigrel import cli
 from sigrel.cli import run
 from sigrel.structure import from_path_sets, from_truth_table
@@ -273,3 +279,32 @@ class TestErrorPaths:
         code, err = run_error(capsys, ["signature"])
         assert code == 2
         assert err["error"] == "usage"
+
+
+class TestDecimalExponentLimit:
+    """Decimal exponents past the limit are refused before any expansion."""
+
+    def test_parse_rational_bounds_the_exponent(self):
+        assert parse_rational("1e4300") == 10**4300
+        assert parse_rational("25e-4300") == Fraction(25, 10**4300)
+        assert parse_rational("1.5E+0_0_3") == 1500
+        for text in ("1e4301", "1e-4301", "2E9_999", "1e" + "9" * 5000):
+            with pytest.raises(ValueError, match="limit of 4300"):
+                parse_rational(text)
+
+    def test_distribution_file_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            json.dumps({"n": 2, "atoms": [{"x": ["1e999999999", "2"], "p": "1"}]})
+        )
+        code, err = run_error(capsys, ["diagnose", "--dist", str(path)])
+        assert code == 1
+        assert err["error"] == "input"
+        assert "limit of 4300" in err["detail"]
+
+    def test_time_option_exit_2(self, files, capsys):
+        argv = ["reliability", "--system", files["series2"], "--dist", files["pairs"]]
+        code, err = run_error(capsys, [*argv, "--t", "1e999999999"])
+        assert code == 2
+        assert err["error"] == "usage"
+        assert "limit of 4300" in err["detail"]
