@@ -197,10 +197,10 @@ def states_exchangeable_at(d: LifetimeDistribution, t: object) -> bool:
 
 
 def _state_exchangeability_witness(
-    d: LifetimeDistribution,
+    d: LifetimeDistribution, bps: tuple[Fraction, ...]
 ) -> tuple[Fraction, int, int, Fraction, Fraction] | None:
     """Smallest (breakpoint, state, state) pair with unequal same-level probabilities."""
-    for t in breakpoints(d):
+    for t in bps:
         witness = _state_exchangeability_at(d, t)
         if witness is not None:
             return (t, *witness)
@@ -209,7 +209,7 @@ def _state_exchangeability_witness(
 
 def states_exchangeable_everywhere(d: LifetimeDistribution) -> bool:
     """State exchangeability at every t > 0, decided at the breakpoints."""
-    return _state_exchangeability_witness(d) is None
+    return _state_exchangeability_witness(d, breakpoints(d)) is None
 
 
 def relative_quality(d: LifetimeDistribution) -> QualityFunction:
@@ -317,7 +317,7 @@ def weakly_exchangeable(d: LifetimeDistribution) -> bool:
 
 
 def _weak_exchangeability_scan(
-    d: LifetimeDistribution,
+    d: LifetimeDistribution, bps: tuple[Fraction, ...] | None = None
 ) -> tuple[
     bool,
     tuple[tuple[int, ...], int, Fraction, Fraction, Fraction] | None,
@@ -326,11 +326,13 @@ def _weak_exchangeability_scan(
     """(holds, witness, skipped zero-probability orderings), witness lexicographically first.
 
     One sweep groups the atoms by realized ordering; P(X_(k:n) <= t, group)
-    is then a cumulative sum over the breakpoints, per group and overall.
+    is then a cumulative sum over the breakpoints (``bps``, computed when not
+    given), per group and overall.
     """
     if has_ties(d):
         raise TiesError("weak exchangeability needs a distribution without ties")
-    bps = breakpoints(d)
+    if bps is None:
+        bps = breakpoints(d)
     rank = {t: b for b, t in enumerate(bps)}
 
     def cdfs(atoms: Iterable[Atom]) -> list[list[Fraction]]:
@@ -392,10 +394,11 @@ def _subset_members(mask: int) -> list[int]:
 
 def evaluate_conditions(
     d: LifetimeDistribution,
-) -> tuple[dict, QualityFunction, tuple[tuple[int, ...], ...], dict]:
+) -> tuple[dict, QualityFunction, tuple[tuple[int, ...], ...], dict, tuple[Fraction, ...]]:
     """Evaluate every condition of the equivalences once.
 
-    Returns (flags, quality, skipped orderings, witnesses). ``flags`` maps
+    Returns (flags, quality, skipped orderings, witnesses, breakpoints); the
+    breakpoints are sorted once here and shared by every scan. ``flags`` maps
     has_ties, q_symmetric, states_exchangeable_everywhere,
     lifetimes_exchangeable, weakly_exchangeable (None for tied laws) and
     condition_q_everywhere to their values; ``witnesses`` maps each failed
@@ -404,6 +407,7 @@ def evaluate_conditions(
     """
     ties = has_ties(d)
     quality = relative_quality(d)
+    bps = breakpoints(d)
     witnesses: dict = {}
 
     q_wit = _q_symmetry_witness(quality)
@@ -415,7 +419,7 @@ def evaluate_conditions(
             "symmetric_value": format_rational(expected),
         }
 
-    state_wit = _state_exchangeability_witness(d)
+    state_wit = _state_exchangeability_witness(d, bps)
     if state_wit is not None:
         t, x, x_other, p, p_other = state_wit
         witnesses["states_exchangeable"] = {
@@ -439,7 +443,7 @@ def evaluate_conditions(
     skipped: tuple[tuple[int, ...], ...] = ()
     weak: bool | None = None
     if not ties:
-        weak, weak_wit, skipped = _weak_exchangeability_scan(d)
+        weak, weak_wit, skipped = _weak_exchangeability_scan(d, bps)
         if weak_wit is not None:
             sigma, k, t, unconditional, conditional = weak_wit
             witnesses["weakly_exchangeable"] = {
@@ -452,7 +456,7 @@ def evaluate_conditions(
 
     w = WeightFunction.from_quality(quality)
     cond_q = True
-    for t in breakpoints(d):
+    for t in bps:
         cond_wit = _condition_w_witness(d, w, t)
         if cond_wit is not None:
             x, p, expected = cond_wit
@@ -473,7 +477,7 @@ def evaluate_conditions(
         "weakly_exchangeable": weak,
         "condition_q_everywhere": cond_q,
     }
-    return flags, quality, skipped, witnesses
+    return flags, quality, skipped, witnesses, bps
 
 
 def distribution_to_json(d: LifetimeDistribution) -> dict:

@@ -13,10 +13,11 @@ disagreement as a fatal implementation bug.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import sub
+from operator import mul, sub
 from typing import Sequence
 
 from .distribution import (
@@ -26,7 +27,6 @@ from .distribution import (
     has_ties,
     order_stat_survival,
     relative_quality,
-    state_distribution,
 )
 from .errors import TheoremInconsistencyError, TiesError
 from .rationals import format_rational, parse_rational
@@ -148,15 +148,25 @@ def probability_signature_oracle(
 
 
 def _state_support(d: LifetimeDistribution, t: object) -> tuple[tuple[int, Fraction], ...]:
-    """(state index, probability) of each state with positive probability at t."""
-    return tuple((i, p) for i, p in enumerate(state_distribution(d, t).probs) if p)
+    """(state index, probability) of each state with positive probability at t.
+
+    One state per atom (component alive iff lifetime > t), merged; no 2**n table.
+    """
+    t = parse_rational(t)
+    if t <= 0:
+        raise ValueError(f"time must be positive, got {t}")
+    probs: dict[int, Fraction] = {}
+    for xs, p in d.atoms:
+        index = sum(1 << i for i, x in enumerate(xs) if x > t)
+        probs[index] = probs.get(index, 0) + p
+    return tuple(sorted(probs.items()))
 
 
-def _reliability_sum(
-    phi: StructureFunction, support: Sequence[tuple[int, Fraction]]
-) -> Fraction:
-    """Sum of the state probabilities over the supported states in which ``phi`` works."""
-    return sum((p for index, p in support if phi.value(index)), Fraction(0))
+def _reliability_sum(phi: StructureFunction, support: Sequence[tuple[int, Fraction | int]]):
+    """Sum of the state probabilities (Fractions, or ints over one denominator)
+    over the supported states in which ``phi`` works."""
+    table = phi.table
+    return sum(p for index, p in support if table >> index & 1)
 
 
 def _order_stat_survivals(d: LifetimeDistribution, t: object) -> tuple[Fraction, ...]:
@@ -164,9 +174,10 @@ def _order_stat_survivals(d: LifetimeDistribution, t: object) -> tuple[Fraction,
     return tuple(order_stat_survival(d, k, t) for k in range(1, d.n + 1))
 
 
-def _order_stat_mixture(sig: Signature, survivals: Sequence[Fraction]) -> Fraction:
-    """The representation formula: sum over k of sig[k] * P(X_(k:n) > t)."""
-    return sum((s * p for s, p in zip(sig, survivals)), Fraction(0))
+def _order_stat_mixture(sig: Sequence[Fraction | int], survivals: Sequence[Fraction | int]):
+    """The representation formula: sum over k of sig[k] * P(X_(k:n) > t), in
+    Fractions, or in ints when both sides are scaled numerators."""
+    return sum(map(mul, sig, survivals))
 
 
 def system_reliability(
@@ -175,7 +186,7 @@ def system_reliability(
     """Probability that the system works at time t, via the state distribution."""
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
-    return _reliability_sum(phi, _state_support(d, t))
+    return Fraction(_reliability_sum(phi, _state_support(d, t)))
 
 
 def reliability_curve(
@@ -325,10 +336,10 @@ def _build_report(
     d: LifetimeDistribution, conditions: tuple, **fields
 ) -> DiagnosisReport:
     """Report with the condition fields from :func:`evaluate_conditions` filled in."""
-    flags, _, skipped, witnesses = conditions
+    flags, _, skipped, witnesses, bps = conditions
     return DiagnosisReport(
         n=d.n,
-        breakpoints=breakpoints(d),
+        breakpoints=bps,
         **flags,
         witnesses=witnesses,
         skipped_orderings=skipped,
@@ -373,49 +384,70 @@ def verify_theorems(
     Witnesses for failed universally quantified claims are the
     lexicographically smallest counterexamples, ordering systems by their
     packed tables and times by breakpoint index.
+
+    The representation scan runs on exact integers. Every state probability
+    and order-statistic survival is a multiple of 1/D, D the least common
+    denominator of the atom probabilities, and each signature is taken as
+    integer level sums over its weights' common denominator: L = lcm C(n, m)
+    for the design signature, a divisor of D for the probability signature.
+    Both sides of each check are compared as ints, and Fractions are built
+    only for a witness, whose values and format do not depend on the scan.
     """
     if n != d.n:
         raise ValueError(f"n={n} does not match the distribution's n={d.n}")
     systems = enumerate_systems(n, system_class)
     conditions = evaluate_conditions(d)
-    flags, quality, _, witnesses = conditions
+    flags, quality, _, witnesses, bps = conditions
     ties = flags["has_ties"]
-    bps = breakpoints(d)
+    symmetric = WeightFunction.symmetric(n)
     weights = WeightFunction.from_quality(quality)
 
-    supports = [_state_support(d, t) for t in bps]
-    survivals = [_order_stat_survivals(d, t) for t in bps]
+    D = math.lcm(*(p.denominator for _, p in d.atoms))
 
-    def representation_witness(phi: StructureFunction, sig: Signature) -> dict | None:
+    def scaled(v: Fraction) -> int:
+        return v.numerator * (D // v.denominator)
+
+    supports = [tuple((i, scaled(p)) for i, p in _state_support(d, t)) for t in bps]
+    survivals = [tuple(map(scaled, _order_stat_survivals(d, t))) for t in bps]
+
+    def strings(sig: Sequence[int], scale: int) -> tuple[str, ...]:
+        return tuple(format_rational(Fraction(s, scale)) for s in sig)
+
+    def representation_witness(
+        phi: StructureFunction, sig: Sequence[int], scale: int
+    ) -> dict | None:
+        # sig is over ``scale``, the survivals and supports over D.
         for t, surv, support in zip(bps, survivals, supports):
             lhs = _order_stat_mixture(sig, surv)
-            rhs = _reliability_sum(phi, support)
+            rhs = scale * _reliability_sum(phi, support)
             if lhs != rhs:
                 return {
                     "system": system_to_json(phi),
                     "t": format_rational(t),
-                    "representation": format_rational(lhs),
-                    "reliability": format_rational(rhs),
+                    "representation": format_rational(Fraction(lhs, scale * D)),
+                    "reliability": format_rational(Fraction(rhs, scale * D)),
                 }
         return None
 
     # One pass over the systems; each claim keeps the first system that
     # breaks it, and the pass stops once every claim is broken.
+    L, Q = symmetric.denominator, weights.denominator
     boland_wit = prob_wit = agree_wit = None
     for phi in systems:
         # Only the two design-signature claims read it; skip it once both broke.
-        design = None if boland_wit and agree_wit else boland_signature(phi)
+        design = None if boland_wit and agree_wit else symmetric.signature_numerators(phi)
         if boland_wit is None:
-            boland_wit = representation_witness(phi, design)
+            boland_wit = representation_witness(phi, design, L)
         if not ties:
-            probability = weighted_signature(phi, weights)
+            probability = weights.signature_numerators(phi)
             if prob_wit is None:
-                prob_wit = representation_witness(phi, probability)
-            if agree_wit is None and design != probability:
+                prob_wit = representation_witness(phi, probability, Q)
+            # design / L == probability / Q, entry by entry.
+            if agree_wit is None and any(a * Q != b * L for a, b in zip(design, probability)):
                 agree_wit = {
                     "system": system_to_json(phi),
-                    "boland": design.as_strings(),
-                    "probability": probability.as_strings(),
+                    "boland": strings(design, L),
+                    "probability": strings(probability, Q),
                 }
         if boland_wit is not None and (
             ties or (prob_wit is not None and agree_wit is not None)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import TiesError
@@ -106,6 +106,38 @@ class WeightFunction:
         """
         return cls(quality.n, tuple(quality.values))
 
+    @cached_property
+    def denominator(self) -> int:
+        """Least common denominator of the weights."""
+        return math.lcm(*(v.denominator for v in self.values))
+
+    @cached_property
+    def numerators(self) -> tuple[int, ...]:
+        """The weights times :attr:`denominator`, as ints."""
+        return tuple(v.numerator * (self.denominator // v.denominator) for v in self.values)
+
+    def phi_level_numerators(self, phi: StructureFunction) -> tuple[int, ...]:
+        """Weighted level sums W(0), ..., W(n) of ``phi`` times :attr:`denominator`.
+
+        W(k) sums w(x) * phi(x) over the level-k state vectors x, in exact
+        integers; W(0) is 0 by convention (see :func:`weighted_phi_level`).
+        """
+        if phi.n != self.n:
+            raise ValueError("weight function and system disagree on component count")
+        weights = self.numerators
+        table = phi.table
+        levels = [0] * (self.n + 1)
+        for index in range(1, 1 << self.n):
+            if table >> index & 1:
+                levels[index.bit_count()] += weights[index]
+        return tuple(levels)
+
+    def signature_numerators(self, phi: StructureFunction) -> tuple[int, ...]:
+        """:func:`weighted_signature` of ``phi`` times :attr:`denominator`, as ints."""
+        levels = self.phi_level_numerators(phi)
+        n = self.n
+        return tuple(levels[n - k + 1] - levels[n - k] for k in range(1, n + 1))
+
     def level_sums(self) -> tuple[Fraction, ...]:
         """Total weight per number of working components, k = 0..n."""
         return tuple(
@@ -145,15 +177,9 @@ def weighted_phi_level(phi: StructureFunction, w: WeightFunction, k: int) -> Fra
     The value at k = 0 is 0 by convention (not w(0) * phi(0)), which makes
     signature entries telescope cleanly for any weights.
     """
-    if w.n != phi.n:
-        raise ValueError("weight function and system disagree on component count")
     if not 0 <= k <= phi.n:
         raise ValueError(f"level {k} out of range 0..{phi.n}")
-    if k == 0:
-        return Fraction(0)
-    return sum(
-        (w.values[i] * phi.value(i) for i in level_indices(phi.n, k)), Fraction(0)
-    )
+    return Fraction(w.phi_level_numerators(phi)[k], w.denominator)
 
 
 def weighted_signature(phi: StructureFunction, w: WeightFunction) -> Signature:
@@ -161,11 +187,12 @@ def weighted_signature(phi: StructureFunction, w: WeightFunction) -> Signature:
 
     W(k) is :func:`weighted_phi_level`, so W(0) = 0. The design signature
     takes the symmetric weights and the probability signature the relative
-    quality; the entries telescope to W(n).
+    quality; the entries telescope to W(n). The level sums are taken in
+    integers over the weights' common denominator, which divides once at
+    the end.
     """
-    n = phi.n
-    levels = [weighted_phi_level(phi, w, k) for k in range(n + 1)]
-    return Signature(tuple(levels[n - k + 1] - levels[n - k] for k in range(1, n + 1)))
+    scale = w.denominator
+    return Signature(tuple(Fraction(s, scale) for s in w.signature_numerators(phi)))
 
 
 def probability_signature(
