@@ -67,6 +67,8 @@ def _load(path: str, parse: Callable[[object], _T]) -> _T:
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(obj)
+    except EnumerationBoundError:
+        raise  # a size limit, not a malformed file: exit 2
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 

@@ -7,16 +7,23 @@ at the breakpoints (the distinct lifetime values): the component state
 vector at time t is constant on each interval between consecutive
 breakpoints, so checking at the left endpoints covers the whole half-line.
 
+:func:`state_support` alone turns lifetimes into states: the states with
+positive probability at t, each probability an int over D, the least common
+denominator of the atom probabilities. A law caches it at every breakpoint,
+so the state conditions compare ints and build Fractions only for witnesses.
+
 State vectors use the same packed encoding as truth-table indices:
 component i working at time t sets bit i - 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from itertools import accumulate, permutations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import TiesError
 from .rationals import format_rational, parse_rational
@@ -53,7 +60,8 @@ class LifetimeDistribution:
 
     Atoms are canonicalized on construction: lifetimes coerced to exact
     rationals, duplicate vectors merged, atoms sorted. Equality is therefore
-    a canonical-form comparison.
+    a canonical-form comparison. The cached properties are not fields, so
+    equality and hashing ignore them.
     """
 
     n: int
@@ -88,6 +96,21 @@ class LifetimeDistribution:
                 f"atom probabilities sum to {total}, off by {1 - total}"
             )
         object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
+
+    @cached_property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        """Sorted distinct lifetime values; state vectors only change there."""
+        return tuple(sorted({x for xs, _ in self.atoms for x in xs}))
+
+    @cached_property
+    def denominator(self) -> int:
+        """D, the least common denominator of the atom probabilities."""
+        return math.lcm(*(p.denominator for _, p in self.atoms))
+
+    @cached_property
+    def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """:func:`state_support` at each breakpoint, in breakpoint order."""
+        return tuple(state_support(self, t) for t in self.breakpoints)
 
 
 @dataclass(frozen=True)
@@ -158,50 +181,59 @@ def has_ties(d: LifetimeDistribution) -> bool:
 
 def breakpoints(d: LifetimeDistribution) -> tuple[Fraction, ...]:
     """Sorted distinct lifetime values; state vectors only change there."""
-    values = {x for xs, _ in d.atoms for x in xs}
-    return tuple(sorted(values))
+    return d.breakpoints
+
+
+def state_support(d: LifetimeDistribution, t: object) -> tuple[tuple[int, int], ...]:
+    """(state index, probability times D) of each state with positive probability at t.
+
+    One state per atom (component alive iff lifetime > t), merged, sorted by index.
+    """
+    t = parse_rational(t)
+    if t <= 0:
+        raise ValueError(f"time must be positive, got {t}")
+    D = d.denominator
+    probs: dict[int, int] = {}
+    for xs, p in d.atoms:
+        index = sum(1 << i for i, x in enumerate(xs) if x > t)
+        probs[index] = probs.get(index, 0) + p.numerator * (D // p.denominator)
+    return tuple(sorted(probs.items()))
 
 
 def state_distribution(d: LifetimeDistribution, t: object) -> StateDistribution:
     """Distribution of the working/failed vector at time t (component alive iff lifetime > t)."""
     t = parse_rational(t)
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
     probs = [Fraction(0)] * (1 << d.n)
-    for xs, p in d.atoms:
-        index = 0
-        for i, x in enumerate(xs):
-            if x > t:
-                index |= 1 << i
-        probs[index] += p
+    for index, p in state_support(d, t):
+        probs[index] = Fraction(p, d.denominator)
     return StateDistribution(d.n, t, tuple(probs))
 
 
 def _state_exchangeability_at(
-    d: LifetimeDistribution, t: object
+    d: LifetimeDistribution, support: tuple[tuple[int, int], ...]
 ) -> tuple[int, int, Fraction, Fraction] | None:
-    """First same-level state pair, by level then index, with unequal probabilities at t."""
-    sd = state_distribution(d, t)
-    for k in range(d.n + 1):
-        idxs = level_indices(d.n, k)
-        first = sd.probs[idxs[0]]
-        for other in idxs[1:]:
-            if sd.probs[other] != first:
-                return idxs[0], other, first, sd.probs[other]
+    """First same-level state pair, by level then index, with unequal probabilities."""
+    probs = dict(support)
+    # A level without a supported state is all zero.
+    for k in sorted({index.bit_count() for index in probs}):
+        first, *others = level_indices(d.n, k)
+        p = probs.get(first, 0)
+        for other in others:
+            q = probs.get(other, 0)
+            if q != p:
+                return first, other, Fraction(p, d.denominator), Fraction(q, d.denominator)
     return None
 
 
 def states_exchangeable_at(d: LifetimeDistribution, t: object) -> bool:
     """True iff state probabilities at t depend only on how many components work."""
-    return _state_exchangeability_at(d, t) is None
+    return _state_exchangeability_at(d, state_support(d, t)) is None
 
 
-def _state_exchangeability_witness(
-    d: LifetimeDistribution, bps: tuple[Fraction, ...]
-) -> tuple[Fraction, int, int, Fraction, Fraction] | None:
-    """Smallest (breakpoint, state, state) pair with unequal same-level probabilities."""
-    for t in bps:
-        witness = _state_exchangeability_at(d, t)
+def _first_witness(d: LifetimeDistribution, witness_at: Callable) -> tuple | None:
+    """(t, *witness) at the first breakpoint t whose support has a witness."""
+    for t, support in zip(d.breakpoints, d.supports):
+        witness = witness_at(support)
         if witness is not None:
             return (t, *witness)
     return None
@@ -209,7 +241,7 @@ def _state_exchangeability_witness(
 
 def states_exchangeable_everywhere(d: LifetimeDistribution) -> bool:
     """State exchangeability at every t > 0, decided at the breakpoints."""
-    return _state_exchangeability_witness(d, breakpoints(d)) is None
+    return _first_witness(d, partial(_state_exchangeability_at, d)) is None
 
 
 def relative_quality(d: LifetimeDistribution) -> QualityFunction:
@@ -316,9 +348,7 @@ def weakly_exchangeable(d: LifetimeDistribution) -> bool:
     return holds
 
 
-def _weak_exchangeability_scan(
-    d: LifetimeDistribution, bps: tuple[Fraction, ...] | None = None
-) -> tuple[
+def _weak_exchangeability_scan(d: LifetimeDistribution) -> tuple[
     bool,
     tuple[tuple[int, ...], int, Fraction, Fraction, Fraction] | None,
     tuple[tuple[int, ...], ...],
@@ -326,13 +356,11 @@ def _weak_exchangeability_scan(
     """(holds, witness, skipped zero-probability orderings), witness lexicographically first.
 
     One sweep groups the atoms by realized ordering; P(X_(k:n) <= t, group)
-    is then a cumulative sum over the breakpoints (``bps``, computed when not
-    given), per group and overall.
+    is then a cumulative sum over the breakpoints, per group and overall.
     """
     if has_ties(d):
         raise TiesError("weak exchangeability needs a distribution without ties")
-    if bps is None:
-        bps = breakpoints(d)
+    bps = d.breakpoints
     rank = {t: b for b, t in enumerate(bps)}
 
     def cdfs(atoms: Iterable[Atom]) -> list[list[Fraction]]:
@@ -367,20 +395,25 @@ def condition_w(d: LifetimeDistribution, w: WeightFunction, t: object) -> bool:
     The weight function is taken as given; nothing here requires its level
     sums to equal 1.
     """
-    return _condition_w_witness(d, w, t) is None
+    if w.n != d.n:
+        raise ValueError("weight function and distribution disagree on component count")
+    return _condition_w_witness(d, w, state_support(d, t)) is None
 
 
 def _condition_w_witness(
-    d: LifetimeDistribution, w: WeightFunction, t: object
+    d: LifetimeDistribution, w: WeightFunction, support: tuple[tuple[int, int], ...]
 ) -> tuple[int, Fraction, Fraction] | None:
-    if w.n != d.n:
-        raise ValueError("weight function and distribution disagree on component count")
-    sd = state_distribution(d, t)
-    level_totals = [sd.level_total(k) for k in range(d.n + 1)]
+    """First state x >= 1 where P(x) != w(x) * P(level of x), compared as ints:
+    P(x) * Q against ``w.numerators[x]`` times the level total, both over D."""
+    Q, weights = w.denominator, w.numerators
+    probs = dict(support)
+    totals = [0] * (d.n + 1)
+    for index, p in support:
+        totals[index.bit_count()] += p
     for x in range(1, 1 << d.n):
-        expected = w.values[x] * level_totals[x.bit_count()]
-        if sd.probs[x] != expected:
-            return x, sd.probs[x], expected
+        p, expected = probs.get(x, 0), weights[x] * totals[x.bit_count()]
+        if p * Q != expected:
+            return x, Fraction(p, d.denominator), Fraction(expected, Q * d.denominator)
     return None
 
 
@@ -394,11 +427,11 @@ def _subset_members(mask: int) -> list[int]:
 
 def evaluate_conditions(
     d: LifetimeDistribution,
-) -> tuple[dict, QualityFunction, tuple[tuple[int, ...], ...], dict, tuple[Fraction, ...]]:
+) -> tuple[dict, QualityFunction, tuple[tuple[int, ...], ...], dict]:
     """Evaluate every condition of the equivalences once.
 
-    Returns (flags, quality, skipped orderings, witnesses, breakpoints); the
-    breakpoints are sorted once here and shared by every scan. ``flags`` maps
+    Returns (flags, quality, skipped orderings, witnesses); every scan reads
+    the law's cached breakpoints and supports. ``flags`` maps
     has_ties, q_symmetric, states_exchangeable_everywhere,
     lifetimes_exchangeable, weakly_exchangeable (None for tied laws) and
     condition_q_everywhere to their values; ``witnesses`` maps each failed
@@ -407,7 +440,6 @@ def evaluate_conditions(
     """
     ties = has_ties(d)
     quality = relative_quality(d)
-    bps = breakpoints(d)
     witnesses: dict = {}
 
     q_wit = _q_symmetry_witness(quality)
@@ -419,7 +451,7 @@ def evaluate_conditions(
             "symmetric_value": format_rational(expected),
         }
 
-    state_wit = _state_exchangeability_witness(d, bps)
+    state_wit = _first_witness(d, partial(_state_exchangeability_at, d))
     if state_wit is not None:
         t, x, x_other, p, p_other = state_wit
         witnesses["states_exchangeable"] = {
@@ -443,7 +475,7 @@ def evaluate_conditions(
     skipped: tuple[tuple[int, ...], ...] = ()
     weak: bool | None = None
     if not ties:
-        weak, weak_wit, skipped = _weak_exchangeability_scan(d, bps)
+        weak, weak_wit, skipped = _weak_exchangeability_scan(d)
         if weak_wit is not None:
             sigma, k, t, unconditional, conditional = weak_wit
             witnesses["weakly_exchangeable"] = {
@@ -455,19 +487,15 @@ def evaluate_conditions(
             }
 
     w = WeightFunction.from_quality(quality)
-    cond_q = True
-    for t in bps:
-        cond_wit = _condition_w_witness(d, w, t)
-        if cond_wit is not None:
-            x, p, expected = cond_wit
-            witnesses["condition_q"] = {
-                "t": format_rational(t),
-                "state": _state_vector(d.n, x),
-                "probability": format_rational(p),
-                "expected": format_rational(expected),
-            }
-            cond_q = False
-            break
+    cond_wit = _first_witness(d, partial(_condition_w_witness, d, w))
+    if cond_wit is not None:
+        t, x, p, expected = cond_wit
+        witnesses["condition_q"] = {
+            "t": format_rational(t),
+            "state": _state_vector(d.n, x),
+            "probability": format_rational(p),
+            "expected": format_rational(expected),
+        }
 
     flags = {
         "has_ties": ties,
@@ -475,9 +503,9 @@ def evaluate_conditions(
         "states_exchangeable_everywhere": state_wit is None,
         "lifetimes_exchangeable": life_wit is None,
         "weakly_exchangeable": weak,
-        "condition_q_everywhere": cond_q,
+        "condition_q_everywhere": cond_wit is None,
     }
-    return flags, quality, skipped, witnesses, bps
+    return flags, quality, skipped, witnesses
 
 
 def distribution_to_json(d: LifetimeDistribution) -> dict:

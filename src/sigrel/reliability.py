@@ -13,7 +13,6 @@ disagreement as a fatal implementation bug.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -22,11 +21,11 @@ from typing import Sequence
 
 from .distribution import (
     LifetimeDistribution,
-    breakpoints,
     evaluate_conditions,
     has_ties,
     order_stat_survival,
     relative_quality,
+    state_support,
 )
 from .errors import TheoremInconsistencyError, TiesError
 from .rationals import format_rational, parse_rational
@@ -147,24 +146,8 @@ def probability_signature_oracle(
     return Signature(tuple(acc))
 
 
-def _state_support(d: LifetimeDistribution, t: object) -> tuple[tuple[int, Fraction], ...]:
-    """(state index, probability) of each state with positive probability at t.
-
-    One state per atom (component alive iff lifetime > t), merged; no 2**n table.
-    """
-    t = parse_rational(t)
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    probs: dict[int, Fraction] = {}
-    for xs, p in d.atoms:
-        index = sum(1 << i for i, x in enumerate(xs) if x > t)
-        probs[index] = probs.get(index, 0) + p
-    return tuple(sorted(probs.items()))
-
-
-def _reliability_sum(phi: StructureFunction, support: Sequence[tuple[int, Fraction | int]]):
-    """Sum of the state probabilities (Fractions, or ints over one denominator)
-    over the supported states in which ``phi`` works."""
+def _reliability_sum(phi: StructureFunction, support: Sequence[tuple[int, int]]) -> int:
+    """Sum of the support's probabilities (ints over D) over the states where ``phi`` works."""
     table = phi.table
     return sum(p for index, p in support if table >> index & 1)
 
@@ -183,10 +166,10 @@ def _order_stat_mixture(sig: Sequence[Fraction | int], survivals: Sequence[Fract
 def system_reliability(
     phi: StructureFunction, d: LifetimeDistribution, t: object
 ) -> Fraction:
-    """Probability that the system works at time t, via the state distribution."""
+    """Probability that the system works at time t, summed over the state support."""
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
-    return Fraction(_reliability_sum(phi, _state_support(d, t)))
+    return Fraction(_reliability_sum(phi, state_support(d, t)), d.denominator)
 
 
 def reliability_curve(
@@ -199,7 +182,7 @@ def reliability_curve(
     """
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
-    bps = breakpoints(d)
+    bps = d.breakpoints
     if not phi.semicoherent:
         # A monotone system without the semicoherent boundary values is constant.
         return ReliabilityCurve(bps, (Fraction(phi.value(0)),) * (len(bps) + 1))
@@ -336,10 +319,10 @@ def _build_report(
     d: LifetimeDistribution, conditions: tuple, **fields
 ) -> DiagnosisReport:
     """Report with the condition fields from :func:`evaluate_conditions` filled in."""
-    flags, _, skipped, witnesses, bps = conditions
+    flags, _, skipped, witnesses = conditions
     return DiagnosisReport(
         n=d.n,
-        breakpoints=bps,
+        breakpoints=d.breakpoints,
         **flags,
         witnesses=witnesses,
         skipped_orderings=skipped,
@@ -385,30 +368,25 @@ def verify_theorems(
     lexicographically smallest counterexamples, ordering systems by their
     packed tables and times by breakpoint index.
 
-    The representation scan runs on exact integers. Every state probability
-    and order-statistic survival is a multiple of 1/D, D the least common
-    denominator of the atom probabilities, and each signature is taken as
-    integer level sums over its weights' common denominator: L = lcm C(n, m)
-    for the design signature, a divisor of D for the probability signature.
-    Both sides of each check are compared as ints, and Fractions are built
-    only for a witness, whose values and format do not depend on the scan.
+    The representation scan runs on exact integers: the law's supports and
+    survivals over D (:attr:`LifetimeDistribution.denominator`), each
+    signature over its weights' common denominator (L = lcm C(n, m) for the
+    design signature, a divisor of D for the probability one). Fractions are
+    built only for a witness, whose values and format do not depend on the scan.
     """
     if n != d.n:
         raise ValueError(f"n={n} does not match the distribution's n={d.n}")
     systems = enumerate_systems(n, system_class)
     conditions = evaluate_conditions(d)
-    flags, quality, _, witnesses, bps = conditions
+    flags, quality, _, witnesses = conditions
     ties = flags["has_ties"]
     symmetric = WeightFunction.symmetric(n)
     weights = WeightFunction.from_quality(quality)
 
-    D = math.lcm(*(p.denominator for _, p in d.atoms))
-
-    def scaled(v: Fraction) -> int:
-        return v.numerator * (D // v.denominator)
-
-    supports = [tuple((i, scaled(p)) for i, p in _state_support(d, t)) for t in bps]
-    survivals = [tuple(map(scaled, _order_stat_survivals(d, t))) for t in bps]
+    # Survivals are sums of atom probabilities, so multiples of 1/D.
+    survivals = [
+        [int(s * d.denominator) for s in _order_stat_survivals(d, t)] for t in d.breakpoints
+    ]
 
     def strings(sig: Sequence[int], scale: int) -> tuple[str, ...]:
         return tuple(format_rational(Fraction(s, scale)) for s in sig)
@@ -417,15 +395,15 @@ def verify_theorems(
         phi: StructureFunction, sig: Sequence[int], scale: int
     ) -> dict | None:
         # sig is over ``scale``, the survivals and supports over D.
-        for t, surv, support in zip(bps, survivals, supports):
+        for t, surv, support in zip(d.breakpoints, survivals, d.supports):
             lhs = _order_stat_mixture(sig, surv)
             rhs = scale * _reliability_sum(phi, support)
             if lhs != rhs:
                 return {
                     "system": system_to_json(phi),
                     "t": format_rational(t),
-                    "representation": format_rational(Fraction(lhs, scale * D)),
-                    "reliability": format_rational(Fraction(rhs, scale * D)),
+                    "representation": format_rational(Fraction(lhs, scale * d.denominator)),
+                    "reliability": format_rational(Fraction(rhs, scale * d.denominator)),
                 }
         return None
 

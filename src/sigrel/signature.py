@@ -138,13 +138,6 @@ class WeightFunction:
         n = self.n
         return tuple(levels[n - k + 1] - levels[n - k] for k in range(1, n + 1))
 
-    def level_sums(self) -> tuple[Fraction, ...]:
-        """Total weight per number of working components, k = 0..n."""
-        return tuple(
-            sum((self.values[i] for i in level_indices(self.n, k)), Fraction(0))
-            for k in range(self.n + 1)
-        )
-
 
 def phi_level(phi: StructureFunction, k: int) -> Fraction:
     """Mean of ``phi`` over the C(n, k) state vectors with k working components."""

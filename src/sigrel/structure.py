@@ -30,6 +30,7 @@ from .errors import EnumerationBoundError, NonMonotoneError
 __all__ = [
     "BASIS_LIMIT",
     "ENUMERATION_LIMIT",
+    "PATH_SET_LIMIT",
     "StructureFunction",
     "SystemClass",
     "appendix_basis",
@@ -54,6 +55,11 @@ ENUMERATION_LIMIT = 5
 # the `basis` command already prints 17 MB of JSON and takes 8 s, or 29 s
 # with the rank check (Python 3.11 on a 2-vCPU VM).
 BASIS_LIMIT = 12
+
+# A path-set system is tabulated over all 2**n states, each tested against
+# every path: with five paths, 0.11 s at n = 16 and 1.5 s at 18, and about
+# 29 s at 20 (Python 3.11 on a 2-vCPU VM).
+PATH_SET_LIMIT = 18
 
 
 class SystemClass(Enum):
@@ -185,6 +191,10 @@ def from_path_sets(n: int, paths: Iterable[Iterable[int]]) -> StructureFunction:
     ``paths`` holds 1-based component subsets. At least one path is
     required and each path must be a nonempty subset of 1..n.
     """
+    if n > PATH_SET_LIMIT:
+        raise EnumerationBoundError(
+            f"path-set systems support n <= {PATH_SET_LIMIT}, got n={n}"
+        )
     masks = []
     for path in paths:
         members = list(path)
@@ -402,6 +412,8 @@ def system_from_json(obj: object) -> StructureFunction:
         raise ValueError(f"system file is missing the {exc.args[0]!r} field") from exc
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"system field 'n' must be an integer, got {n!r}")
+    if n < 2:
+        raise ValueError(f"system field 'n' must be at least 2, got {n}")
     if kind == "truth_table":
         bits = obj.get("bits")
         if not isinstance(bits, str):

@@ -270,6 +270,23 @@ class TestErrorPaths:
         assert code == 1
         assert "not monotone" in err["detail"]
 
+    def test_path_set_bound_exit_2(self, capsys, tmp_path):
+        # refused before the 2**40 states are walked, so this returns at once
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 40, "kind": "paths", "paths": [[1, 2]]}))
+        code, err = run_error(capsys, ["signature", "--system", str(path)])
+        assert code == 2
+        assert err["error"] == "precondition"
+        assert "n <= 18" in err["detail"]
+
+    def test_component_count_below_two_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps({"n": -1, "kind": "truth_table", "bits": "01"}))
+        code, err = run_error(capsys, ["signature", "--system", str(path)])
+        assert code == 1
+        assert err["error"] == "input"
+        assert "field 'n' must be at least 2, got -1" in err["detail"]
+
     def test_unknown_command_exit_2(self, capsys):
         code, err = run_error(capsys, ["frobnicate"])
         assert code == 2

@@ -2,8 +2,8 @@
 
 ``verify_by_fractions`` is the earlier library scan, kept here as the oracle:
 signatures as Fraction level sums taken straight from their definition, the
-reliability as a sum over the nonzero entries of the full state distribution
-and the mixture over Fraction order-statistic survivals. The whole report must be equal, verdicts,
+reliability as a sum over the nonzero entries of a dense state table filled
+atom by atom, and the mixture over Fraction order-statistic survivals. The whole report must be equal, verdicts,
 witnesses and theorem checks included.
 """
 
@@ -20,7 +20,6 @@ from sigrel import (
     enumerate_systems,
     format_rational,
     order_stat_survival,
-    state_distribution,
     system_to_json,
     verify_theorems,
 )
@@ -28,7 +27,7 @@ from sigrel.distribution import evaluate_conditions
 from sigrel.structure import level_indices, rank_over_rationals
 
 from conftest import exchangeable_mixture, make_dist, random_no_ties
-from test_sweeps import perturbed_exchangeable, tied_laws
+from test_sweeps import perturbed_exchangeable, states_by_atoms, tied_laws
 
 REPRESENTATION_KEYS = ("boland_repr", "prob_repr", "signature_agreement")
 
@@ -48,12 +47,13 @@ def signature_by_fractions(phi, w):
 
 def verify_by_fractions(n, d, system_class):
     systems = enumerate_systems(n, system_class)
-    flags, quality, skipped, witnesses, bps = evaluate_conditions(d)
+    flags, quality, skipped, witnesses = evaluate_conditions(d)
+    bps = d.breakpoints
     ties = flags["has_ties"]
     symmetric = WeightFunction.symmetric(n)
     weights = WeightFunction.from_quality(quality)
-    # The nonzero entries of each full state distribution.
-    supports = [[(x, p) for x, p in enumerate(state_distribution(d, t).probs) if p] for t in bps]
+    # The nonzero entries of each dense state table.
+    supports = [[(x, p) for x, p in enumerate(states_by_atoms(d, t)) if p] for t in bps]
     survivals = [[order_stat_survival(d, k, t) for k in range(1, n + 1)] for t in bps]
 
     def representation_witness(phi, sig):

@@ -23,7 +23,7 @@ from sigrel import (
     system_to_json,
     rank_over_rationals,
 )
-from sigrel.structure import _monotone_tables
+from sigrel.structure import PATH_SET_LIMIT, _monotone_tables
 
 
 def brute_force_tables(n, boundary, essential):
@@ -363,9 +363,18 @@ class TestJson:
         obj = {"n": 3, "kind": "paths", "paths": [[1, 2], [1, 3]]}
         assert system_from_json(obj).bits() == "00010101"
 
+    def test_path_set_size_bound(self):
+        # refused before the 2**40 states are walked, so this returns at once
+        with pytest.raises(EnumerationBoundError, match=f"n <= {PATH_SET_LIMIT}"):
+            from_path_sets(40, [[1, 2]])
+        with pytest.raises(EnumerationBoundError, match=f"n <= {PATH_SET_LIMIT}"):
+            system_from_json({"n": 40, "kind": "paths", "paths": [[1, 2]]})
+
     def test_errors_name_the_problem(self):
         with pytest.raises(ValueError, match="'n'"):
             system_from_json({"kind": "truth_table", "bits": "0001"})
+        with pytest.raises(ValueError, match="'n' must be at least 2"):
+            system_from_json({"n": -1, "kind": "truth_table", "bits": "01"})
         with pytest.raises(ValueError, match="kind"):
             system_from_json({"n": 2, "kind": "cnf"})
         with pytest.raises(ValueError, match="bits"):

@@ -1,8 +1,9 @@
 """Per-atom sweeps against the per-state and per-permutation loops they replaced.
 
 The reference functions below are the earlier library code, kept here as
-oracles: the relative quality by a loop over subset masks, the survival
-curve by one full state distribution per breakpoint, weak exchangeability
+oracles: the relative quality by a loop over subset masks, the state
+distribution by one dense 2**n table filled atom by atom, the survival
+curve by one such table per breakpoint, weak exchangeability
 by one pass over the atoms per ordering, and lifetime exchangeability by
 the full lexicographic permutation scan. Every comparison is exact,
 witnesses and skipped orderings included.
@@ -70,21 +71,33 @@ def quality_by_masks(d):
     return QualityFunction(d.n, tuple(values), from_tied=has_ties(d))
 
 
-def reliability_by_states(phi, sd):
-    """Sum over all 2**n states of a state distribution."""
+def states_by_atoms(d, t):
+    """Dense 2**n table of state probabilities at t, filled atom by atom."""
+    probs = [Fraction(0)] * (1 << d.n)
+    for xs, p in d.atoms:
+        index = 0
+        for i, x in enumerate(xs):
+            if x > t:
+                index |= 1 << i
+        probs[index] += p
+    return probs
+
+
+def reliability_by_states(phi, probs):
+    """Sum over all 2**n states of a dense state table."""
     return sum(
-        (p for index, p in enumerate(sd.probs) if p and phi.value(index)),
+        (p for index, p in enumerate(probs) if p and phi.value(index)),
         Fraction(0),
     )
 
 
 def curves_by_state_distributions(d, systems):
-    """One state distribution per breakpoint, shared by the systems."""
+    """One dense state table per interval, shared by the systems."""
     bps = breakpoints(d)
     # On (0, b_1) every component is alive, so evaluating at b_1 / 2 is exact.
-    dists = [state_distribution(d, t) for t in (bps[0] / 2, *bps)]
+    tables = [states_by_atoms(d, t) for t in (bps[0] / 2, *bps)]
     return [
-        ReliabilityCurve(bps, tuple(reliability_by_states(phi, sd) for sd in dists))
+        ReliabilityCurve(bps, tuple(reliability_by_states(phi, probs) for probs in tables))
         for phi in systems
     ]
 
@@ -229,15 +242,18 @@ def test_reliability_curve_matches_state_distributions(all_laws):
         systems = systems_for(d.n)
         want = curves_by_state_distributions(d, systems)
         assert [reliability_curve(phi, d) for phi in systems] == want, d
+        bps = breakpoints(d)
+        for t in (bps[0] / 2, *bps):
+            assert list(state_distribution(d, t).probs) == states_by_atoms(d, t), (d, t)
 
 
 def test_system_reliability_matches_full_state_sum(all_laws):
     for d in all_laws:
         bps = breakpoints(d)
         for t in (bps[0] / 2, bps[len(bps) // 2], bps[-1] + 1):
-            sd = state_distribution(d, t)
+            probs = states_by_atoms(d, t)
             for phi in systems_for(d.n):
-                assert system_reliability(phi, d, t) == reliability_by_states(phi, sd)
+                assert system_reliability(phi, d, t) == reliability_by_states(phi, probs)
 
 
 def test_weak_scan_matches_per_permutation_loop(all_laws, perturbed_corpus):
