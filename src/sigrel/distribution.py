@@ -9,8 +9,10 @@ breakpoints, so checking at the left endpoints covers the whole half-line.
 
 :func:`state_support` alone turns lifetimes into states: the states with
 positive probability at t, each probability an int over D, the least common
-denominator of the atom probabilities. A law caches it at every breakpoint,
-so the state conditions compare ints and build Fractions only for witnesses.
+denominator of the atom probabilities. A law keeps each breakpoint's support
+once a walk over the breakpoints has built it, so no support is built twice
+and a scan that stops early builds none past its stop. The state conditions
+compare ints and build Fractions only for witnesses.
 
 State vectors use the same packed encoding as truth-table indices:
 component i working at time t sets bit i - 1.
@@ -21,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, permutations
-from typing import Callable, Iterable
+from typing import Iterable, Iterator
 
 from .errors import TiesError
 from .rationals import format_rational, parse_rational
@@ -60,8 +62,8 @@ class LifetimeDistribution:
 
     Atoms are canonicalized on construction: lifetimes coerced to exact
     rationals, duplicate vectors merged, atoms sorted. Equality is therefore
-    a canonical-form comparison. The cached properties are not fields, so
-    equality and hashing ignore them.
+    a canonical-form comparison. The cached views of the law take no part in
+    equality and hashing.
     """
 
     n: int
@@ -108,9 +110,22 @@ class LifetimeDistribution:
         return math.lcm(*(p.denominator for _, p in self.atoms))
 
     @cached_property
+    def _support_prefix(self) -> list[tuple[tuple[int, int], ...]]:
+        """The supports at the first breakpoints, as far as a walk has reached."""
+        return []
+
+    def _walk_supports(self) -> Iterator[tuple[Fraction, tuple[tuple[int, int], ...]]]:
+        """(t, :func:`state_support` at t) per breakpoint, each built when first reached."""
+        built = self._support_prefix
+        for b, t in enumerate(self.breakpoints):
+            if b == len(built):
+                built.append(state_support(self, t))
+            yield t, built[b]
+
+    @cached_property
     def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """:func:`state_support` at each breakpoint, in breakpoint order."""
-        return tuple(state_support(self, t) for t in self.breakpoints)
+        """:func:`state_support` at every breakpoint, in breakpoint order."""
+        return tuple(support for _, support in self._walk_supports())
 
 
 @dataclass(frozen=True)
@@ -180,7 +195,7 @@ def has_ties(d: LifetimeDistribution) -> bool:
 
 
 def breakpoints(d: LifetimeDistribution) -> tuple[Fraction, ...]:
-    """Sorted distinct lifetime values; state vectors only change there."""
+    """Public spelling of :attr:`LifetimeDistribution.breakpoints`."""
     return d.breakpoints
 
 
@@ -230,18 +245,9 @@ def states_exchangeable_at(d: LifetimeDistribution, t: object) -> bool:
     return _state_exchangeability_at(d, state_support(d, t)) is None
 
 
-def _first_witness(d: LifetimeDistribution, witness_at: Callable) -> tuple | None:
-    """(t, *witness) at the first breakpoint t whose support has a witness."""
-    for t, support in zip(d.breakpoints, d.supports):
-        witness = witness_at(support)
-        if witness is not None:
-            return (t, *witness)
-    return None
-
-
 def states_exchangeable_everywhere(d: LifetimeDistribution) -> bool:
     """State exchangeability at every t > 0, decided at the breakpoints."""
-    return _first_witness(d, partial(_state_exchangeability_at, d)) is None
+    return all(_state_exchangeability_at(d, support) is None for _, support in d._walk_supports())
 
 
 def relative_quality(d: LifetimeDistribution) -> QualityFunction:
@@ -430,8 +436,7 @@ def evaluate_conditions(
 ) -> tuple[dict, QualityFunction, tuple[tuple[int, ...], ...], dict]:
     """Evaluate every condition of the equivalences once.
 
-    Returns (flags, quality, skipped orderings, witnesses); every scan reads
-    the law's cached breakpoints and supports. ``flags`` maps
+    Returns (flags, quality, skipped orderings, witnesses). ``flags`` maps
     has_ties, q_symmetric, states_exchangeable_everywhere,
     lifetimes_exchangeable, weakly_exchangeable (None for tied laws) and
     condition_q_everywhere to their values; ``witnesses`` maps each failed
@@ -451,7 +456,17 @@ def evaluate_conditions(
             "symmetric_value": format_rational(expected),
         }
 
-    state_wit = _first_witness(d, partial(_state_exchangeability_at, d))
+    # One walk over the supports serves both state conditions and stops at
+    # the breakpoint where both have their (first) witness.
+    w = WeightFunction.from_quality(quality)
+    state_wit = cond_wit = None
+    for t, support in d._walk_supports():
+        if state_wit is None and (wit := _state_exchangeability_at(d, support)):
+            state_wit = (t, *wit)
+        if cond_wit is None and (wit := _condition_w_witness(d, w, support)):
+            cond_wit = (t, *wit)
+        if state_wit and cond_wit:
+            break
     if state_wit is not None:
         t, x, x_other, p, p_other = state_wit
         witnesses["states_exchangeable"] = {
@@ -486,8 +501,6 @@ def evaluate_conditions(
                 "conditional": format_rational(conditional),
             }
 
-    w = WeightFunction.from_quality(quality)
-    cond_wit = _first_witness(d, partial(_condition_w_witness, d, w))
     if cond_wit is not None:
         t, x, p, expected = cond_wit
         witnesses["condition_q"] = {

@@ -5,7 +5,8 @@ earlier library functions, kept here as oracles: each reads a dense 2**n
 table of Fraction state probabilities filled atom by atom, where the library
 compares ints over the law's common denominator on the sparse support. The
 witnesses must be equal, values and formatting included. The last tests pin
-the waste the cached supports remove: one support per breakpoint per law.
+the waste the law's supports remove: at most one support per breakpoint per
+law, and none past the breakpoint where diagnose has both state witnesses.
 """
 
 import random
@@ -20,6 +21,7 @@ from sigrel import (
     condition_w,
     diagnose,
     format_rational,
+    parse_rational,
     relative_quality,
     states_exchangeable_at,
     verify_theorems,
@@ -184,23 +186,44 @@ def support_calls(monkeypatch):
 
 
 def fresh_laws():
-    """Each law is built anew, so none has cached supports."""
+    """Each law is built anew, so none has supports built yet."""
     rng = random.Random(9191)
     return [
         random_no_ties(rng, 3),
+        random_no_ties(rng, 5, 12, 12),
         exchangeable_mixture(rng, 4),
         perturbed_exchangeable(rng, 4),
         make_dist(3, [((1, 1, 2), Fraction(1, 2)), ((2, 3, 3), Fraction(1, 2))]),
     ]
 
 
-def test_diagnose_builds_one_support_per_breakpoint(support_calls):
+def walk_length(d, witnesses):
+    """Breakpoints up to the one where both state conditions have their witness."""
+    bps = list(breakpoints(d))
+    keys = ("states_exchangeable", "condition_q")
+    if not all(key in witnesses for key in keys):
+        return len(bps)
+    return 1 + max(bps.index(parse_rational(witnesses[key]["t"])) for key in keys)
+
+
+def test_diagnose_builds_supports_only_up_to_its_witnesses(support_calls):
+    walked = []
     for d in fresh_laws():
         support_calls.clear()
+        report = diagnose(d)
+        bps = list(breakpoints(d))
+        # At most one support per breakpoint, in order, and none past the witnesses.
+        assert support_calls == bps[: walk_length(d, report.witnesses)]
+        walked.append(len(support_calls) == len(bps))
+        if report.states_exchangeable_everywhere or report.condition_q_everywhere:
+            assert walked[-1]
+        # A second diagnose builds nothing; a verify builds only the rest, once each.
         diagnose(d)
-        assert support_calls == list(breakpoints(d))
-        diagnose(d)
-        assert support_calls == list(breakpoints(d))
+        assert support_calls == bps[: walk_length(d, report.witnesses)]
+        verify_theorems(d.n, d, SystemClass.SEMICOHERENT)
+        assert support_calls == bps
+    # The generic laws stop early; the exchangeable one walks every breakpoint.
+    assert any(walked) and not all(walked)
 
 
 def test_verify_builds_one_support_per_breakpoint(support_calls):
