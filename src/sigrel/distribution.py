@@ -7,12 +7,12 @@ at the breakpoints (the distinct lifetime values): the component state
 vector at time t is constant on each interval between consecutive
 breakpoints, so checking at the left endpoints covers the whole half-line.
 
-:func:`state_support` alone turns lifetimes into states: the states with
-positive probability at t, each probability an int over D, the least common
-denominator of the atom probabilities. A law keeps each breakpoint's support
-once a walk over the breakpoints has built it, so no support is built twice
-and a scan that stops early builds none past its stop. The state conditions
-compare ints and build Fractions only for witnesses.
+:attr:`LifetimeDistribution.ranked_atoms` alone maps lifetimes to breakpoints:
+per atom, each lifetime's breakpoint rank and the probability times D, the
+least common denominator of the atom probabilities. :func:`state_support` and
+the one order-statistic sweep :func:`order_stat_cdfs` read it, so every test
+of a lifetime against t is an int comparison; Fractions are built only for
+witnesses and public values.
 
 State vectors use the same packed encoding as truth-table indices:
 component i working at time t sets bit i - 1.
@@ -21,11 +21,12 @@ component i working at time t sets bit i - 1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, permutations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import TiesError
 from .rationals import format_rational, parse_rational
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 Atom = tuple[tuple[Fraction, ...], Fraction]
+RankedAtom = tuple[tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -110,22 +112,16 @@ class LifetimeDistribution:
         return math.lcm(*(p.denominator for _, p in self.atoms))
 
     @cached_property
-    def _support_prefix(self) -> list[tuple[tuple[int, int], ...]]:
-        """The supports at the first breakpoints, as far as a walk has reached."""
-        return []
-
-    def _walk_supports(self) -> Iterator[tuple[Fraction, tuple[tuple[int, int], ...]]]:
-        """(t, :func:`state_support` at t) per breakpoint, each built when first reached."""
-        built = self._support_prefix
-        for b, t in enumerate(self.breakpoints):
-            if b == len(built):
-                built.append(state_support(self, t))
-            yield t, built[b]
+    def ranked_atoms(self) -> tuple[RankedAtom, ...]:
+        """Per atom, the breakpoint rank of each lifetime and the probability times D."""
+        rank = {t: b for b, t in enumerate(self.breakpoints)}
+        D = self.denominator
+        return tuple((tuple(rank[x] for x in xs), int(p * D)) for xs, p in self.atoms)
 
     @cached_property
-    def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """:func:`state_support` at every breakpoint, in breakpoint order."""
-        return tuple(support for _, support in self._walk_supports())
+    def cdfs(self) -> tuple[tuple[int, ...], ...]:
+        """:func:`order_stat_cdfs` over all atoms, as tuples."""
+        return tuple(map(tuple, order_stat_cdfs(self, self.ranked_atoms)))
 
 
 @dataclass(frozen=True)
@@ -207,12 +203,22 @@ def state_support(d: LifetimeDistribution, t: object) -> tuple[tuple[int, int], 
     t = parse_rational(t)
     if t <= 0:
         raise ValueError(f"time must be positive, got {t}")
-    D = d.denominator
+    alive = bisect_right(d.breakpoints, t)  # lifetime > t iff its rank >= alive
     probs: dict[int, int] = {}
-    for xs, p in d.atoms:
-        index = sum(1 << i for i, x in enumerate(xs) if x > t)
-        probs[index] = probs.get(index, 0) + p.numerator * (D // p.denominator)
+    for ranks, p in d.ranked_atoms:
+        index = sum(1 << i for i, r in enumerate(ranks) if r >= alive)
+        probs[index] = probs.get(index, 0) + p
     return tuple(sorted(probs.items()))
+
+
+def order_stat_cdfs(d: LifetimeDistribution, atoms: Iterable[RankedAtom]) -> list[list[int]]:
+    """Row k - 1: P(X_(k:n) <= each breakpoint, one of ``atoms``) times D, summed
+    from one mass per atom at the rank of its k-th smallest lifetime."""
+    mass = [[0] * len(d.breakpoints) for _ in range(d.n)]
+    for ranks, p in atoms:
+        for row, r in zip(mass, sorted(ranks)):
+            row[r] += p
+    return [list(accumulate(row)) for row in mass]
 
 
 def state_distribution(d: LifetimeDistribution, t: object) -> StateDistribution:
@@ -247,7 +253,7 @@ def states_exchangeable_at(d: LifetimeDistribution, t: object) -> bool:
 
 def states_exchangeable_everywhere(d: LifetimeDistribution) -> bool:
     """State exchangeability at every t > 0, decided at the breakpoints."""
-    return all(_state_exchangeability_at(d, support) is None for _, support in d._walk_supports())
+    return all(_state_exchangeability_at(d, state_support(d, t)) is None for t in d.breakpoints)
 
 
 def relative_quality(d: LifetimeDistribution) -> QualityFunction:
@@ -318,12 +324,8 @@ def order_stat_survival(d: LifetimeDistribution, k: int, t: object) -> Fraction:
     """Probability that the k-th smallest lifetime exceeds t (k in 1..n)."""
     if not 1 <= k <= d.n:
         raise ValueError(f"order statistic index {k} out of range 1..{d.n}")
-    t = parse_rational(t)
-    threshold = d.n - k + 1
-    return sum(
-        (p for xs, p in d.atoms if sum(1 for x in xs if x > t) >= threshold),
-        Fraction(0),
-    )
+    b = bisect_right(d.breakpoints, parse_rational(t))
+    return Fraction(d.denominator - (d.cdfs[k - 1][b - 1] if b else 0), d.denominator)
 
 
 def group_reliability(
@@ -361,36 +363,28 @@ def _weak_exchangeability_scan(d: LifetimeDistribution) -> tuple[
 ]:
     """(holds, witness, skipped zero-probability orderings), witness lexicographically first.
 
-    One sweep groups the atoms by realized ordering; P(X_(k:n) <= t, group)
-    is then a cumulative sum over the breakpoints, per group and overall.
+    The ranked atoms are grouped by realized ordering once. With P(X_(k:n) <= t,
+    group) = mass / D and P(X_(k:n) <= t) = u / D from :func:`order_stat_cdfs` and
+    P(group) = total / D, the conditional equals u / D iff mass * D == u * total.
     """
     if has_ties(d):
         raise TiesError("weak exchangeability needs a distribution without ties")
-    bps = d.breakpoints
-    rank = {t: b for b, t in enumerate(bps)}
-
-    def cdfs(atoms: Iterable[Atom]) -> list[list[Fraction]]:
-        mass = [[Fraction(0)] * len(bps) for _ in range(d.n)]
-        for xs, p in atoms:
-            for k, x in enumerate(sorted(xs)):
-                mass[k][rank[x]] += p
-        return [list(accumulate(row)) for row in mass]
-
-    by_order: dict[tuple[int, ...], list[Atom]] = {}
-    for xs, p in d.atoms:
-        by_order.setdefault(tuple(sorted(range(d.n), key=xs.__getitem__)), []).append((xs, p))
-    unconditional = cdfs(d.atoms)
+    by_order: dict[tuple[int, ...], list[RankedAtom]] = {}
+    for ranks, p in d.ranked_atoms:
+        order = tuple(i + 1 for i in sorted(range(d.n), key=ranks.__getitem__))
+        by_order.setdefault(order, []).append((ranks, p))
+    D = d.denominator
     skipped = []
-    for sigma in permutations(range(d.n)):
+    for sigma in permutations(range(1, d.n + 1)):
         members = by_order.get(sigma)
         if members is None:
-            skipped.append(tuple(s + 1 for s in sigma))
+            skipped.append(sigma)
             continue
-        total = sum((p for _, p in members), Fraction(0))
-        for k, (joint, marginal) in enumerate(zip(cdfs(members), unconditional), start=1):
-            for t, mass, u in zip(bps, joint, marginal):
-                if mass != u * total:
-                    witness = (tuple(s + 1 for s in sigma), k, t, u, mass / total)
+        total = sum(p for _, p in members)
+        for k, (joint, marginal) in enumerate(zip(order_stat_cdfs(d, members), d.cdfs), start=1):
+            for t, mass, u in zip(d.breakpoints, joint, marginal):
+                if mass * D != u * total:
+                    witness = (sigma, k, t, Fraction(u, D), Fraction(mass, total))
                     return False, witness, tuple(skipped)
     return True, None, tuple(skipped)
 
@@ -433,10 +427,11 @@ def _subset_members(mask: int) -> list[int]:
 
 def evaluate_conditions(
     d: LifetimeDistribution,
-) -> tuple[dict, QualityFunction, tuple[tuple[int, ...], ...], dict]:
+) -> tuple[dict, WeightFunction, tuple[tuple[int, ...], ...], dict]:
     """Evaluate every condition of the equivalences once.
 
-    Returns (flags, quality, skipped orderings, witnesses). ``flags`` maps
+    Returns (flags, weights, skipped orderings, witnesses), ``weights`` the
+    relative quality read as a :class:`WeightFunction`. ``flags`` maps
     has_ties, q_symmetric, states_exchangeable_everywhere,
     lifetimes_exchangeable, weakly_exchangeable (None for tied laws) and
     condition_q_everywhere to their values; ``witnesses`` maps each failed
@@ -456,11 +451,12 @@ def evaluate_conditions(
             "symmetric_value": format_rational(expected),
         }
 
-    # One walk over the supports serves both state conditions and stops at
-    # the breakpoint where both have their (first) witness.
+    # One walk over the breakpoints serves both state conditions and stops
+    # at the breakpoint where both have their (first) witness.
     w = WeightFunction.from_quality(quality)
     state_wit = cond_wit = None
-    for t, support in d._walk_supports():
+    for t in d.breakpoints:
+        support = state_support(d, t)
         if state_wit is None and (wit := _state_exchangeability_at(d, support)):
             state_wit = (t, *wit)
         if cond_wit is None and (wit := _condition_w_witness(d, w, support)):
@@ -518,7 +514,7 @@ def evaluate_conditions(
         "weakly_exchangeable": weak,
         "condition_q_everywhere": cond_wit is None,
     }
-    return flags, quality, skipped, witnesses
+    return flags, w, skipped, witnesses
 
 
 def distribution_to_json(d: LifetimeDistribution) -> dict:

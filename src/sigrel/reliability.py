@@ -368,25 +368,22 @@ def verify_theorems(
     lexicographically smallest counterexamples, ordering systems by their
     packed tables and times by breakpoint index.
 
-    The representation scan runs on exact integers: the law's supports and
-    survivals over D (:attr:`LifetimeDistribution.denominator`), each
-    signature over its weights' common denominator (L = lcm C(n, m) for the
-    design signature, a divisor of D for the probability one). Fractions are
-    built only for a witness, whose values and format do not depend on the scan.
+    The representation scan runs on exact integers: supports and survivals
+    (D minus :attr:`LifetimeDistribution.cdfs`) over D, each signature over
+    its weights' common denominator (L = lcm C(n, m) for the design signature,
+    a divisor of D for the probability one). Fractions are built only for a
+    witness, whose values and format do not depend on the scan.
     """
     if n != d.n:
         raise ValueError(f"n={n} does not match the distribution's n={d.n}")
     systems = enumerate_systems(n, system_class)
     conditions = evaluate_conditions(d)
-    flags, quality, _, witnesses = conditions
+    flags, weights, _, witnesses = conditions
     ties = flags["has_ties"]
     symmetric = WeightFunction.symmetric(n)
-    weights = WeightFunction.from_quality(quality)
-
-    # Survivals are sums of atom probabilities, so multiples of 1/D.
-    survivals = [
-        [int(s * d.denominator) for s in _order_stat_survivals(d, t)] for t in d.breakpoints
-    ]
+    D = d.denominator
+    survivals = [[D - row[b] for row in d.cdfs] for b in range(len(d.breakpoints))]
+    supports = [state_support(d, t) for t in d.breakpoints]
 
     def strings(sig: Sequence[int], scale: int) -> tuple[str, ...]:
         return tuple(format_rational(Fraction(s, scale)) for s in sig)
@@ -395,15 +392,15 @@ def verify_theorems(
         phi: StructureFunction, sig: Sequence[int], scale: int
     ) -> dict | None:
         # sig is over ``scale``, the survivals and supports over D.
-        for t, surv, support in zip(d.breakpoints, survivals, d.supports):
+        for t, surv, support in zip(d.breakpoints, survivals, supports):
             lhs = _order_stat_mixture(sig, surv)
             rhs = scale * _reliability_sum(phi, support)
             if lhs != rhs:
                 return {
                     "system": system_to_json(phi),
                     "t": format_rational(t),
-                    "representation": format_rational(Fraction(lhs, scale * d.denominator)),
-                    "reliability": format_rational(Fraction(rhs, scale * d.denominator)),
+                    "representation": format_rational(Fraction(lhs, scale * D)),
+                    "reliability": format_rational(Fraction(rhs, scale * D)),
                 }
         return None
 

@@ -175,8 +175,10 @@ def from_truth_table(n: int, bits: Sequence[int] | str) -> StructureFunction:
     """Build a structure function from its 2**n table entries, index 0 first."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"component count must be an integer, got {n!r}")
-    if len(bits) != 1 << n:
-        raise ValueError(f"expected {1 << n} table entries for n={n}, got {len(bits)}")
+    # Only a length of bit length n + 1 can be 2**n: test it before shifting.
+    if len(bits).bit_length() != n + 1 or len(bits) != 1 << n:
+        expected = 1 << n if n < 64 else f"2**{n}"
+        raise ValueError(f"expected {expected} table entries for n={n}, got {len(bits)}")
     table = 0
     for j, entry in enumerate(bits):
         if entry not in ("0", "1", 0, 1):

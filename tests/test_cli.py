@@ -1,7 +1,12 @@
 """Command-line behavior: outputs, exit codes, error JSON, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +292,18 @@ class TestErrorPaths:
         assert err["error"] == "input"
         assert "field 'n' must be at least 2, got -1" in err["detail"]
 
+    @pytest.mark.parametrize("n", [100000, 10**12])
+    def test_truth_table_too_short_for_n_exit_1(self, capsys, tmp_path, n):
+        # refused before 2**n is built or printed, so this returns at once
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": n, "kind": "truth_table", "bits": "01"}))
+        start = time.perf_counter()
+        code, err = run_error(capsys, ["signature", "--system", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err["error"] == "input"
+        assert err["detail"] == f"{path}: expected 2**{n} table entries for n={n}, got 2"
+
     def test_unknown_command_exit_2(self, capsys):
         code, err = run_error(capsys, ["frobnicate"])
         assert code == 2
@@ -325,3 +342,22 @@ class TestDecimalExponentLimit:
         assert code == 2
         assert err["error"] == "usage"
         assert "limit of 4300" in err["detail"]
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_run(self, files, capsys):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for argv in (
+            ["signature", "--system", files["two_of_three"]],
+            ["diagnose", "--dist", files["pairs"]],
+            ["diagnose", "--dist", files["tied"] + ".missing"],
+            ["frobnicate"],
+        ):
+            code = run(argv)
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "sigrel.cli", *argv], capture_output=True, text=True, env=env
+            )
+            assert (proc.stdout, proc.stderr, proc.returncode) == (captured.out, captured.err, code)
+        assert code == 2

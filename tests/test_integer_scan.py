@@ -3,8 +3,11 @@
 ``verify_by_fractions`` is the earlier library scan, kept here as the oracle:
 signatures as Fraction level sums taken straight from their definition, the
 reliability as a sum over the nonzero entries of a dense state table filled
-atom by atom, and the mixture over Fraction order-statistic survivals. The whole report must be equal, verdicts,
-witnesses and theorem checks included.
+atom by atom, and the mixture over Fraction order-statistic survivals, each
+one pass over the atoms. The whole report must be equal, verdicts,
+witnesses and theorem checks included. The library's survivals, a bisect
+into the law's one order-statistic sweep, are checked against the same
+per-atom loop at every kind of time.
 """
 
 import math
@@ -20,6 +23,7 @@ from sigrel import (
     enumerate_systems,
     format_rational,
     order_stat_survival,
+    relative_quality,
     system_to_json,
     verify_theorems,
 )
@@ -27,7 +31,13 @@ from sigrel.distribution import evaluate_conditions
 from sigrel.structure import level_indices, rank_over_rationals
 
 from conftest import exchangeable_mixture, make_dist, random_no_ties
-from test_sweeps import perturbed_exchangeable, states_by_atoms, tied_laws
+from test_sweeps import (  # noqa: F401
+    perturbed_corpus,
+    perturbed_exchangeable,
+    states_by_atoms,
+    survival_by_atoms,
+    tied_laws,
+)
 
 REPRESENTATION_KEYS = ("boland_repr", "prob_repr", "signature_agreement")
 
@@ -47,14 +57,14 @@ def signature_by_fractions(phi, w):
 
 def verify_by_fractions(n, d, system_class):
     systems = enumerate_systems(n, system_class)
-    flags, quality, skipped, witnesses = evaluate_conditions(d)
+    flags, weights, skipped, witnesses = evaluate_conditions(d)
+    assert weights == WeightFunction.from_quality(relative_quality(d))
     bps = d.breakpoints
     ties = flags["has_ties"]
     symmetric = WeightFunction.symmetric(n)
-    weights = WeightFunction.from_quality(quality)
     # The nonzero entries of each dense state table.
     supports = [[(x, p) for x, p in enumerate(states_by_atoms(d, t)) if p] for t in bps]
-    survivals = [[order_stat_survival(d, k, t) for k in range(1, n + 1)] for t in bps]
+    survivals = [[survival_by_atoms(d, k, t) for k in range(1, n + 1)] for t in bps]
 
     def representation_witness(phi, sig):
         for t, support, surv in zip(bps, supports, survivals):
@@ -161,6 +171,14 @@ def comonotone_law(rng, n, n_atoms):
     return make_dist(n, rows)
 
 
+def distinct_lifetime_law(rng, n, n_atoms):
+    """Equal-weight atoms whose n * n_atoms lifetimes are distinct integers, so
+    every lifetime is its own breakpoint."""
+    values = rng.sample(range(1, 100 * n * n_atoms), n * n_atoms)
+    rows = [(values[a * n : (a + 1) * n], Fraction(1, n_atoms)) for a in range(n_atoms)]
+    return make_dist(n, rows)
+
+
 def classes_for(n):
     return [SystemClass.SEMICOHERENT] if n == 2 else list(SystemClass)
 
@@ -209,7 +227,37 @@ def test_integer_scan_matches_fraction_scan(theorem_corpus):
     assert {r["n"] for r in reports} == {2, 3, 4, 5}
 
 
-# --- runtime ceiling ----------------------------------------------------------
+def survival_times(d):
+    """Each breakpoint and midpoint, below the first (0 and -1 included) and past the last."""
+    bps = d.breakpoints
+    between = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+    return [Fraction(-1), Fraction(0), bps[0] / 2, *bps, *between, bps[-1] + 1, bps[-1] * 3]
+
+
+def test_survival_sweep_matches_per_atom_loop(theorem_corpus, perturbed_corpus):
+    rng = random.Random(4545)
+    laws = [d for _, d in theorem_corpus] + perturbed_corpus + tied_laws()
+    laws += [coprime_law(rng, n, rng.randint(2, 6)) for n in (2, 3, 4, 5) for _ in range(5)]
+    distinct = [distinct_lifetime_law(rng, n, rng.randint(1, 12)) for n in (2, 3, 4, 5)]
+    assert all(len(d.breakpoints) == d.n * len(d.atoms) for d in distinct)
+    for d in laws + distinct:
+        for t in survival_times(d):
+            for k in range(1, d.n + 1):
+                assert order_stat_survival(d, k, t) == survival_by_atoms(d, k, t), (d, k, t)
+
+
+# --- runtime ceilings ---------------------------------------------------------
+
+
+def test_verify_distinct_lifetimes_n5_runtime():
+    # 400 atoms, 2,000 breakpoints: one survival sweep and one support per breakpoint.
+    d = distinct_lifetime_law(random.Random(7), 5, 400)
+    assert len(d.breakpoints) == 2000
+    start = time.perf_counter()
+    report = verify_theorems(5, d, SystemClass.COHERENT)
+    assert time.perf_counter() - start < 8.0
+    assert report.systems_checked == 6894
+    assert report.boland_repr_all_systems is False
 
 
 def test_verify_comonotone_n5_runtime():

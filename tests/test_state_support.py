@@ -5,8 +5,8 @@ earlier library functions, kept here as oracles: each reads a dense 2**n
 table of Fraction state probabilities filled atom by atom, where the library
 compares ints over the law's common denominator on the sparse support. The
 witnesses must be equal, values and formatting included. The last tests pin
-the waste the law's supports remove: at most one support per breakpoint per
-law, and none past the breakpoint where diagnose has both state witnesses.
+how many supports each walk builds: diagnose one per breakpoint up to where
+it has both state witnesses and none past it, verify one more per breakpoint.
 """
 
 import random
@@ -26,7 +26,7 @@ from sigrel import (
     states_exchangeable_at,
     verify_theorems,
 )
-from sigrel import distribution
+from sigrel import distribution, reliability
 from sigrel.distribution import (
     _condition_w_witness,
     _state_exchangeability_at,
@@ -182,11 +182,12 @@ def support_calls(monkeypatch):
         return real(d, t)
 
     monkeypatch.setattr(distribution, "state_support", counting)
+    monkeypatch.setattr(reliability, "state_support", counting)
     return calls
 
 
 def fresh_laws():
-    """Each law is built anew, so none has supports built yet."""
+    """Each law is built anew, so none has its cached views built yet."""
     rng = random.Random(9191)
     return [
         random_no_ties(rng, 3),
@@ -217,11 +218,10 @@ def test_diagnose_builds_supports_only_up_to_its_witnesses(support_calls):
         walked.append(len(support_calls) == len(bps))
         if report.states_exchangeable_everywhere or report.condition_q_everywhere:
             assert walked[-1]
-        # A second diagnose builds nothing; a verify builds only the rest, once each.
+        # Supports are not cached: a second diagnose builds the same prefix again.
+        support_calls.clear()
         diagnose(d)
         assert support_calls == bps[: walk_length(d, report.witnesses)]
-        verify_theorems(d.n, d, SystemClass.SEMICOHERENT)
-        assert support_calls == bps
     # The generic laws stop early; the exchangeable one walks every breakpoint.
     assert any(walked) and not all(walked)
 
@@ -229,15 +229,21 @@ def test_diagnose_builds_supports_only_up_to_its_witnesses(support_calls):
 def test_verify_builds_one_support_per_breakpoint(support_calls):
     for d in fresh_laws():
         support_calls.clear()
-        verify_theorems(d.n, d, SystemClass.SEMICOHERENT)
-        assert support_calls == list(breakpoints(d))
+        report = verify_theorems(d.n, d, SystemClass.SEMICOHERENT)
+        bps = list(breakpoints(d))
+        # The condition walk up to its witnesses, then the scan's own list.
+        assert support_calls == bps[: walk_length(d, report.witnesses)] + bps
 
 
 def test_cached_views_leave_equality_and_hash_alone():
     rows = [((1, 2, 3), Fraction(1, 3)), ((3, 2, 1), Fraction(2, 3))]
     a, b = make_dist(3, rows), make_dist(3, rows)
     # Probabilities as ints over D = 3; component i alive sets bit i - 1.
-    assert a.supports == (((0b011, 2), (0b110, 1)), ((0b001, 2), (0b100, 1)), ((0, 3),))
+    supports = tuple(state_support(a, t) for t in a.breakpoints)
+    assert supports == (((0b011, 2), (0b110, 1)), ((0b001, 2), (0b100, 1)), ((0, 3),))
     assert a.denominator == 3
     assert a.breakpoints == (1, 2, 3)
+    # Lifetime ranks among the breakpoints, and the probabilities over D.
+    assert a.ranked_atoms == (((0, 1, 2), 1), ((2, 1, 0), 2))
+    assert a.cdfs == ((3, 3, 3), (0, 3, 3), (0, 0, 3))
     assert a == b and hash(a) == hash(b)

@@ -98,7 +98,7 @@ class TestConstruction:
         assert from_truth_table(3, [0, 0, 0, 1, 0, 1, 1, 1]).bits() == "00010111"
 
     def test_bits_length_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected 8 table entries for n=3, got 4$"):
             from_truth_table(3, "0001")
         with pytest.raises(ValueError):
             from_truth_table(3, "0001011X")

@@ -3,7 +3,8 @@
 The reference functions below are the earlier library code, kept here as
 oracles: the relative quality by a loop over subset masks, the state
 distribution by one dense 2**n table filled atom by atom, the survival
-curve by one such table per breakpoint, weak exchangeability
+curve by one such table per breakpoint, order-statistic survivals by one
+pass over the atoms per (k, t), weak exchangeability
 by one pass over the atoms per ordering, and lifetime exchangeability by
 the full lexicographic permutation scan. Every comparison is exact,
 witnesses and skipped orderings included.
@@ -30,7 +31,6 @@ from sigrel import (
     from_truth_table,
     has_ties,
     k_out_of_n,
-    order_stat_survival,
     relative_quality,
     reliability_curve,
     state_distribution,
@@ -83,6 +83,13 @@ def states_by_atoms(d, t):
     return probs
 
 
+def survival_by_atoms(d, k, t):
+    """P(X_(k:n) > t): the atoms with at least n - k + 1 lifetimes past t."""
+    return sum(
+        (p for xs, p in d.atoms if sum(1 for x in xs if x > t) >= d.n - k + 1), Fraction(0)
+    )
+
+
 def reliability_by_states(phi, probs):
     """Sum over all 2**n states of a dense state table."""
     return sum(
@@ -119,7 +126,7 @@ def weak_scan_by_permutation(d):
             continue
         for k in range(1, d.n + 1):
             for t in bps:
-                unconditional = 1 - order_stat_survival(d, k, t)
+                unconditional = 1 - survival_by_atoms(d, k, t)
                 conditional = (
                     sum((p for xs, p in members if sorted(xs)[k - 1] <= t), Fraction(0))
                     / total
