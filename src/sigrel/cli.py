@@ -88,6 +88,8 @@ def _cmd_signature(args: argparse.Namespace) -> object:
 def _cmd_prob_signature(args: argparse.Namespace) -> object:
     phi = _load(args.system, system_from_json)
     d = _load(args.dist, distribution_from_json)
+    if phi.n != d.n:  # before relative_quality forms its 2**n values
+        raise ValueError("system and distribution disagree on component count")
     quality_based = probability_signature(phi, relative_quality(d))
     atom_oracle = probability_signature_oracle(phi, d)
     return {

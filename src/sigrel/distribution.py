@@ -7,11 +7,11 @@ at the breakpoints (the distinct lifetime values): the component state
 vector at time t is constant on each interval between consecutive
 breakpoints, so checking at the left endpoints covers the whole half-line.
 
-:attr:`LifetimeDistribution.ranked_atoms` alone maps lifetimes to breakpoints:
-per atom, each lifetime's breakpoint rank and the probability times D, the
-least common denominator of the atom probabilities. :func:`state_support` and
-the one order-statistic sweep :func:`order_stat_cdfs` read it, so every test
-of a lifetime against t is an int comparison; Fractions are built only for
+:attr:`LifetimeDistribution.ranked_atoms` holds, per atom, each lifetime's
+breakpoint rank and the probability times D, the least common denominator of
+the atom probabilities. :func:`state_support` and the one order-statistic
+sweep :func:`order_stat_cdfs` read lifetimes only through it, so their tests
+of a lifetime against t are int comparisons; Fractions are built only for
 witnesses and public values.
 
 State vectors use the same packed encoding as truth-table indices:
@@ -56,6 +56,7 @@ __all__ = [
 
 Atom = tuple[tuple[Fraction, ...], Fraction]
 RankedAtom = tuple[tuple[int, ...], int]
+Support = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def breakpoints(d: LifetimeDistribution) -> tuple[Fraction, ...]:
     return d.breakpoints
 
 
-def state_support(d: LifetimeDistribution, t: object) -> tuple[tuple[int, int], ...]:
+def state_support(d: LifetimeDistribution, t: object) -> Support:
     """(state index, probability times D) of each state with positive probability at t.
 
     One state per atom (component alive iff lifetime > t), merged, sorted by index.
@@ -230,10 +231,13 @@ def state_distribution(d: LifetimeDistribution, t: object) -> StateDistribution:
     return StateDistribution(d.n, t, tuple(probs))
 
 
-def _state_exchangeability_at(
-    d: LifetimeDistribution, support: tuple[tuple[int, int], ...]
-) -> tuple[int, int, Fraction, Fraction] | None:
-    """First same-level state pair, by level then index, with unequal probabilities."""
+def _state_vector(n: int, index: int) -> list[int]:
+    return [(index >> i) & 1 for i in range(n)]
+
+
+def _state_exchangeability_at(d: LifetimeDistribution, support: Support) -> dict | None:
+    """Witness of the first same-level state pair, by level then index, with
+    unequal probabilities; the caller adds the time."""
     probs = dict(support)
     # A level without a supported state is all zero.
     for k in sorted({index.bit_count() for index in probs}):
@@ -242,7 +246,12 @@ def _state_exchangeability_at(
         for other in others:
             q = probs.get(other, 0)
             if q != p:
-                return first, other, Fraction(p, d.denominator), Fraction(q, d.denominator)
+                return {
+                    "state": _state_vector(d.n, first),
+                    "other_state": _state_vector(d.n, other),
+                    "probability": format_rational(Fraction(p, d.denominator)),
+                    "other_probability": format_rational(Fraction(q, d.denominator)),
+                }
     return None
 
 
@@ -281,13 +290,16 @@ def is_q_symmetric(q: QualityFunction) -> bool:
     return _q_symmetry_witness(q) is None
 
 
-def _q_symmetry_witness(
-    q: QualityFunction,
-) -> tuple[int, Fraction, Fraction] | None:
+def _q_symmetry_witness(q: QualityFunction) -> dict | None:
+    """Witness of the first subset, by packed index, off the symmetric quality."""
     symmetric = WeightFunction.symmetric(q.n).values
     for mask, (value, expected) in enumerate(zip(q.values, symmetric)):
         if value != expected:
-            return mask, value, expected
+            return {
+                "subset": [i + 1 for i in range(q.n) if mask >> i & 1],
+                "value": format_rational(value),
+                "symmetric_value": format_rational(expected),
+            }
     return None
 
 
@@ -296,10 +308,9 @@ def lifetimes_exchangeable(d: LifetimeDistribution) -> bool:
     return _lifetime_exchangeability_witness(d) is None
 
 
-def _lifetime_exchangeability_witness(
-    d: LifetimeDistribution,
-) -> tuple[tuple[int, ...], tuple[Fraction, ...], Fraction, Fraction] | None:
-    """First permutation (lexicographic) and vector where the pushforward law differs."""
+def _lifetime_exchangeability_witness(d: LifetimeDistribution) -> dict | None:
+    """Witness of the first permutation (lexicographic) and vector where the
+    pushforward law differs."""
     base = dict(d.atoms)
 
     def pushforward(sigma: tuple[int, ...]) -> dict[tuple[Fraction, ...], Fraction]:
@@ -315,8 +326,12 @@ def _lifetime_exchangeability_witness(
         pushed = pushforward(sigma)
         if pushed != base:
             xs = min(v for v in base.keys() | pushed if base.get(v) != pushed.get(v))
-            zero = Fraction(0)
-            return tuple(s + 1 for s in sigma), xs, base.get(xs, zero), pushed.get(xs, zero)
+            return {
+                "permutation": [s + 1 for s in sigma],
+                "lifetimes": [format_rational(x) for x in xs],
+                "probability": format_rational(base.get(xs, 0)),
+                "permuted_probability": format_rational(pushed.get(xs, 0)),
+            }
     return None
 
 
@@ -352,16 +367,13 @@ def weakly_exchangeable(d: LifetimeDistribution) -> bool:
     probability are skipped (the conditional is undefined there). Tied
     distributions are refused.
     """
-    holds, _, _ = _weak_exchangeability_scan(d)
-    return holds
+    return _weak_exchangeability_scan(d)[0] is None
 
 
-def _weak_exchangeability_scan(d: LifetimeDistribution) -> tuple[
-    bool,
-    tuple[tuple[int, ...], int, Fraction, Fraction, Fraction] | None,
-    tuple[tuple[int, ...], ...],
-]:
-    """(holds, witness, skipped zero-probability orderings), witness lexicographically first.
+def _weak_exchangeability_scan(
+    d: LifetimeDistribution,
+) -> tuple[dict | None, tuple[tuple[int, ...], ...]]:
+    """(witness, skipped zero-probability orderings), witness lexicographically first.
 
     The ranked atoms are grouped by realized ordering once. With P(X_(k:n) <= t,
     group) = mass / D and P(X_(k:n) <= t) = u / D from :func:`order_stat_cdfs` and
@@ -384,9 +396,14 @@ def _weak_exchangeability_scan(d: LifetimeDistribution) -> tuple[
         for k, (joint, marginal) in enumerate(zip(order_stat_cdfs(d, members), d.cdfs), start=1):
             for t, mass, u in zip(d.breakpoints, joint, marginal):
                 if mass * D != u * total:
-                    witness = (sigma, k, t, Fraction(u, D), Fraction(mass, total))
-                    return False, witness, tuple(skipped)
-    return True, None, tuple(skipped)
+                    return {
+                        "permutation": list(sigma),
+                        "k": k,
+                        "t": format_rational(t),
+                        "unconditional": format_rational(Fraction(u, D)),
+                        "conditional": format_rational(Fraction(mass, total)),
+                    }, tuple(skipped)
+    return None, tuple(skipped)
 
 
 def condition_w(d: LifetimeDistribution, w: WeightFunction, t: object) -> bool:
@@ -401,10 +418,11 @@ def condition_w(d: LifetimeDistribution, w: WeightFunction, t: object) -> bool:
 
 
 def _condition_w_witness(
-    d: LifetimeDistribution, w: WeightFunction, support: tuple[tuple[int, int], ...]
-) -> tuple[int, Fraction, Fraction] | None:
-    """First state x >= 1 where P(x) != w(x) * P(level of x), compared as ints:
-    P(x) * Q against ``w.numerators[x]`` times the level total, both over D."""
+    d: LifetimeDistribution, w: WeightFunction, support: Support
+) -> dict | None:
+    """Witness of the first state x >= 1 where P(x) != w(x) * P(level of x),
+    compared as ints: P(x) * Q against ``w.numerators[x]`` times the level
+    total, both over D. The caller adds the time."""
     Q, weights = w.denominator, w.numerators
     probs = dict(support)
     totals = [0] * (d.n + 1)
@@ -413,108 +431,59 @@ def _condition_w_witness(
     for x in range(1, 1 << d.n):
         p, expected = probs.get(x, 0), weights[x] * totals[x.bit_count()]
         if p * Q != expected:
-            return x, Fraction(p, d.denominator), Fraction(expected, Q * d.denominator)
+            return {
+                "state": _state_vector(d.n, x),
+                "probability": format_rational(Fraction(p, d.denominator)),
+                "expected": format_rational(Fraction(expected, Q * d.denominator)),
+            }
     return None
 
 
-def _state_vector(n: int, index: int) -> list[int]:
-    return [(index >> i) & 1 for i in range(n)]
-
-
-def _subset_members(mask: int) -> list[int]:
-    return [i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1]
-
-
 def evaluate_conditions(
-    d: LifetimeDistribution,
-) -> tuple[dict, WeightFunction, tuple[tuple[int, ...], ...], dict]:
+    d: LifetimeDistribution, supports: Iterable[Support]
+) -> tuple[WeightFunction, dict]:
     """Evaluate every condition of the equivalences once.
 
-    Returns (flags, weights, skipped orderings, witnesses), ``weights`` the
-    relative quality read as a :class:`WeightFunction`. ``flags`` maps
-    has_ties, q_symmetric, states_exchangeable_everywhere,
-    lifetimes_exchangeable, weakly_exchangeable (None for tied laws) and
-    condition_q_everywhere to their values; ``witnesses`` maps each failed
-    condition to its lexicographically first counterexample, rationals as
-    strings.
+    ``supports`` are :func:`state_support` at each breakpoint, in order; the
+    walk stops reading them at the breakpoint where both state conditions
+    have their witness. Returns (weights, fields): ``weights`` is the
+    relative quality read as a :class:`WeightFunction`, and ``fields`` holds
+    the condition keywords of :class:`~sigrel.reliability.DiagnosisReport`.
+    Each flag is True iff its condition has no witness (weakly_exchangeable
+    is None for tied laws). ``witnesses`` maps each failed condition to its
+    lexicographically first counterexample, rationals as strings, and
+    ``skipped_orderings`` lists the zero-probability orderings.
     """
-    ties = has_ties(d)
     quality = relative_quality(d)
-    witnesses: dict = {}
-
-    q_wit = _q_symmetry_witness(quality)
-    if q_wit is not None:
-        mask, value, expected = q_wit
-        witnesses["q_symmetric"] = {
-            "subset": _subset_members(mask),
-            "value": format_rational(value),
-            "symmetric_value": format_rational(expected),
-        }
-
-    # One walk over the breakpoints serves both state conditions and stops
-    # at the breakpoint where both have their (first) witness.
     w = WeightFunction.from_quality(quality)
     state_wit = cond_wit = None
-    for t in d.breakpoints:
-        support = state_support(d, t)
+    for t, support in zip(d.breakpoints, supports):
         if state_wit is None and (wit := _state_exchangeability_at(d, support)):
-            state_wit = (t, *wit)
+            state_wit = {"t": format_rational(t), **wit}
         if cond_wit is None and (wit := _condition_w_witness(d, w, support)):
-            cond_wit = (t, *wit)
+            cond_wit = {"t": format_rational(t), **wit}
         if state_wit and cond_wit:
             break
-    if state_wit is not None:
-        t, x, x_other, p, p_other = state_wit
-        witnesses["states_exchangeable"] = {
-            "t": format_rational(t),
-            "state": _state_vector(d.n, x),
-            "other_state": _state_vector(d.n, x_other),
-            "probability": format_rational(p),
-            "other_probability": format_rational(p_other),
-        }
-
-    life_wit = _lifetime_exchangeability_witness(d)
-    if life_wit is not None:
-        sigma, xs, p, p_pushed = life_wit
-        witnesses["lifetimes_exchangeable"] = {
-            "permutation": list(sigma),
-            "lifetimes": [format_rational(x) for x in xs],
-            "probability": format_rational(p),
-            "permuted_probability": format_rational(p_pushed),
-        }
-
-    skipped: tuple[tuple[int, ...], ...] = ()
-    weak: bool | None = None
-    if not ties:
-        weak, weak_wit, skipped = _weak_exchangeability_scan(d)
-        if weak_wit is not None:
-            sigma, k, t, unconditional, conditional = weak_wit
-            witnesses["weakly_exchangeable"] = {
-                "permutation": list(sigma),
-                "k": k,
-                "t": format_rational(t),
-                "unconditional": format_rational(unconditional),
-                "conditional": format_rational(conditional),
-            }
-
-    if cond_wit is not None:
-        t, x, p, expected = cond_wit
-        witnesses["condition_q"] = {
-            "t": format_rational(t),
-            "state": _state_vector(d.n, x),
-            "probability": format_rational(p),
-            "expected": format_rational(expected),
-        }
-
-    flags = {
-        "has_ties": ties,
-        "q_symmetric": q_wit is None,
-        "states_exchangeable_everywhere": state_wit is None,
-        "lifetimes_exchangeable": life_wit is None,
-        "weakly_exchangeable": weak,
-        "condition_q_everywhere": cond_wit is None,
+    ties = has_ties(d)
+    weak_wit, skipped = (None, ()) if ties else _weak_exchangeability_scan(d)
+    witnesses = {
+        "q_symmetric": _q_symmetry_witness(quality),
+        "states_exchangeable": state_wit,
+        "lifetimes_exchangeable": _lifetime_exchangeability_witness(d),
+        "weakly_exchangeable": weak_wit,
+        "condition_q": cond_wit,
     }
-    return flags, w, skipped, witnesses
+    fields = {
+        "has_ties": ties,
+        "q_symmetric": witnesses["q_symmetric"] is None,
+        "states_exchangeable_everywhere": state_wit is None,
+        "lifetimes_exchangeable": witnesses["lifetimes_exchangeable"] is None,
+        "weakly_exchangeable": None if ties else weak_wit is None,
+        "condition_q_everywhere": cond_wit is None,
+        "witnesses": {key: wit for key, wit in witnesses.items() if wit is not None},
+        "skipped_orderings": skipped,
+    }
+    return w, fields
 
 
 def distribution_to_json(d: LifetimeDistribution) -> dict:

@@ -315,39 +315,24 @@ class DiagnosisReport:
         return out
 
 
-def _build_report(
-    d: LifetimeDistribution, conditions: tuple, **fields
-) -> DiagnosisReport:
-    """Report with the condition fields from :func:`evaluate_conditions` filled in."""
-    flags, _, skipped, witnesses = conditions
-    return DiagnosisReport(
-        n=d.n,
-        breakpoints=d.breakpoints,
-        **flags,
-        witnesses=witnesses,
-        skipped_orderings=skipped,
-        **fields,
-    )
-
-
 def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
     """Evaluate the conditions and predict the representation verdicts.
 
     No systems are enumerated: each verdict is what the corresponding
     equivalence forces for the family of all semicoherent systems given the
     measured conditions. Tie-dependent entries are None for tied inputs.
+    The condition walk builds each state support only when it reaches it.
     """
-    conditions = evaluate_conditions(d)
-    flags = conditions[0]
-    ties = flags["has_ties"]
-    states = flags["states_exchangeable_everywhere"]
-    return _build_report(
-        d,
-        conditions,
+    _, fields = evaluate_conditions(d, (state_support(d, t) for t in d.breakpoints))
+    ties, states = fields["has_ties"], fields["states_exchangeable_everywhere"]
+    return DiagnosisReport(
         mode="predicted",
+        n=d.n,
+        breakpoints=d.breakpoints,
+        **fields,
         boland_repr_all_systems=states,
-        prob_repr_all_systems=None if ties else flags["condition_q_everywhere"],
-        both_representations=None if ties else flags["q_symmetric"] and states,
+        prob_repr_all_systems=None if ties else fields["condition_q_everywhere"],
+        both_representations=None if ties else fields["q_symmetric"] and states,
     )
 
 
@@ -368,8 +353,9 @@ def verify_theorems(
     lexicographically smallest counterexamples, ordering systems by their
     packed tables and times by breakpoint index.
 
-    The representation scan runs on exact integers: supports and survivals
-    (D minus :attr:`LifetimeDistribution.cdfs`) over D, each signature over
+    The representation scan runs on exact integers: the supports, built once
+    and shared with the condition walk, and the survivals (D minus
+    :attr:`LifetimeDistribution.cdfs`), both over D, and each signature over
     its weights' common denominator (L = lcm C(n, m) for the design signature,
     a divisor of D for the probability one). Fractions are built only for a
     witness, whose values and format do not depend on the scan.
@@ -377,13 +363,12 @@ def verify_theorems(
     if n != d.n:
         raise ValueError(f"n={n} does not match the distribution's n={d.n}")
     systems = enumerate_systems(n, system_class)
-    conditions = evaluate_conditions(d)
-    flags, weights, _, witnesses = conditions
-    ties = flags["has_ties"]
+    supports = [state_support(d, t) for t in d.breakpoints]
+    weights, fields = evaluate_conditions(d, supports)
+    ties, witnesses = fields["has_ties"], fields["witnesses"]
     symmetric = WeightFunction.symmetric(n)
     D = d.denominator
     survivals = [[D - row[b] for row in d.cdfs] for b in range(len(d.breakpoints))]
-    supports = [state_support(d, t) for t in d.breakpoints]
 
     def strings(sig: Sequence[int], scale: int) -> tuple[str, ...]:
         return tuple(format_rational(Fraction(s, scale)) for s in sig)
@@ -444,15 +429,15 @@ def verify_theorems(
     full_rank = class_rank == (1 << n) - 1
     relation = "iff" if full_rank else "if"
 
-    states = flags["states_exchangeable_everywhere"]
+    states = fields["states_exchangeable_everywhere"]
     claims = [("boland_repr_iff_states_exchangeable", boland_all, states)]
     both: bool | None = None
     if not ties:
         assert prob_all is not None and agree_all is not None
         both = boland_all and prob_all
         claims += [
-            ("prob_repr_iff_condition_q", prob_all, flags["condition_q_everywhere"]),
-            ("signatures_agree_iff_q_symmetric", agree_all, flags["q_symmetric"]),
+            ("prob_repr_iff_condition_q", prob_all, fields["condition_q_everywhere"]),
+            ("signatures_agree_iff_q_symmetric", agree_all, fields["q_symmetric"]),
             (
                 "both_reprs_iff_agreement_and_state_exchangeability",
                 both,
@@ -461,7 +446,7 @@ def verify_theorems(
             (
                 "both_reprs_iff_q_symmetry_and_state_exchangeability",
                 both,
-                flags["q_symmetric"] and states,
+                fields["q_symmetric"] and states,
             ),
         ]
     checks = [TheoremCheck(name, relation, lhs, rhs) for name, lhs, rhs in claims]
@@ -475,10 +460,11 @@ def verify_theorems(
             f"independently computed sides disagree: {details}"
         )
 
-    return _build_report(
-        d,
-        conditions,
+    return DiagnosisReport(
         mode="verified",
+        n=d.n,
+        breakpoints=d.breakpoints,
+        **fields,
         boland_repr_all_systems=boland_all,
         prob_repr_all_systems=prob_all,
         both_representations=both,

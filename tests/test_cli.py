@@ -97,6 +97,22 @@ class TestProbSignatureCommand:
         assert err["error"] == "precondition"
         assert "tied" in err["detail"]
 
+    def test_size_mismatch_exit_2_before_the_quality(self, files, capsys, tmp_path):
+        # refused before the 2**40 subset qualities are formed, so this returns at once
+        path = tmp_path / "wide.json"
+        law = make_dist(40, [(tuple(range(1, 41)), 1)])
+        path.write_text(json.dumps(distribution_to_json(law)))
+        start = time.perf_counter()
+        code, err = run_error(
+            capsys, ["prob-signature", "--system", files["bridge"], "--dist", str(path)]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == {
+            "error": "precondition",
+            "detail": "system and distribution disagree on component count",
+        }
+
 
 class TestReliabilityCommand:
     def test_full_curve(self, files, capsys):

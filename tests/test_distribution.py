@@ -24,7 +24,7 @@ from sigrel import (
     states_exchangeable_everywhere,
     weakly_exchangeable,
 )
-from sigrel.distribution import _weak_exchangeability_scan, evaluate_conditions
+from sigrel.distribution import _weak_exchangeability_scan, evaluate_conditions, state_support
 
 from conftest import (
     exchangeable_mixture,
@@ -277,8 +277,7 @@ class TestWeakExchangeability:
 
     def test_single_atom_skips_impossible_orderings(self):
         d = make_dist(2, [((1, 2), 1)])
-        holds, witness, skipped = _weak_exchangeability_scan(d)
-        assert holds
+        witness, skipped = _weak_exchangeability_scan(d)
         assert witness is None
         assert skipped == ((2, 1),)
 
@@ -355,7 +354,8 @@ class TestStateExchangeabilityScan:
     def test_witness_is_at_first_failing_breakpoint(self, theorem_corpus):
         failures = 0
         for _, d in theorem_corpus:
-            witnesses = evaluate_conditions(d)[3]
+            supports = [state_support(d, t) for t in breakpoints(d)]
+            witnesses = evaluate_conditions(d, supports)[1]["witnesses"]
             failing = [t for t in breakpoints(d) if not states_exchangeable_at(d, t)]
             if not failing:
                 assert "states_exchangeable" not in witnesses

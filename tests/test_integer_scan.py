@@ -27,7 +27,7 @@ from sigrel import (
     system_to_json,
     verify_theorems,
 )
-from sigrel.distribution import evaluate_conditions
+from sigrel.distribution import evaluate_conditions, state_support
 from sigrel.structure import level_indices, rank_over_rationals
 
 from conftest import exchangeable_mixture, make_dist, random_no_ties
@@ -57,10 +57,11 @@ def signature_by_fractions(phi, w):
 
 def verify_by_fractions(n, d, system_class):
     systems = enumerate_systems(n, system_class)
-    flags, weights, skipped, witnesses = evaluate_conditions(d)
+    weights, fields = evaluate_conditions(d, [state_support(d, t) for t in d.breakpoints])
     assert weights == WeightFunction.from_quality(relative_quality(d))
+    witnesses = fields["witnesses"]
     bps = d.breakpoints
-    ties = flags["has_ties"]
+    ties = fields["has_ties"]
     symmetric = WeightFunction.symmetric(n)
     # The nonzero entries of each dense state table.
     supports = [[(x, p) for x, p in enumerate(states_by_atoms(d, t)) if p] for t in bps]
@@ -106,29 +107,27 @@ def verify_by_fractions(n, d, system_class):
     both = None if ties else boland_all and prob_all
     class_rank = rank_over_rationals(systems)
     relation = "iff" if class_rank == (1 << n) - 1 else "if"
-    exch = flags["states_exchangeable_everywhere"]
+    exch = fields["states_exchangeable_everywhere"]
     claims = [("boland_repr_iff_states_exchangeable", boland_all, exch)]
     if not ties:
         claims += [
-            ("prob_repr_iff_condition_q", prob_all, flags["condition_q_everywhere"]),
-            ("signatures_agree_iff_q_symmetric", agree_all, flags["q_symmetric"]),
+            ("prob_repr_iff_condition_q", prob_all, fields["condition_q_everywhere"]),
+            ("signatures_agree_iff_q_symmetric", agree_all, fields["q_symmetric"]),
             ("both_reprs_iff_agreement_and_state_exchangeability", both, agree_all and exch),
             (
                 "both_reprs_iff_q_symmetry_and_state_exchangeability",
                 both,
-                flags["q_symmetric"] and exch,
+                fields["q_symmetric"] and exch,
             ),
         ]
     return DiagnosisReport(
         mode="verified",
         n=d.n,
         breakpoints=bps,
-        **flags,
+        **fields,
         boland_repr_all_systems=boland_all,
         prob_repr_all_systems=prob_all,
         both_representations=both,
-        witnesses=witnesses,
-        skipped_orderings=skipped,
         system_class=system_class,
         systems_checked=len(systems),
         class_rank=class_rank,

@@ -5,8 +5,9 @@ earlier library functions, kept here as oracles: each reads a dense 2**n
 table of Fraction state probabilities filled atom by atom, where the library
 compares ints over the law's common denominator on the sparse support. The
 witnesses must be equal, values and formatting included. The last tests pin
-how many supports each walk builds: diagnose one per breakpoint up to where
-it has both state witnesses and none past it, verify one more per breakpoint.
+how many supports each command builds: diagnose one per breakpoint up to
+where it has both state witnesses and none past it, verify exactly one per
+breakpoint, which its condition walk and its representation scan share.
 """
 
 import random
@@ -16,15 +17,21 @@ import pytest
 
 from sigrel import (
     SystemClass,
+    TiesError,
     WeightFunction,
     breakpoints,
     condition_w,
     diagnose,
     format_rational,
+    has_ties,
+    is_q_symmetric,
+    lifetimes_exchangeable,
     parse_rational,
     relative_quality,
     states_exchangeable_at,
+    states_exchangeable_everywhere,
     verify_theorems,
+    weakly_exchangeable,
 )
 from sigrel import distribution, reliability
 from sigrel.distribution import (
@@ -67,6 +74,31 @@ def state_vector(n, index):
     return [(index >> i) & 1 for i in range(n)]
 
 
+def state_witness_dict(n, wit):
+    """An oracle's state-exchangeability tuple in the report's format, time left out."""
+    if wit is None:
+        return None
+    x, other, p, p_other = wit
+    return {
+        "state": state_vector(n, x),
+        "other_state": state_vector(n, other),
+        "probability": format_rational(p),
+        "other_probability": format_rational(p_other),
+    }
+
+
+def condition_w_witness_dict(n, wit):
+    """An oracle's condition-w tuple in the report's format, time left out."""
+    if wit is None:
+        return None
+    x, p, expected = wit
+    return {
+        "state": state_vector(n, x),
+        "probability": format_rational(p),
+        "expected": format_rational(expected),
+    }
+
+
 def condition_witnesses_by_tables(d):
     """The states_exchangeable and condition_q witness dicts, first breakpoint first."""
     out = {}
@@ -74,23 +106,10 @@ def condition_witnesses_by_tables(d):
     for t in breakpoints(d):
         wit = state_exchangeability_by_table(d, t)
         if wit is not None and "states_exchangeable" not in out:
-            x, other, p, p_other = wit
-            out["states_exchangeable"] = {
-                "t": format_rational(t),
-                "state": state_vector(d.n, x),
-                "other_state": state_vector(d.n, other),
-                "probability": format_rational(p),
-                "other_probability": format_rational(p_other),
-            }
+            out["states_exchangeable"] = {"t": format_rational(t), **state_witness_dict(d.n, wit)}
         wit = condition_w_by_table(d, w, t)
         if wit is not None and "condition_q" not in out:
-            x, p, expected = wit
-            out["condition_q"] = {
-                "t": format_rational(t),
-                "state": state_vector(d.n, x),
-                "probability": format_rational(p),
-                "expected": format_rational(expected),
-            }
+            out["condition_q"] = {"t": format_rational(t), **condition_w_witness_dict(d.n, wit)}
     return out
 
 
@@ -133,13 +152,14 @@ def random_weights(rng, n):
 def test_condition_witnesses_match_dense_tables(support_laws):
     found = {"states_exchangeable": 0, "condition_q": 0}
     for d in support_laws:
-        flags, _, _, witnesses = evaluate_conditions(d)
+        _, fields = evaluate_conditions(d, [state_support(d, t) for t in breakpoints(d)])
+        witnesses = fields["witnesses"]
         want = condition_witnesses_by_tables(d)
         for key in found:
             assert witnesses.get(key) == want.get(key), (d, key)
             found[key] += key in want
-        assert flags["states_exchangeable_everywhere"] == ("states_exchangeable" not in want)
-        assert flags["condition_q_everywhere"] == ("condition_q" not in want)
+        assert fields["states_exchangeable_everywhere"] == ("states_exchangeable" not in want)
+        assert fields["condition_q_everywhere"] == ("condition_q" not in want)
     # The corpus has laws with and without each witness.
     assert all(0 < count < len(support_laws) for count in found.values()), found
     assert max(d.denominator for d in support_laws) >= 3 * 5 * 7 * 11 * 13
@@ -149,7 +169,7 @@ def test_condition_witnesses_match_dense_tables(support_laws):
 def test_states_exchangeable_at_any_time(support_laws):
     for d in support_laws:
         for t in sample_times(d):
-            want = state_exchangeability_by_table(d, t)
+            want = state_witness_dict(d.n, state_exchangeability_by_table(d, t))
             assert _state_exchangeability_at(d, state_support(d, t)) == want
             assert states_exchangeable_at(d, t) == (want is None)
 
@@ -162,11 +182,62 @@ def test_condition_w_with_arbitrary_weights(support_laws):
         weights.append(WeightFunction.from_quality(relative_quality(d)))
         for w in weights:
             for t in sample_times(d):
-                want = condition_w_by_table(d, w, t)
+                want = condition_w_witness_dict(d.n, condition_w_by_table(d, w, t))
                 assert _condition_w_witness(d, w, state_support(d, t)) == want, (d, w, t)
                 assert condition_w(d, w, t) == (want is None)
                 outcomes.append(want is None)
     assert any(outcomes) and not all(outcomes)
+
+
+def test_public_predicates_agree_with_the_report(support_laws):
+    outcomes = set()
+    for d in support_laws:
+        report = diagnose(d)
+        quality = relative_quality(d)
+        w = WeightFunction.from_quality(quality)
+        got = {
+            "q_symmetric": is_q_symmetric(quality),
+            "states_exchangeable_everywhere": states_exchangeable_everywhere(d),
+            "lifetimes_exchangeable": lifetimes_exchangeable(d),
+            "condition_q_everywhere": all(condition_w(d, w, t) for t in breakpoints(d)),
+        }
+        if has_ties(d):
+            with pytest.raises(TiesError):
+                weakly_exchangeable(d)
+            got["weakly_exchangeable"] = None
+        else:
+            got["weakly_exchangeable"] = weakly_exchangeable(d)
+        assert got == {flag: getattr(report, flag) for flag in got}, d
+        outcomes.update(got.items())
+    # Every flag is seen both holding and failing, and None on tied laws.
+    assert len(outcomes) == 2 * len(got) + 1, outcomes
+
+
+# The order in which a report lists its witnesses.
+WITNESS_ORDER = (
+    "q_symmetric",
+    "states_exchangeable",
+    "lifetimes_exchangeable",
+    "weakly_exchangeable",
+    "condition_q",
+    "boland_repr",
+    "prob_repr",
+    "signature_agreement",
+)
+
+
+def test_witnesses_are_listed_in_report_order(support_laws):
+    seen = set()
+    for d in support_laws:
+        reports = [diagnose(d)]
+        if d.n <= 4:
+            reports.append(verify_theorems(d.n, d, SystemClass.SEMICOHERENT))
+        for report in reports:
+            keys = list(report.witnesses)
+            assert keys == [key for key in WITNESS_ORDER if key in keys], d
+            seen.update(zip(keys, keys[1:]))
+    # Each neighbouring pair of keys occurs side by side in some report.
+    assert set(zip(WITNESS_ORDER, WITNESS_ORDER[1:])) <= seen, seen
 
 
 # --- one support per breakpoint ---------------------------------------------
@@ -231,8 +302,8 @@ def test_verify_builds_one_support_per_breakpoint(support_calls):
         support_calls.clear()
         report = verify_theorems(d.n, d, SystemClass.SEMICOHERENT)
         bps = list(breakpoints(d))
-        # The condition walk up to its witnesses, then the scan's own list.
-        assert support_calls == bps[: walk_length(d, report.witnesses)] + bps
+        # One list, shared by the condition walk and the representation scan.
+        assert support_calls == bps
 
 
 def test_cached_views_leave_equality_and_hash_alone():

@@ -27,6 +27,7 @@ from sigrel import (
     breakpoints,
     diagnose,
     enumerate_systems,
+    format_rational,
     from_path_sets,
     from_truth_table,
     has_ties,
@@ -159,6 +160,33 @@ def lifetime_witness_lexicographic(d):
     return None
 
 
+def weak_witness_dict(wit):
+    """The weak oracle's witness tuple in the report's format."""
+    if wit is None:
+        return None
+    sigma, k, t, unconditional, conditional = wit
+    return {
+        "permutation": list(sigma),
+        "k": k,
+        "t": format_rational(t),
+        "unconditional": format_rational(unconditional),
+        "conditional": format_rational(conditional),
+    }
+
+
+def lifetime_witness_dict(wit):
+    """The lifetime oracle's witness tuple in the report's format."""
+    if wit is None:
+        return None
+    sigma, xs, p, p_pushed = wit
+    return {
+        "permutation": list(sigma),
+        "lifetimes": [format_rational(x) for x in xs],
+        "probability": format_rational(p),
+        "permuted_probability": format_rational(p_pushed),
+    }
+
+
 def bits_by_shifts(phi):
     return "".join(str((phi.table >> j) & 1) for j in range(1 << phi.n))
 
@@ -271,18 +299,20 @@ def test_weak_scan_matches_per_permutation_loop(all_laws, perturbed_corpus):
                 _weak_exchangeability_scan(d)
             continue
         got = _weak_exchangeability_scan(d)
-        assert got == weak_scan_by_permutation(d), d
-        outcomes.append(got)
+        holds, witness, skipped = weak_scan_by_permutation(d)
+        assert got == (weak_witness_dict(witness), skipped), d
+        assert holds == (got[0] is None)
+        outcomes.append((holds, skipped))
     # The corpus exercises witnesses, holding laws, and skipped orderings.
-    assert any(holds for holds, _, _ in outcomes)
-    assert any(not holds for holds, _, _ in outcomes)
-    assert any(skipped for holds, _, skipped in outcomes if holds)
-    assert any(skipped for holds, _, skipped in outcomes if not holds)
+    assert any(holds for holds, _ in outcomes)
+    assert any(not holds for holds, _ in outcomes)
+    assert any(skipped for holds, skipped in outcomes if holds)
+    assert any(skipped for holds, skipped in outcomes if not holds)
 
 
 def test_lifetime_witness_matches_lexicographic_scan(all_laws):
     witnesses = [_lifetime_exchangeability_witness(d) for d in all_laws]
-    assert witnesses == [lifetime_witness_lexicographic(d) for d in all_laws]
+    assert witnesses == [lifetime_witness_dict(lifetime_witness_lexicographic(d)) for d in all_laws]
     assert any(w is None for w in witnesses)
     assert any(w is not None for w in witnesses)
 
@@ -291,8 +321,9 @@ def test_lifetime_witness_needs_more_than_the_first_transposition():
     # Invariant under swapping components 1 and 2 but not 2 and 3: the
     # transposition check fails, and the search returns the first witness.
     d = make_dist(3, [((1, 2, 3), Fraction(1, 2)), ((2, 1, 3), Fraction(1, 2))])
-    assert _lifetime_exchangeability_witness(d) == lifetime_witness_lexicographic(d)
-    assert _lifetime_exchangeability_witness(d)[0] == (1, 3, 2)
+    want = lifetime_witness_lexicographic(d)
+    assert _lifetime_exchangeability_witness(d) == lifetime_witness_dict(want)
+    assert want[0] == (1, 3, 2)
 
 
 def test_bits_match_per_entry_join():
