@@ -28,12 +28,13 @@ from functools import cached_property
 from itertools import accumulate, permutations
 from typing import Iterable
 
-from .errors import TiesError
+from .errors import EnumerationBoundError, TiesError
 from .rationals import format_rational, parse_rational
 from .signature import WeightFunction
 from .structure import level_indices
 
 __all__ = [
+    "ORDERING_LIMIT",
     "LifetimeDistribution",
     "QualityFunction",
     "StateDistribution",
@@ -57,6 +58,10 @@ __all__ = [
 Atom = tuple[tuple[Fraction, ...], Fraction]
 RankedAtom = tuple[tuple[int, ...], int]
 Support = tuple[tuple[int, int], ...]
+
+# The weak scan lists every zero-probability ordering: a 3-atom comonotone law took, on a 2-vCPU
+# VM, 0.45 s, 34 MB of JSON and 411 MB peak RSS at n = 9, and 5.0 s, 374 MB and 4.25 GB at n = 10.
+ORDERING_LIMIT = 9
 
 
 @dataclass(frozen=True)
@@ -310,27 +315,25 @@ def lifetimes_exchangeable(d: LifetimeDistribution) -> bool:
 
 def _lifetime_exchangeability_witness(d: LifetimeDistribution) -> dict | None:
     """Witness of the first permutation (lexicographic) and vector where the
-    pushforward law differs."""
-    base = dict(d.atoms)
+    pushforward law differs.
 
-    def pushforward(sigma: tuple[int, ...]) -> dict[tuple[Fraction, ...], Fraction]:
+    The relabelings that fix the law form a group, and every permutation before
+    the transposition of components i + 1 and i + 2 fixes components 1..i + 1 and
+    is a product of the later adjacent transpositions, checked first; so the
+    first transposition found to move the law is the first permutation that does.
+    """
+    base = dict(d.ranked_atoms)
+    for i in reversed(range(d.n - 1)):
         # Atoms are distinct vectors, so relabeling merges none of them.
-        return {tuple(xs[i] for i in sigma): p for xs, p in d.atoms}
-
-    identity = tuple(range(d.n))
-    adjacent = (identity[:i] + (i + 1, i) + identity[i + 2 :] for i in range(d.n - 1))
-    # The adjacent transpositions generate S_n: a law they all fix has no witness.
-    if all(pushforward(sigma) == base for sigma in adjacent):
-        return None
-    for sigma in permutations(identity):
-        pushed = pushforward(sigma)
+        pushed = {r[:i] + (r[i + 1], r[i]) + r[i + 2 :]: p for r, p in d.ranked_atoms}
         if pushed != base:
-            xs = min(v for v in base.keys() | pushed if base.get(v) != pushed.get(v))
+            ranks = min(r for r in base.keys() | pushed if base.get(r) != pushed.get(r))
+            p, q = base.get(ranks, 0), pushed.get(ranks, 0)
             return {
-                "permutation": [s + 1 for s in sigma],
-                "lifetimes": [format_rational(x) for x in xs],
-                "probability": format_rational(base.get(xs, 0)),
-                "permuted_probability": format_rational(pushed.get(xs, 0)),
+                "permutation": [*range(1, i + 1), i + 2, i + 1, *range(i + 3, d.n + 1)],
+                "lifetimes": [format_rational(d.breakpoints[r]) for r in ranks],
+                "probability": format_rational(Fraction(p, d.denominator)),
+                "permuted_probability": format_rational(Fraction(q, d.denominator)),
             }
     return None
 
@@ -442,7 +445,7 @@ def _condition_w_witness(
 def evaluate_conditions(
     d: LifetimeDistribution, supports: Iterable[Support]
 ) -> tuple[WeightFunction, dict]:
-    """Evaluate every condition of the equivalences once.
+    """Evaluate every condition of the equivalences once, for n <= ORDERING_LIMIT.
 
     ``supports`` are :func:`state_support` at each breakpoint, in order; the
     walk stops reading them at the breakpoint where both state conditions
@@ -454,6 +457,10 @@ def evaluate_conditions(
     lexicographically first counterexample, rationals as strings, and
     ``skipped_orderings`` lists the zero-probability orderings.
     """
+    if d.n > ORDERING_LIMIT:
+        raise EnumerationBoundError(
+            f"the condition scan supports n <= {ORDERING_LIMIT}, got n={d.n}"
+        )
     quality = relative_quality(d)
     w = WeightFunction.from_quality(quality)
     state_wit = cond_wit = None

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, error JSON, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -180,6 +181,37 @@ class TestDiagnoseCommand:
             "boland_repr_all_systems": True,
             "prob_repr_all_systems": True,
             "both_representations": True,
+        }
+
+
+class TestOrderingLimit:
+    """`diagnose` refuses n above ORDERING_LIMIT before any condition is evaluated."""
+
+    @staticmethod
+    def two_atom_law(tmp_path, n):
+        # 1..n and its reverse: the weak scan walks all n! orderings, n! - 2 of them skipped.
+        rows = [(tuple(range(1, n + 1)), Fraction(1, 2)), (tuple(range(n, 0, -1)), Fraction(1, 2))]
+        path = tmp_path / f"two_atoms_{n}.json"
+        path.write_text(json.dumps(distribution_to_json(make_dist(n, rows))))
+        return str(path)
+
+    def test_n9_runs(self, capsys, tmp_path):
+        code = run(["diagnose", "--dist", self.two_atom_law(tmp_path, 9)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert captured.out.count("\n    [\n") == math.factorial(9) - 2  # the skipped orderings
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_above_the_limit_exit_2(self, capsys, tmp_path, n):
+        path = self.two_atom_law(tmp_path, n)
+        start = time.perf_counter()
+        code, err = run_error(capsys, ["diagnose", "--dist", path])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == {
+            "error": "precondition",
+            "detail": f"the condition scan supports n <= 9, got n={n}",
         }
 
 

@@ -48,3 +48,22 @@ def test_quick_start_results_match_the_comments():
         checked.append(ast.unparse(node))
     # boland and probability signatures, agreement, the curve's two tuples, verdicts
     assert len(checked) == 6, checked
+
+
+def test_every_public_limit_is_named():
+    """Each public module-level ``*_LIMIT`` constant of the package is named in
+    the README. The module sources are read, not ``sigrel.__all__``, because
+    some limits live only in their module's namespace."""
+    readme = README.read_text(encoding="utf-8")
+    limits = [
+        target.id
+        for path in sorted((README.parent / "src" / "sigrel").glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+        and target.id.endswith("_LIMIT")
+        and not target.id.startswith("_")
+    ]
+    assert len(limits) >= 4, limits
+    assert [name for name in limits if not re.search(rf"\b{name}\b", readme)] == []

@@ -6,8 +6,11 @@ distribution by one dense 2**n table filled atom by atom, the survival
 curve by one such table per breakpoint, order-statistic survivals by one
 pass over the atoms per (k, t), weak exchangeability
 by one pass over the atoms per ordering, and lifetime exchangeability by
-the full lexicographic permutation scan. Every comparison is exact,
-witnesses and skipped orderings included.
+the full lexicographic permutation scan. The library decides lifetime
+exchangeability from the n - 1 adjacent transpositions alone; the
+stabilizer corpus, laws fixed by a non-trivial group of relabelings, checks
+that against the full scan. Every comparison is exact, witnesses and
+skipped orderings included.
 """
 
 import math
@@ -233,6 +236,72 @@ def two_component_laws():
     return laws
 
 
+def block_orderings_law(n, k):
+    """Uniform over the vectors whose components 1..k hold 1..k in some order
+    and whose others hold k + 1..n: fixed exactly by S_k x S_(n-k)."""
+    rows = [
+        head + tail
+        for head in permutations(range(1, k + 1))
+        for tail in permutations(range(k + 1, n + 1))
+    ]
+    return make_dist(n, [(xs, Fraction(1, len(rows))) for xs in rows])
+
+
+def generated_group(n, generators):
+    """Every product of the generators, as index tuples."""
+    group, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            gh = tuple(g[i] for i in h)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return group
+
+
+def random_generator(rng, n):
+    """A random relabeling, a random swap of two components or of two blocks."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return tuple(rng.sample(range(n), n))
+    sigma = list(range(n))
+    width = 1 if kind == 1 else rng.randint(1, n // 2)
+    a = rng.randint(0, n - 2 * width)
+    b = rng.randint(a + width, n - width)
+    sigma[a : a + width], sigma[b : b + width] = sigma[b : b + width], sigma[a : a + width]
+    return tuple(sigma)
+
+
+def orbit_averages(rng, n):
+    """A random tied law averaged over a group of 1-3 random generators, then
+    the same with one atom's weight raised by one."""
+    group = generated_group(n, [random_generator(rng, n) for _ in range(rng.randint(1, 3))])
+    weights = {}
+    for _ in range(rng.randint(1, 3)):
+        xs, w = tuple(rng.randint(1, 3) for _ in range(n)), rng.randint(1, 3)
+        for g in group:
+            key = tuple(xs[i] for i in g)
+            weights[key] = weights.get(key, 0) + w
+    perturbed = dict(weights)
+    perturbed[rng.choice(sorted(perturbed))] += 1
+    return [
+        make_dist(n, [(xs, Fraction(w, sum(table.values()))) for xs, w in table.items()])
+        for table in (weights, perturbed)
+    ]
+
+
+@pytest.fixture(scope="module")
+def stabilizer_corpus():
+    """Laws fixed by non-trivial groups of relabelings."""
+    rng = random.Random(1515)
+    laws = [block_orderings_law(n, k) for n in range(3, 7) for k in range(1, n)]
+    laws += [law for n in range(2, 7) for _ in range(8) for law in orbit_averages(rng, n)]
+    # Fixed only by swapping components 1 and 3, which is not adjacent.
+    laws.append(make_dist(3, [((1, 2, 3), Fraction(1, 2)), ((3, 2, 1), Fraction(1, 2))]))
+    return laws
+
+
 @pytest.fixture(scope="module")
 def perturbed_corpus():
     rng = random.Random(7177)
@@ -310,16 +379,25 @@ def test_weak_scan_matches_per_permutation_loop(all_laws, perturbed_corpus):
     assert any(skipped for holds, skipped in outcomes if not holds)
 
 
-def test_lifetime_witness_matches_lexicographic_scan(all_laws):
-    witnesses = [_lifetime_exchangeability_witness(d) for d in all_laws]
-    assert witnesses == [lifetime_witness_dict(lifetime_witness_lexicographic(d)) for d in all_laws]
+def test_lifetime_witness_matches_lexicographic_scan(all_laws, stabilizer_corpus):
+    laws = all_laws + stabilizer_corpus
+    witnesses = [_lifetime_exchangeability_witness(d) for d in laws]
+    assert witnesses == [lifetime_witness_dict(lifetime_witness_lexicographic(d)) for d in laws]
     assert any(w is None for w in witnesses)
     assert any(w is not None for w in witnesses)
+    # Each witness is an adjacent transposition; at some n >= 4 every position occurs.
+    positions = {}
+    for d, w in zip(laws, witnesses):
+        if w is not None:
+            i = next(j for j, c in enumerate(w["permutation"]) if c != j + 1)
+            assert w["permutation"] == [*range(1, i + 1), i + 2, i + 1, *range(i + 3, d.n + 1)]
+            positions.setdefault(d.n, set()).add(i)
+    assert any(positions.get(n) == set(range(n - 1)) for n in range(4, 7))
 
 
 def test_lifetime_witness_needs_more_than_the_first_transposition():
-    # Invariant under swapping components 1 and 2 but not 2 and 3: the
-    # transposition check fails, and the search returns the first witness.
+    # Invariant under swapping components 1 and 2 but not 2 and 3: the last
+    # adjacent transposition moves the law and is the first witness.
     d = make_dist(3, [((1, 2, 3), Fraction(1, 2)), ((2, 1, 3), Fraction(1, 2))])
     want = lifetime_witness_lexicographic(d)
     assert _lifetime_exchangeability_witness(d) == lifetime_witness_dict(want)
@@ -357,6 +435,17 @@ def test_diagnose_n6_exchangeable_mixture_runtime():
     assert all(value is True for value in conditions.values())
     assert all(value is True for value in report["verdicts"].values())
     assert report["skipped_orderings"] == []
+
+
+def test_diagnose_n8_lifetime_witness_runtime():
+    # Component 1 fails first, components 2..8 in each of their 5,040 orders:
+    # only the relabelings that fix component 1 fix the law.
+    rows = [((1, *perm), Fraction(1, 5040)) for perm in permutations(range(2, 9))]
+    d = make_dist(8, rows)
+    start = time.perf_counter()
+    report = diagnose(d).to_json()
+    assert time.perf_counter() - start < 5.0
+    assert report["witnesses"]["lifetimes_exchangeable"]["permutation"] == [2, 1, 3, 4, 5, 6, 7, 8]
 
 
 def test_reliability_curve_n12_runtime():
