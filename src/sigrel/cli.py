@@ -16,9 +16,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Callable, TypeVar
+from itertools import islice
+from typing import Callable
 
-from .distribution import distribution_from_json, relative_quality
+from .distribution import LifetimeDistribution, distribution_from_json, relative_quality
 from .errors import EnumerationBoundError, TheoremInconsistencyError, TiesError
 from .rationals import format_rational, parse_rational
 from .reliability import (
@@ -30,6 +31,7 @@ from .reliability import (
 )
 from .signature import boland_signature, probability_signature
 from .structure import (
+    StructureFunction,
     SystemClass,
     appendix_basis,
     rank_over_rationals,
@@ -53,10 +55,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_T = TypeVar("_T")
-
-
-def _load(path: str, parse: Callable[[object], _T]) -> _T:
+def _load(path: str, parse: Callable[[object], object]) -> object:
     """Read one JSON input file and parse it; any failure names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,14 +79,13 @@ def _time_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _cmd_signature(args: argparse.Namespace) -> object:
-    phi = _load(args.system, system_from_json)
+def _cmd_signature(args: argparse.Namespace, phi: StructureFunction) -> object:
     return list(boland_signature(phi).as_strings())
 
 
-def _cmd_prob_signature(args: argparse.Namespace) -> object:
-    phi = _load(args.system, system_from_json)
-    d = _load(args.dist, distribution_from_json)
+def _cmd_prob_signature(
+    args: argparse.Namespace, phi: StructureFunction, d: LifetimeDistribution
+) -> object:
     if phi.n != d.n:  # before relative_quality forms its 2**n values
         raise ValueError("system and distribution disagree on component count")
     quality_based = probability_signature(phi, relative_quality(d))
@@ -99,22 +97,20 @@ def _cmd_prob_signature(args: argparse.Namespace) -> object:
     }
 
 
-def _cmd_reliability(args: argparse.Namespace) -> object:
-    phi = _load(args.system, system_from_json)
-    d = _load(args.dist, distribution_from_json)
+def _cmd_reliability(
+    args: argparse.Namespace, phi: StructureFunction, d: LifetimeDistribution
+) -> object:
     if args.t is not None:
         value = system_reliability(phi, d, args.t)
         return {"t": format_rational(args.t), "value": format_rational(value)}
     return reliability_curve(phi, d).to_json()
 
 
-def _cmd_diagnose(args: argparse.Namespace) -> object:
-    d = _load(args.dist, distribution_from_json)
+def _cmd_diagnose(args: argparse.Namespace, d: LifetimeDistribution) -> object:
     return diagnose(d).to_json()
 
 
-def _cmd_verify(args: argparse.Namespace) -> object:
-    d = _load(args.dist, distribution_from_json)
+def _cmd_verify(args: argparse.Namespace, d: LifetimeDistribution) -> object:
     system_class = SystemClass(args.system_class)
     return verify_theorems(d.n, d, system_class).to_json()
 
@@ -134,67 +130,54 @@ def _cmd_basis(args: argparse.Namespace) -> object:
     return payload
 
 
+# Each file option: the parser of its JSON and its help text.
+_FILES = {
+    "system": (system_from_json, "system JSON file"),
+    "dist": (distribution_from_json, "distribution JSON file"),
+}
+
+# Each command: name, handler, the file options `run` loads for the handler in order, help.
+_COMMANDS = (
+    ("signature", _cmd_signature, ("system",), "design signature of a system"),
+    ("prob-signature", _cmd_prob_signature, ("system", "dist"),
+     "probability signature via the quality function and via the atom oracle"),
+    ("reliability", _cmd_reliability, ("system", "dist"), "survival curve, or one value at --t"),
+    ("diagnose", _cmd_diagnose, ("dist",), "conditions and predicted verdicts, no enumeration"),
+    ("verify", _cmd_verify, ("dist",),
+     "measure the verdicts over an enumerated class and cross-check them"),
+    ("basis", _cmd_basis, (), "spanning family of systems plus its rank"),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="sigrel",
         description="Exact signature and reliability computations on JSON files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("signature", help="design signature of a system")
-    p.add_argument("--system", required=True, help="system JSON file")
-    p.set_defaults(handler=_cmd_signature)
-
-    p = sub.add_parser(
-        "prob-signature",
-        help="probability signature via the quality function and via the atom oracle",
-    )
-    p.add_argument("--system", required=True, help="system JSON file")
-    p.add_argument("--dist", required=True, help="distribution JSON file")
-    p.set_defaults(handler=_cmd_prob_signature)
-
-    p = sub.add_parser("reliability", help="survival curve, or one value at --t")
-    p.add_argument("--system", required=True, help="system JSON file")
-    p.add_argument("--dist", required=True, help="distribution JSON file")
+    for name, handler, files, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in files:
+            p.add_argument(f"--{option}", required=True, help=_FILES[option][1])
+        p.set_defaults(handler=handler, files=files)
+    p = sub.choices["reliability"]
     p.add_argument("--t", type=_time_arg, help='time as "a/b" or an integer')
-    p.set_defaults(handler=_cmd_reliability)
-
-    p = sub.add_parser(
-        "diagnose", help="conditions and predicted verdicts, no enumeration"
-    )
-    p.add_argument("--dist", required=True, help="distribution JSON file")
-    p.set_defaults(handler=_cmd_diagnose)
-
-    p = sub.add_parser(
-        "verify",
-        help="measure the verdicts over an enumerated class and cross-check them",
-    )
-    p.add_argument("--dist", required=True, help="distribution JSON file")
-    p.add_argument(
-        "--class",
-        dest="system_class",
-        required=True,
-        choices=[c.value for c in SystemClass],
-        help="system class to enumerate",
-    )
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("basis", help="spanning family of systems plus its rank")
+    class_option = {"dest": "system_class", "choices": [c.value for c in SystemClass]}
+    p = sub.choices["verify"]
+    p.add_argument("--class", required=True, help="system class to enumerate", **class_option)
+    p = sub.choices["basis"]
     p.add_argument("--n", type=int, required=True, help="number of components")
     p.add_argument(
         "--class",
-        dest="system_class",
         default=SystemClass.COHERENT.value,
-        choices=[c.value for c in SystemClass],
         help="system class (default: coherent)",
+        **class_option,
     )
     p.add_argument(
         "--check-rank",
         action="store_true",
         help="also report the exact rank and the full-span target",
     )
-    p.set_defaults(handler=_cmd_basis)
-
     return parser
 
 
@@ -210,14 +193,19 @@ def run(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         return _fail(2, "usage", str(exc))
     try:
-        payload = args.handler(args)
+        loaded = [_load(getattr(args, option), _FILES[option][0]) for option in args.files]
+        payload = args.handler(args, *loaded)
     except _InputError as exc:
         return _fail(1, "input", str(exc))
     except TheoremInconsistencyError as exc:
         return _fail(3, "inconsistency", str(exc))
     except (TiesError, EnumerationBoundError, ValueError) as exc:
         return _fail(2, "precondition", str(exc))
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    # The payload is complete; write the pure-Python encoder's chunks in batches, not joined.
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while batch := "".join(islice(chunks, 8192)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
     return 0
 
 

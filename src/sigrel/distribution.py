@@ -59,8 +59,8 @@ Atom = tuple[tuple[Fraction, ...], Fraction]
 RankedAtom = tuple[tuple[int, ...], int]
 Support = tuple[tuple[int, int], ...]
 
-# The weak scan lists every zero-probability ordering: a 3-atom comonotone law took, on a 2-vCPU
-# VM, 0.45 s, 34 MB of JSON and 411 MB peak RSS at n = 9, and 5.0 s, 374 MB and 4.25 GB at n = 10.
+# The weak scan lists every zero-probability ordering: `diagnose` on a 3-atom comonotone law took
+# (2-vCPU VM) 1.2 s, 34 MB of JSON and 111 MB peak RSS at n = 9, and 14 s, 374 MB and 1.0 GB at 10.
 ORDERING_LIMIT = 9
 
 

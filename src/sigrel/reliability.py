@@ -23,7 +23,6 @@ from .distribution import (
     LifetimeDistribution,
     evaluate_conditions,
     has_ties,
-    order_stat_survival,
     relative_quality,
     state_support,
 )
@@ -33,8 +32,6 @@ from .signature import (
     Signature,
     WeightFunction,
     boland_signature,
-    probability_signature,
-    weighted_signature,
 )
 from .structure import (
     StructureFunction,
@@ -152,14 +149,14 @@ def _reliability_sum(phi: StructureFunction, support: Sequence[tuple[int, int]])
     return sum(p for index, p in support if table >> index & 1)
 
 
-def _order_stat_survivals(d: LifetimeDistribution, t: object) -> tuple[Fraction, ...]:
-    """P(X_(k:n) > t) for k = 1..n."""
-    return tuple(order_stat_survival(d, k, t) for k in range(1, d.n + 1))
+def _survival_row(d: LifetimeDistribution, b: int) -> list[int]:
+    """P(X_(k:n) > t) times D, k = 1..n; b indexes the last breakpoint <= t, or is -1 if none."""
+    return [d.denominator - (row[b] if b >= 0 else 0) for row in d.cdfs]
 
 
-def _order_stat_mixture(sig: Sequence[Fraction | int], survivals: Sequence[Fraction | int]):
+def _order_stat_mixture(sig: Sequence[int], survivals: Sequence[int]) -> int:
     """The representation formula: sum over k of sig[k] * P(X_(k:n) > t), in
-    Fractions, or in ints when both sides are scaled numerators."""
+    ints, with both sides scaled numerators."""
     return sum(map(mul, sig, survivals))
 
 
@@ -195,23 +192,19 @@ def reliability_curve(
 
 def repr_boland(phi: StructureFunction, d: LifetimeDistribution, t: object) -> Fraction:
     """Design-signature mixture of order-statistic survivals at time t."""
-    if phi.n != d.n:
-        raise ValueError("system and distribution disagree on component count")
-    return _order_stat_mixture(boland_signature(phi), _order_stat_survivals(d, t))
+    boland_signature(phi)  # refuses systems without the semicoherent boundary values
+    return repr_weighted(phi, d, WeightFunction.symmetric(phi.n), t)
 
 
 def repr_prob_signature(
     phi: StructureFunction, d: LifetimeDistribution, t: object
 ) -> Fraction:
     """Probability-signature mixture of order-statistic survivals at time t."""
-    if phi.n != d.n:
-        raise ValueError("system and distribution disagree on component count")
     if has_ties(d):
         raise TiesError(
             "probability-signature representation needs a distribution without ties"
         )
-    p = probability_signature(phi, relative_quality(d))
-    return _order_stat_mixture(p, _order_stat_survivals(d, t))
+    return repr_weighted(phi, d, WeightFunction.from_quality(relative_quality(d)), t)
 
 
 def repr_weighted(
@@ -220,7 +213,9 @@ def repr_weighted(
     """Mixture of order-statistic survivals weighted by differenced level sums of w."""
     if phi.n != d.n or w.n != d.n:
         raise ValueError("system, weights, and distribution disagree on component count")
-    return _order_stat_mixture(weighted_signature(phi, w), _order_stat_survivals(d, t))
+    surv = _survival_row(d, bisect.bisect_right(d.breakpoints, parse_rational(t)) - 1)
+    mixture = _order_stat_mixture(w.signature_numerators(phi), surv)
+    return Fraction(mixture, w.denominator * d.denominator)
 
 
 @dataclass(frozen=True)
@@ -368,7 +363,7 @@ def verify_theorems(
     ties, witnesses = fields["has_ties"], fields["witnesses"]
     symmetric = WeightFunction.symmetric(n)
     D = d.denominator
-    survivals = [[D - row[b] for row in d.cdfs] for b in range(len(d.breakpoints))]
+    survivals = [_survival_row(d, b) for b in range(len(d.breakpoints))]
 
     def strings(sig: Sequence[int], scale: int) -> tuple[str, ...]:
         return tuple(format_rational(Fraction(s, scale)) for s in sig)

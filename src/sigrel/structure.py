@@ -52,13 +52,13 @@ ENUMERATION_LIMIT = 5
 
 # The spanning family has 2**n - 1 members of 2**n table entries each, so
 # every step up in n costs about four times the memory and time. At n = 12
-# the `basis` command already prints 17 MB of JSON and takes 8 s, or 29 s
-# with the rank check (Python 3.11 on a 2-vCPU VM).
+# the `basis` command already prints 17 MB of JSON and takes 1.2 s, or 10 s
+# with the rank check (Python 3.11 on a 2-vCPU VM, in a subprocess).
 BASIS_LIMIT = 12
 
 # A path-set system is tabulated over all 2**n states, each tested against
-# every path: with five paths, 0.11 s at n = 16 and 1.5 s at 18, and about
-# 29 s at 20 (Python 3.11 on a 2-vCPU VM).
+# every path: with five paths, 0.05 s at n = 16 and 0.46 s at 18, and about
+# 9 s at 20 (Python 3.11 on a 2-vCPU VM, in-process).
 PATH_SET_LIMIT = 18
 
 

@@ -195,12 +195,35 @@ class TestOrderingLimit:
         path.write_text(json.dumps(distribution_to_json(make_dist(n, rows))))
         return str(path)
 
-    def test_n9_runs(self, capsys, tmp_path):
-        code = run(["diagnose", "--dist", self.two_atom_law(tmp_path, 9)])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert captured.err == ""
-        assert captured.out.count("\n    [\n") == math.factorial(9) - 2  # the skipped orderings
+    def test_n9_runs(self, tmp_path):
+        # One child process: stdout goes to a file, and the child reports its own peak RSS
+        # through a side file, so the 34 MB report is rendered once and measured alone.
+        child = (
+            "import resource, sys\n"
+            "from sigrel.cli import run\n"
+            "code = run(sys.argv[1:4])\n"
+            "sys.stdout.flush()\n"
+            "with open(sys.argv[4], 'w') as fh:\n"
+            "    fh.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))\n"
+            "sys.exit(code)\n"
+        )
+        out, maxrss = tmp_path / "out.json", tmp_path / "maxrss"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        law = self.two_atom_law(tmp_path, 9)
+        with out.open("w") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-c", child, "diagnose", "--dist", law, str(maxrss)],
+                stdout=fh,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+            )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        text = out.read_text(encoding="utf-8")
+        assert text.count("\n    [\n") == math.factorial(9) - 2  # the skipped orderings
+        # ru_maxrss is in KiB on Linux; joining the whole report into one string peaks near 360 MB.
+        assert int(maxrss.read_text()) < 200 * 1024
 
     @pytest.mark.parametrize("n", [10, 20, 40])
     def test_above_the_limit_exit_2(self, capsys, tmp_path, n):
@@ -390,6 +413,93 @@ class TestDecimalExponentLimit:
         assert code == 2
         assert err["error"] == "usage"
         assert "limit of 4300" in err["detail"]
+
+
+# The --help text of the top level and of each command at COLUMNS=80.
+HELP_TEXTS = {
+    "": """\
+usage: sigrel [-h]
+              {signature,prob-signature,reliability,diagnose,verify,basis} ...
+
+Exact signature and reliability computations on JSON files.
+
+positional arguments:
+  {signature,prob-signature,reliability,diagnose,verify,basis}
+    signature           design signature of a system
+    prob-signature      probability signature via the quality function and via
+                        the atom oracle
+    reliability         survival curve, or one value at --t
+    diagnose            conditions and predicted verdicts, no enumeration
+    verify              measure the verdicts over an enumerated class and
+                        cross-check them
+    basis               spanning family of systems plus its rank
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "signature": """\
+usage: sigrel signature [-h] --system SYSTEM
+
+options:
+  -h, --help       show this help message and exit
+  --system SYSTEM  system JSON file
+""",
+    "prob-signature": """\
+usage: sigrel prob-signature [-h] --system SYSTEM --dist DIST
+
+options:
+  -h, --help       show this help message and exit
+  --system SYSTEM  system JSON file
+  --dist DIST      distribution JSON file
+""",
+    "reliability": """\
+usage: sigrel reliability [-h] --system SYSTEM --dist DIST [--t T]
+
+options:
+  -h, --help       show this help message and exit
+  --system SYSTEM  system JSON file
+  --dist DIST      distribution JSON file
+  --t T            time as "a/b" or an integer
+""",
+    "diagnose": """\
+usage: sigrel diagnose [-h] --dist DIST
+
+options:
+  -h, --help   show this help message and exit
+  --dist DIST  distribution JSON file
+""",
+    "verify": """\
+usage: sigrel verify [-h] --dist DIST --class {coherent,semicoherent}
+
+options:
+  -h, --help            show this help message and exit
+  --dist DIST           distribution JSON file
+  --class {coherent,semicoherent}
+                        system class to enumerate
+""",
+    "basis": """\
+usage: sigrel basis [-h] --n N [--class {coherent,semicoherent}]
+                    [--check-rank]
+
+options:
+  -h, --help            show this help message and exit
+  --n N                 number of components
+  --class {coherent,semicoherent}
+                        system class (default: coherent)
+  --check-rank          also report the exact rank and the full-span target
+""",
+}
+
+
+class TestHelpTexts:
+    @pytest.mark.parametrize("command", sorted(HELP_TEXTS))
+    def test_help_text_is_unchanged(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (HELP_TEXTS[command], "")
 
 
 class TestModuleEntryPoint:

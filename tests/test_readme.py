@@ -10,6 +10,8 @@ import ast
 import re
 from pathlib import Path
 
+from sigrel import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -67,3 +69,15 @@ def test_every_public_limit_is_named():
     ]
     assert len(limits) >= 4, limits
     assert [name for name in limits if not re.search(rf"\b{name}\b", readme)] == []
+
+
+def test_every_command_is_shown():
+    """Each subcommand of the parser appears as ``sigrel <name>`` in the
+    README's "Command line" block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    match = re.search(r"```sh\n(.*?)```", section, re.S)
+    assert match, "the Command line section has no sh block"
+    shown = set(re.findall(r"^sigrel (\S+)", match[1], re.M))
+    (commands,) = [a.choices for a in cli._build_parser()._actions if a.dest == "command"]
+    assert len(commands) >= 6, commands
+    assert sorted(set(commands) - shown) == []

@@ -416,15 +416,36 @@ class TestSharedConditionsAndMixture:
             states = [x for x in range(1 << phi.n) if x.bit_count() == m]
             return sum((w.values[x] * phi.value(x) for x in states), F(0))
 
+        def survival(d, k, t):
+            # P(X_(k:n) > t), summed over the atoms.
+            return sum((p for xs, p in d.atoms if sorted(xs)[k - 1] > t), F(0))
+
+        def times(d):
+            # Before the first breakpoint, at each one, between each pair and past the last.
+            bps = breakpoints(d)
+            mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+            return [bps[0] / 2, *bps, *mids, bps[-1] + 1]
+
+        def mixture(phi, w, d, t):
+            # Differenced level sums of w times the atom-scan survivals.
+            n = phi.n
+            return sum(
+                (
+                    (level_sum(phi, w, n - k + 1) - level_sum(phi, w, n - k)) * survival(d, k, t)
+                    for k in range(1, n + 1)
+                ),
+                F(0),
+            )
+
         rng = random.Random(4242)
         for n in (3, 4):
+            symmetric = WeightFunction.symmetric(n)
             for _ in range(4):
                 d = random_no_ties(rng, n)
-                w = WeightFunction.from_quality(relative_quality(d))
+                quality = WeightFunction.from_quality(relative_quality(d))
                 for phi in enumerate_systems(n, SystemClass.COHERENT)[::7]:
-                    for t in breakpoints(d):
-                        expected = F(0)
-                        for k in range(1, n + 1):
-                            coeff = level_sum(phi, w, n - k + 1) - level_sum(phi, w, n - k)
-                            expected += coeff * order_stat_survival(d, k, t)
-                        assert repr_weighted(phi, d, w, t) == expected
+                    for t in times(d):
+                        expected = mixture(phi, quality, d, t)
+                        assert repr_weighted(phi, d, quality, t) == expected, (phi, t)
+                        assert repr_prob_signature(phi, d, t) == expected, (phi, t)
+                        assert repr_boland(phi, d, t) == mixture(phi, symmetric, d, t), (phi, t)
