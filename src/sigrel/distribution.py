@@ -52,6 +52,7 @@ __all__ = [
     "state_distribution",
     "states_exchangeable_at",
     "states_exchangeable_everywhere",
+    "survival_numerators",
     "weakly_exchangeable",
 ]
 
@@ -342,8 +343,17 @@ def order_stat_survival(d: LifetimeDistribution, k: int, t: object) -> Fraction:
     """Probability that the k-th smallest lifetime exceeds t (k in 1..n)."""
     if not 1 <= k <= d.n:
         raise ValueError(f"order statistic index {k} out of range 1..{d.n}")
-    b = bisect_right(d.breakpoints, parse_rational(t))
-    return Fraction(d.denominator - (d.cdfs[k - 1][b - 1] if b else 0), d.denominator)
+    return Fraction(survival_numerators(d, t)[k - 1], d.denominator)
+
+
+def survival_numerators(d: LifetimeDistribution, t: object) -> list[int]:
+    """P(X_(k:n) > t) times D for k = 1..n: D minus :attr:`LifetimeDistribution.cdfs`
+    at the last breakpoint <= t, or D before the first breakpoint."""
+    t = parse_rational(t)
+    if t <= 0:
+        raise ValueError(f"time must be positive, got {t}")
+    b = bisect_right(d.breakpoints, t)
+    return [d.denominator - (row[b - 1] if b else 0) for row in d.cdfs]
 
 
 def group_reliability(

@@ -13,31 +13,30 @@ disagreement as a fatal implementation bug.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, pairwise
 from operator import mul, sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .distribution import (
     LifetimeDistribution,
+    Support,
     evaluate_conditions,
     has_ties,
     relative_quality,
     state_support,
+    survival_numerators,
 )
 from .errors import TheoremInconsistencyError, TiesError
 from .rationals import format_rational, parse_rational
-from .signature import (
-    Signature,
-    WeightFunction,
-    boland_signature,
-)
+from .signature import Signature, WeightFunction
 from .structure import (
     StructureFunction,
     SystemClass,
-    enumerate_systems,
-    rank_over_rationals,
+    class_rank,
+    class_tables,
     system_to_json,
 )
 
@@ -143,30 +142,14 @@ def probability_signature_oracle(
     return Signature(tuple(acc))
 
 
-def _reliability_sum(phi: StructureFunction, support: Sequence[tuple[int, int]]) -> int:
-    """Sum of the support's probabilities (ints over D) over the states where ``phi`` works."""
-    table = phi.table
-    return sum(p for index, p in support if table >> index & 1)
-
-
-def _survival_row(d: LifetimeDistribution, b: int) -> list[int]:
-    """P(X_(k:n) > t) times D, k = 1..n; b indexes the last breakpoint <= t, or is -1 if none."""
-    return [d.denominator - (row[b] if b >= 0 else 0) for row in d.cdfs]
-
-
-def _order_stat_mixture(sig: Sequence[int], survivals: Sequence[int]) -> int:
-    """The representation formula: sum over k of sig[k] * P(X_(k:n) > t), in
-    ints, with both sides scaled numerators."""
-    return sum(map(mul, sig, survivals))
-
-
 def system_reliability(
     phi: StructureFunction, d: LifetimeDistribution, t: object
 ) -> Fraction:
     """Probability that the system works at time t, summed over the state support."""
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
-    return Fraction(_reliability_sum(phi, state_support(d, t)), d.denominator)
+    support = state_support(d, t)
+    return Fraction(sum(p for x, p in support if phi.table >> x & 1), d.denominator)
 
 
 def reliability_curve(
@@ -192,7 +175,11 @@ def reliability_curve(
 
 def repr_boland(phi: StructureFunction, d: LifetimeDistribution, t: object) -> Fraction:
     """Design-signature mixture of order-statistic survivals at time t."""
-    boland_signature(phi)  # refuses systems without the semicoherent boundary values
+    if not phi.semicoherent:
+        raise ValueError(
+            "signature needs value 0 at the all-failed state and 1 at the "
+            "all-working state"
+        )
     return repr_weighted(phi, d, WeightFunction.symmetric(phi.n), t)
 
 
@@ -213,8 +200,8 @@ def repr_weighted(
     """Mixture of order-statistic survivals weighted by differenced level sums of w."""
     if phi.n != d.n or w.n != d.n:
         raise ValueError("system, weights, and distribution disagree on component count")
-    surv = _survival_row(d, bisect.bisect_right(d.breakpoints, parse_rational(t)) - 1)
-    mixture = _order_stat_mixture(w.signature_numerators(phi), surv)
+    # Both sides in ints: the signature over w.denominator, the survivals over D.
+    mixture = sum(map(mul, w.signature_numerators(phi), survival_numerators(d, t)))
     return Fraction(mixture, w.denominator * d.denominator)
 
 
@@ -331,6 +318,49 @@ def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
     )
 
 
+def _residual_rows(
+    w: WeightFunction, D: int, survivals: Sequence[Sequence[int]], supports: Sequence[Support]
+) -> list[list[int]]:
+    """Per breakpoint t, R_t(x) = w(x) * P(exactly |x| work at t) - P(state x at t), in
+    ints over w.denominator * D, from the :func:`survival_numerators` and
+    :func:`state_support` at t.
+
+    By summation by parts the representation at t is the sum over m of the
+    level sums W(m) times P(exactly m work), so for phi(0) = 0 it exceeds
+    the reliability by R_t summed over the states where phi works.
+    R_t(0) = 0, since w(0) = 1 and state 0 is the only one with no
+    component working.
+    """
+    S, weights = w.denominator, w.numerators
+    rows = []
+    for surv, support in zip(survivals, supports):
+        # At least m work iff X_(n-m+1:n) > t; m = 0..n + 1.
+        exactly = [a - b for a, b in pairwise([D, *reversed(surv), 0])]
+        row = [weights[x] * exactly[x.bit_count()] for x in range(1 << w.n)]
+        for x, p in support:
+            row[x] -= S * p
+        rows.append(row)
+    return rows
+
+
+def _echelon(rows: Iterable[Sequence[int]], limit: int) -> list[list[int]]:
+    """An echelon basis of the rows' span, reduced fraction-free, each row
+    divided by its gcd; it stops at ``limit`` rows, which must bound the rank."""
+    kept: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if len(kept) == limit:
+            break
+        for pivot, basis_row in kept:
+            if c := row[pivot]:
+                a = basis_row[pivot]
+                row = [a * u - c * v for u, v in zip(row, basis_row)]
+        if any(row):
+            g = math.gcd(*row)
+            row = [u // g for u in row]
+            kept.append((next(j for j, u in enumerate(row) if u), row))
+    return [row for _, row in kept]
+
+
 def verify_theorems(
     n: int, d: LifetimeDistribution, system_class: SystemClass
 ) -> DiagnosisReport:
@@ -348,80 +378,78 @@ def verify_theorems(
     lexicographically smallest counterexamples, ordering systems by their
     packed tables and times by breakpoint index.
 
-    The representation scan runs on exact integers: the supports, built once
-    and shared with the condition walk, and the survivals (D minus
-    :attr:`LifetimeDistribution.cdfs`), both over D, and each signature over
-    its weights' common denominator (L = lcm C(n, m) for the design signature,
-    a divisor of D for the probability one). Fractions are built only for a
-    witness, whose values and format do not depend on the scan.
+    Both sides of each claim are linear in phi, so a claim is a set of
+    integer rows over the states, broken by exactly the systems on which
+    some row does not vanish: one residual row per breakpoint for each
+    representation, read from the survivals and the supports (built once and
+    shared with the condition walk), and one row per level for the signature
+    agreement. A claim's witness is the first table of :func:`class_tables`
+    that the rows' echelon basis does not annihilate, at the first breakpoint
+    whose own row does not; only a witness becomes a
+    :class:`StructureFunction`. The class rank is :func:`class_rank`.
     """
     if n != d.n:
         raise ValueError(f"n={n} does not match the distribution's n={d.n}")
-    systems = enumerate_systems(n, system_class)
+    tables = class_tables(n, system_class)
     supports = [state_support(d, t) for t in d.breakpoints]
+    survivals = [survival_numerators(d, t) for t in d.breakpoints]
     weights, fields = evaluate_conditions(d, supports)
     ties, witnesses = fields["has_ties"], fields["witnesses"]
     symmetric = WeightFunction.symmetric(n)
-    D = d.denominator
-    survivals = [_survival_row(d, b) for b in range(len(d.breakpoints))]
+    D, L, Q = d.denominator, symmetric.denominator, weights.denominator
+
+    def first_breaking(rows: Sequence[Sequence[int]]) -> StructureFunction | None:
+        # Every row is 0 at state 0 and sums to 0 on each level m = 1..n (both
+        # weight functions sum to 1 on each level, the quality on the tie-free
+        # laws it is used for), so the rows span at most 2**n - 1 - n dimensions.
+        basis = _echelon(rows, (1 << n) - 1 - n)
+        if not basis:
+            return None
+        for table in tables:
+            works = [table >> x & 1 for x in range(1 << n)]
+            if any(sum(compress(row, works)) for row in basis):
+                return StructureFunction(n, table)
+        return None
+
+    def representation_witness(w: WeightFunction) -> dict | None:
+        rows = _residual_rows(w, D, survivals, supports)
+        phi = first_breaking(rows)
+        if phi is None:
+            return None
+        works = [phi.table >> x & 1 for x in range(1 << n)]
+        b = next(b for b, row in enumerate(rows) if sum(compress(row, works)))
+        t, reliability = d.breakpoints[b], sum(p for x, p in supports[b] if works[x])
+        return {
+            "system": system_to_json(phi),
+            "t": format_rational(t),
+            "representation": format_rational(repr_weighted(phi, d, w, t)),
+            "reliability": format_rational(Fraction(reliability, D)),
+        }
 
     def strings(sig: Sequence[int], scale: int) -> tuple[str, ...]:
         return tuple(format_rational(Fraction(s, scale)) for s in sig)
 
-    def representation_witness(
-        phi: StructureFunction, sig: Sequence[int], scale: int
-    ) -> dict | None:
-        # sig is over ``scale``, the survivals and supports over D.
-        for t, surv, support in zip(d.breakpoints, survivals, supports):
-            lhs = _order_stat_mixture(sig, surv)
-            rhs = scale * _reliability_sum(phi, support)
-            if lhs != rhs:
-                return {
-                    "system": system_to_json(phi),
-                    "t": format_rational(t),
-                    "representation": format_rational(Fraction(lhs, scale * D)),
-                    "reliability": format_rational(Fraction(rhs, scale * D)),
-                }
-        return None
+    found = {"boland_repr": representation_witness(symmetric)}
+    if not ties:
+        found["prob_repr"] = representation_witness(weights)
+        # Row m is W(m) * Q under the design weights minus W(m) * L under the
+        # quality; the signatures, differenced W with W(0) = 0, agree iff all vanish.
+        gap = [a * Q - b * L for a, b in zip(symmetric.numerators, weights.numerators)]
+        phi = first_breaking(
+            [[g if x.bit_count() == m else 0 for x, g in enumerate(gap)] for m in range(1, n + 1)]
+        )
+        found["signature_agreement"] = None if phi is None else {
+            "system": system_to_json(phi),
+            "boland": strings(symmetric.signature_numerators(phi), L),
+            "probability": strings(weights.signature_numerators(phi), Q),
+        }
+    witnesses.update((key, wit) for key, wit in found.items() if wit is not None)
+    boland_all = found["boland_repr"] is None
+    prob_all = None if ties else found["prob_repr"] is None
+    agree_all = None if ties else found["signature_agreement"] is None
 
-    # One pass over the systems; each claim keeps the first system that
-    # breaks it, and the pass stops once every claim is broken.
-    L, Q = symmetric.denominator, weights.denominator
-    boland_wit = prob_wit = agree_wit = None
-    for phi in systems:
-        # Only the two design-signature claims read it; skip it once both broke.
-        design = None if boland_wit and agree_wit else symmetric.signature_numerators(phi)
-        if boland_wit is None:
-            boland_wit = representation_witness(phi, design, L)
-        if not ties:
-            probability = weights.signature_numerators(phi)
-            if prob_wit is None:
-                prob_wit = representation_witness(phi, probability, Q)
-            # design / L == probability / Q, entry by entry.
-            if agree_wit is None and any(a * Q != b * L for a, b in zip(design, probability)):
-                agree_wit = {
-                    "system": system_to_json(phi),
-                    "boland": strings(design, L),
-                    "probability": strings(probability, Q),
-                }
-        if boland_wit is not None and (
-            ties or (prob_wit is not None and agree_wit is not None)
-        ):
-            break
-
-    for key, wit in (
-        ("boland_repr", boland_wit),
-        ("prob_repr", prob_wit),
-        ("signature_agreement", agree_wit),
-    ):
-        if wit is not None:
-            witnesses[key] = wit
-    boland_all = boland_wit is None
-    prob_all = None if ties else prob_wit is None
-    agree_all = None if ties else agree_wit is None
-
-    class_rank = rank_over_rationals(systems)
-    full_rank = class_rank == (1 << n) - 1
+    rank = class_rank(n, system_class)
+    full_rank = rank == (1 << n) - 1
     relation = "iff" if full_rank else "if"
 
     states = fields["states_exchangeable_everywhere"]
@@ -464,7 +492,7 @@ def verify_theorems(
         prob_repr_all_systems=prob_all,
         both_representations=both,
         system_class=system_class,
-        systems_checked=len(systems),
-        class_rank=class_rank,
+        systems_checked=len(tables),
+        class_rank=rank,
         theorem_checks=tuple(checks),
     )

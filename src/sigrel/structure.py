@@ -34,6 +34,8 @@ __all__ = [
     "StructureFunction",
     "SystemClass",
     "appendix_basis",
+    "class_rank",
+    "class_tables",
     "enumerate_systems",
     "evaluate",
     "from_path_sets",
@@ -47,7 +49,10 @@ __all__ = [
 
 # Enumeration is exhaustive over all monotone functions, whose number grows
 # like the Dedekind sequence; five components (7581 functions) is the last
-# size that stays trivially cheap.
+# size that stays trivially cheap: `verify` at n = 5 takes 13-17 ms on an
+# 8-atom generic or a 3-atom comonotone law and 25 ms on a 240-atom
+# exchangeable one (Python 3.11 on a 2-vCPU VM, in-process, tables not yet
+# cached). Six components have 7,828,354 monotone functions.
 ENUMERATION_LIMIT = 5
 
 # The spanning family has 2**n - 1 members of 2**n table entries each, so
@@ -255,10 +260,8 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_systems(
-    n: int, system_class: SystemClass
-) -> tuple[StructureFunction, ...]:
-    """Every system of the class on n components, tables ascending as integers.
+def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
+    """Truth tables of every system of the class on n components, ascending.
 
     Both classes range over monotone functions in which every component is
     essential (which forces the boundary values 0 and 1); COHERENT requires
@@ -276,8 +279,18 @@ def enumerate_systems(
         raise EnumerationBoundError(
             f"enumeration supports n <= {ENUMERATION_LIMIT}, got n={n}"
         )
-    systems = (StructureFunction(n, table) for table in _monotone_tables(n))
-    return tuple(phi for phi in systems if len(phi.essential) == n)
+    tables = _monotone_tables(n)
+    # Keep, one component at a time, the tables on which it is essential.
+    for var in range(n):
+        step, mask = 1 << var, _low_side_mask(n, var)
+        tables = [t for t in tables if (t ^ t >> step) & mask]
+    return tuple(tables)
+
+
+@lru_cache(maxsize=None)
+def enumerate_systems(n: int, system_class: SystemClass) -> tuple[StructureFunction, ...]:
+    """Every system of the class on n components: :func:`class_tables` as objects."""
+    return tuple(StructureFunction(n, table) for table in class_tables(n, system_class))
 
 
 def _monomial_table(n: int, subset: int) -> int:
@@ -316,6 +329,11 @@ def appendix_basis(n: int, system_class: SystemClass) -> list[StructureFunction]
 
     Functions are returned ordered by subset bitmask.
     """
+    return [StructureFunction(n, table) for table in _basis_tables(n, system_class)]
+
+
+def _basis_tables(n: int, system_class: SystemClass) -> list[int]:
+    """Truth tables of :func:`appendix_basis`, in its order."""
     if not isinstance(system_class, SystemClass):
         raise ValueError(f"unknown system class {system_class!r}")
     if n < system_class.min_components:
@@ -328,9 +346,9 @@ def appendix_basis(n: int, system_class: SystemClass) -> list[StructureFunction]
             f"the spanning family supports n <= {BASIS_LIMIT}, got n={n}"
         )
     if system_class is SystemClass.SEMICOHERENT:
-        return [StructureFunction(n, _monomial_table(n, s)) for s in range(1, 1 << n)]
+        return [_monomial_table(n, s) for s in range(1, 1 << n)]
     full = (1 << n) - 1
-    functions = []
+    tables = []
     pairing = _pairing_map(n)
     for subset in range(1, 1 << n):
         if subset == full:
@@ -342,8 +360,8 @@ def appendix_basis(n: int, system_class: SystemClass) -> list[StructureFunction]
                 missing = (full & ~subset).bit_length()
                 partner = full & ~(1 << (pairing[missing] - 1))
             table = _monomial_table(n, subset) | _monomial_table(n, partner)
-        functions.append(StructureFunction(n, table))
-    return functions
+        tables.append(table)
+    return tables
 
 
 def rank_over_rationals(functions: Iterable[StructureFunction]) -> int:
@@ -367,15 +385,36 @@ def rank_over_rationals(functions: Iterable[StructureFunction]) -> int:
     n = fs[0].n
     if any(f.n != n for f in fs):
         raise ValueError("all functions must share the same component count")
+    return _table_rank(n, [f.table for f in fs])
+
+
+def class_rank(n: int, system_class: SystemClass) -> int:
+    """``rank_over_rationals(enumerate_systems(n, system_class))``, from the tables.
+
+    The rank ignores the order of the rows, and rank(B + C) = rank(C) when
+    every row of B is in C. So when the coherent spanning family (n >= 3)
+    lies in the class, its 2**n - 1 tables go first, and the scan stops at
+    full width after them instead of after thousands of class rows.
+    """
+    tables = class_tables(n, system_class)
+    if n >= SystemClass.COHERENT.min_components:
+        basis = _basis_tables(n, SystemClass.COHERENT)
+        if set(basis) <= set(tables):
+            tables = basis + list(tables)
+    return _table_rank(n, tables)
+
+
+def _table_rank(n: int, tables: Sequence[int]) -> int:
+    """:func:`rank_over_rationals` of the systems with these truth tables."""
     touched = 0
-    for f in fs:
-        touched |= f.table
+    for table in tables:
+        touched |= table
     kernel = [{j: 1} for j in range(1 << n) if touched >> j & 1]
     width = len(kernel)
-    for f in fs:
+    for table in tables:
         if not kernel:
             break
-        row = {j for j in range(1 << n) if f.table >> j & 1}
+        row = {j for j in range(1 << n) if table >> j & 1}
         values = [sum(c for j, c in y.items() if j in row) for y in kernel]
         pos = next((i for i, v in enumerate(values) if v), None)
         if pos is None:

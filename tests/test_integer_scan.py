@@ -227,10 +227,11 @@ def test_integer_scan_matches_fraction_scan(theorem_corpus):
 
 
 def survival_times(d):
-    """Each breakpoint and midpoint, below the first (0 and -1 included) and past the last."""
+    """Each breakpoint and midpoint, below the first and past the last; times
+    t <= 0 are refused (test_non_positive_time_is_refused_like_system_reliability)."""
     bps = d.breakpoints
     between = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
-    return [Fraction(-1), Fraction(0), bps[0] / 2, *bps, *between, bps[-1] + 1, bps[-1] * 3]
+    return [bps[0] / 2, *bps, *between, bps[-1] + 1, bps[-1] * 3]
 
 
 def test_survival_sweep_matches_per_atom_loop(theorem_corpus, perturbed_corpus):

@@ -256,6 +256,23 @@ class TestReprWeighted:
                     )
 
 
+@pytest.mark.parametrize("t", [0, -5])
+def test_non_positive_time_is_refused_like_system_reliability(shifted_ladders, t):
+    phi, d = k_out_of_n(3, 2), shifted_ladders
+    message = f"time must be positive, got {t}"
+    with pytest.raises(ValueError, match=message):
+        system_reliability(phi, d, t)
+    calls = [
+        lambda: repr_boland(phi, d, t),
+        lambda: repr_prob_signature(phi, d, t),
+        lambda: repr_weighted(phi, d, WeightFunction.symmetric(3), t),
+        lambda: order_stat_survival(d, 1, t),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestDiagnose:
     def test_ladders(self, shifted_ladders):
         report = diagnose(shifted_ladders)

@@ -1,0 +1,278 @@
+"""verify_theorems as linear algebra on truth tables, against the slow paths.
+
+``verify_by_integer_scan`` is the earlier library scan, kept here as the
+oracle: every system of the class, one at a time, with its integer signature
+mixture compared against its reliability at every breakpoint. The residual
+rows, the table enumeration and the seeded class rank must give the same
+reports, tables and ranks as the per-system scan, the filtered objects and
+``rank_over_rationals``.
+"""
+
+import random
+from fractions import Fraction
+from operator import mul
+
+import pytest
+
+from sigrel import (
+    DiagnosisReport,
+    StructureFunction,
+    SystemClass,
+    TheoremCheck,
+    WeightFunction,
+    enumerate_systems,
+    format_rational,
+    rank_over_rationals,
+    relative_quality,
+    system_to_json,
+    verify_theorems,
+)
+from sigrel.distribution import evaluate_conditions, state_support, survival_numerators
+from sigrel.reliability import _echelon, _residual_rows
+from sigrel.structure import _monotone_tables, class_rank, class_tables
+
+from conftest import exchangeable_mixture, random_no_ties
+from test_integer_scan import (
+    REPRESENTATION_KEYS,
+    classes_for,
+    comonotone_law,
+    coprime_law,
+    distinct_lifetime_law,
+)
+from test_sweeps import perturbed_corpus, perturbed_exchangeable, tied_laws  # noqa: F401
+
+ALLOWED = [(n, c) for c in SystemClass for n in range(c.min_components, 6)]
+
+
+# --- oracle: the per-system integer scan -------------------------------------
+
+
+def verify_by_integer_scan(n, d, system_class):
+    systems = enumerate_systems(n, system_class)
+    supports = [state_support(d, t) for t in d.breakpoints]
+    weights, fields = evaluate_conditions(d, supports)
+    ties, witnesses = fields["has_ties"], fields["witnesses"]
+    symmetric = WeightFunction.symmetric(n)
+    D = d.denominator
+    # P(X_(k:n) > t) times D at each breakpoint, read straight from the sweep.
+    survivals = [[D - row[b] for row in d.cdfs] for b in range(len(d.breakpoints))]
+
+    def strings(sig, scale):
+        return tuple(format_rational(Fraction(s, scale)) for s in sig)
+
+    def representation_witness(phi, sig, scale):
+        for t, surv, support in zip(d.breakpoints, survivals, supports):
+            lhs = sum(map(mul, sig, surv))
+            rhs = scale * sum(p for x, p in support if phi.value(x))
+            if lhs != rhs:
+                return {
+                    "system": system_to_json(phi),
+                    "t": format_rational(t),
+                    "representation": format_rational(Fraction(lhs, scale * D)),
+                    "reliability": format_rational(Fraction(rhs, scale * D)),
+                }
+        return None
+
+    L, Q = symmetric.denominator, weights.denominator
+    boland_wit = prob_wit = agree_wit = None
+    for phi in systems:
+        design = symmetric.signature_numerators(phi)
+        if boland_wit is None:
+            boland_wit = representation_witness(phi, design, L)
+        if not ties:
+            probability = weights.signature_numerators(phi)
+            if prob_wit is None:
+                prob_wit = representation_witness(phi, probability, Q)
+            if agree_wit is None and any(a * Q != b * L for a, b in zip(design, probability)):
+                agree_wit = {
+                    "system": system_to_json(phi),
+                    "boland": strings(design, L),
+                    "probability": strings(probability, Q),
+                }
+        if boland_wit and (ties or (prob_wit and agree_wit)):
+            break
+    for key, wit in zip(REPRESENTATION_KEYS, (boland_wit, prob_wit, agree_wit)):
+        if wit is not None:
+            witnesses[key] = wit
+
+    boland_all = boland_wit is None
+    prob_all = None if ties else prob_wit is None
+    agree_all = None if ties else agree_wit is None
+    both = None if ties else boland_all and prob_all
+    rank = rank_over_rationals(systems)
+    relation = "iff" if rank == (1 << n) - 1 else "if"
+    exch = fields["states_exchangeable_everywhere"]
+    claims = [("boland_repr_iff_states_exchangeable", boland_all, exch)]
+    if not ties:
+        claims += [
+            ("prob_repr_iff_condition_q", prob_all, fields["condition_q_everywhere"]),
+            ("signatures_agree_iff_q_symmetric", agree_all, fields["q_symmetric"]),
+            ("both_reprs_iff_agreement_and_state_exchangeability", both, agree_all and exch),
+            (
+                "both_reprs_iff_q_symmetry_and_state_exchangeability",
+                both,
+                fields["q_symmetric"] and exch,
+            ),
+        ]
+    return DiagnosisReport(
+        mode="verified",
+        n=d.n,
+        breakpoints=d.breakpoints,
+        **fields,
+        boland_repr_all_systems=boland_all,
+        prob_repr_all_systems=prob_all,
+        both_representations=both,
+        system_class=system_class,
+        systems_checked=len(systems),
+        class_rank=rank,
+        theorem_checks=tuple(TheoremCheck(name, relation, lhs, rhs) for name, lhs, rhs in claims),
+    ).to_json()
+
+
+# --- corpus -------------------------------------------------------------------
+
+
+def seeded_n5_laws():
+    """Generic, comonotone, distinct-lifetime, coprime and exchangeable laws at n = 5."""
+    rng = random.Random(5150)
+    return [
+        random_no_ties(rng, 5),
+        random_no_ties(rng, 5, 12, 16),
+        comonotone_law(rng, 5, 2),
+        comonotone_law(rng, 5, 3),
+        distinct_lifetime_law(rng, 5, 60),
+        coprime_law(rng, 5, 5),
+        exchangeable_mixture(rng, 5),
+    ]
+
+
+@pytest.fixture(scope="module")
+def residual_corpus(theorem_corpus, perturbed_corpus):
+    rng = random.Random(6060)
+    laws = [d for _, d in theorem_corpus] + tied_laws() + perturbed_corpus
+    laws += [perturbed_exchangeable(rng, 5) for _ in range(2)]
+    laws += [distinct_lifetime_law(rng, n, 8 * n) for n in (2, 3, 4)]
+    return laws + seeded_n5_laws()
+
+
+# --- comparisons --------------------------------------------------------------
+
+
+def test_residual_rows_match_integer_scan(residual_corpus):
+    reports = []
+    for d in residual_corpus:
+        for system_class in classes_for(d.n):
+            got = verify_theorems(d.n, d, system_class).to_json()
+            assert got == verify_by_integer_scan(d.n, d, system_class), (d, system_class)
+            reports.append(got)
+    # Every representation witness and its absence occur, at n = 5 too, under
+    # both classes, with and without ties.
+    for key in REPRESENTATION_KEYS:
+        assert any(key in r["witnesses"] for r in reports if r["n"] == 5), key
+        assert any(
+            key not in r["witnesses"] and r["verdicts"]["both_representations"] is not None
+            for r in reports
+            if r["n"] == 5
+        ), key
+    assert any(r["verdicts"]["prob_repr_all_systems"] is None for r in reports)
+    assert {r["class"] for r in reports} == {c.value for c in SystemClass}
+    assert {r["n"] for r in reports} == {2, 3, 4, 5}
+
+
+def test_class_tables_match_filtered_objects():
+    for n, system_class in ALLOWED:
+        systems = (StructureFunction(n, table) for table in _monotone_tables(n))
+        expected = [phi.table for phi in systems if len(phi.essential) == n]
+        assert list(class_tables(n, system_class)) == expected, (n, system_class)
+        assert [phi.table for phi in enumerate_systems(n, system_class)] == expected
+
+
+def test_seeded_class_rank_matches_rank_over_rationals():
+    assert len(ALLOWED) == 7
+    for n, system_class in ALLOWED:
+        expected = rank_over_rationals(enumerate_systems(n, system_class))
+        assert class_rank(n, system_class) == expected, (n, system_class)
+
+
+def rank_by_fractions(rows):
+    """Gauss-Jordan elimination in Fractions."""
+    pivots = []
+    for row in rows:
+        row = [Fraction(u) for u in row]
+        for j, basis_row in pivots:
+            if row[j]:
+                factor = row[j] / basis_row[j]
+                row = [u - factor * v for u, v in zip(row, basis_row)]
+        lead = next((j for j, u in enumerate(row) if u), None)
+        if lead is not None:
+            pivots.append((lead, row))
+    return len(pivots)
+
+
+def test_residual_rank_is_within_the_level_bound(residual_corpus):
+    ranks = []
+    for d in residual_corpus:
+        n = d.n
+        supports = [state_support(d, t) for t in d.breakpoints]
+        survivals = [survival_numerators(d, t) for t in d.breakpoints]
+        weights = [WeightFunction.symmetric(n)]
+        if not evaluate_conditions(d, supports)[1]["has_ties"]:
+            weights.append(WeightFunction.from_quality(relative_quality(d)))
+        for w in weights:
+            rows = _residual_rows(w, d.denominator, survivals, supports)
+            # Zero at state 0 and on every level sum: the reason for the bound.
+            for row in rows:
+                assert row[0] == 0
+                for m in range(1, n + 1):
+                    assert sum(u for x, u in enumerate(row) if x.bit_count() == m) == 0
+            rank = rank_by_fractions(rows)
+            assert rank <= (1 << n) - 1 - n, (d, w)
+            assert len(_echelon(rows, 1 << n)) == rank
+            ranks.append((n, rank))
+    # Some laws reach the bound, so stopping there is not vacuous.
+    assert any(rank == (1 << n) - 1 - n for n, rank in ranks if n >= 4)
+    assert any(rank == 0 for _, rank in ranks)
+
+
+def test_echelon_basis_spans_the_rows():
+    rng = random.Random(31)
+    for _ in range(50):
+        rows = [[rng.randint(-3, 3) * (rng.random() < 0.6) for _ in range(8)] for _ in range(6)]
+        basis = _echelon(rows, 8)
+        assert len(basis) == rank_by_fractions(rows) == rank_by_fractions(rows + basis)
+        # Echelon: each kept row is zero at the pivot of every earlier one.
+        leads = [next(j for j, u in enumerate(row) if u) for row in basis]
+        assert all(later[j] == 0 for i, j in enumerate(leads) for later in basis[i + 1 :])
+
+
+# --- a timing-free performance guard ------------------------------------------
+
+
+def test_verify_builds_structure_functions_only_for_witnesses(monkeypatch):
+    built = []
+    post_init = StructureFunction.__post_init__
+
+    def counting(self):
+        built.append(self.table)
+        post_init(self)
+
+    monkeypatch.setattr(StructureFunction, "__post_init__", counting)
+    enumerate_systems.cache_clear()
+    class_tables.cache_clear()
+    rng = random.Random(2718)
+
+    exchangeable = exchangeable_mixture(rng, 5)
+    report = verify_theorems(5, exchangeable, SystemClass.COHERENT)
+    assert report.systems_checked == 6894
+    assert all(report.to_json()["verdicts"].values())
+    assert built == []
+
+    generic = random_no_ties(rng, 5)
+    report = verify_theorems(5, generic, SystemClass.COHERENT)
+    found = [key for key in REPRESENTATION_KEYS if key in report.witnesses]
+    assert found
+    assert 0 < len(built) <= len(found)
+    # Each witness system is one of the systems built.
+    for key in found:
+        bits = report.witnesses[key]["system"]["bits"]
+        assert int(bits[::-1], 2) in built
