@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, permutations
 from typing import Iterable
 
 from .errors import EnumerationBoundError, TiesError
-from .rationals import format_rational, parse_rational
+from .rationals import as_fractions, format_rational, parse_rational
+from .record import Record
 from .signature import WeightFunction
 from .structure import level_indices
 
@@ -65,14 +65,15 @@ Support = tuple[tuple[int, int], ...]
 ORDERING_LIMIT = 9
 
 
-@dataclass(frozen=True)
-class LifetimeDistribution:
+class LifetimeDistribution(Record):
     """Finitely supported joint distribution of n component lifetimes.
 
     Atoms are canonicalized on construction: lifetimes coerced to exact
     rationals, duplicate vectors merged, atoms sorted. Equality is therefore
-    a canonical-form comparison. The cached views of the law take no part in
-    equality and hashing.
+    a canonical-form comparison. Merging and sorting read each lifetime x as
+    the int x * L, L the lcm of the lifetime denominators, which keeps order
+    and distinctness. These grid vectors and the cached views of the law take
+    no part in equality and hashing.
     """
 
     n: int
@@ -83,7 +84,7 @@ class LifetimeDistribution:
             raise ValueError(f"component count must be a positive integer, got {self.n!r}")
         if not self.atoms:
             raise ValueError("a distribution needs at least one atom")
-        merged: dict[tuple[Fraction, ...], Fraction] = {}
+        parsed: list[Atom] = []
         total = Fraction(0)
         for entry in self.atoms:
             try:
@@ -95,23 +96,33 @@ class LifetimeDistribution:
                 raise ValueError(
                     f"atom {entry!r} has {len(xs)} lifetimes, expected {self.n}"
                 )
-            if any(x <= 0 for x in xs):
+            if any(x.numerator <= 0 for x in xs):
                 raise ValueError("lifetimes must be strictly positive")
             p = parse_rational(prob)
-            if not 0 < p <= 1:
+            if not 0 < p.numerator <= p.denominator:
                 raise ValueError(f"atom probability {p} is outside (0, 1]")
-            merged[xs] = merged.get(xs, Fraction(0)) + p
+            parsed.append((xs, p))
             total += p
         if total != 1:
             raise ValueError(
                 f"atom probabilities sum to {total}, off by {1 - total}"
             )
-        object.__setattr__(self, "atoms", tuple(sorted(merged.items())))
+        L = math.lcm(*(x.denominator for xs, _ in parsed for x in xs))
+        merged: dict[tuple[int, ...], Atom] = {}
+        for xs, p in parsed:  # merged and sorted on int keys: Fractions hash and compare slowly
+            key = tuple(x.numerator * (L // x.denominator) for x in xs)
+            if key in merged:
+                p += merged[key][1]
+            merged[key] = xs, p
+        grid = sorted(merged)
+        object.__setattr__(self, "atoms", tuple(map(merged.__getitem__, grid)))
+        object.__setattr__(self, "_grid", tuple(grid))
 
     @cached_property
     def breakpoints(self) -> tuple[Fraction, ...]:
         """Sorted distinct lifetime values; state vectors only change there."""
-        return tuple(sorted({x for xs, _ in self.atoms for x in xs}))
+        value = {g: x for key, (xs, _) in zip(self._grid, self.atoms) for g, x in zip(key, xs)}
+        return tuple(map(value.__getitem__, sorted(value)))
 
     @cached_property
     def denominator(self) -> int:
@@ -121,9 +132,9 @@ class LifetimeDistribution:
     @cached_property
     def ranked_atoms(self) -> tuple[RankedAtom, ...]:
         """Per atom, the breakpoint rank of each lifetime and the probability times D."""
-        rank = {t: b for b, t in enumerate(self.breakpoints)}
-        D = self.denominator
-        return tuple((tuple(rank[x] for x in xs), int(p * D)) for xs, p in self.atoms)
+        rank = {g: b for b, g in enumerate(sorted({g for key in self._grid for g in key}))}
+        D, atoms = self.denominator, zip(self._grid, self.atoms)
+        return tuple((tuple(map(rank.__getitem__, key)), int(p * D)) for key, (_, p) in atoms)
 
     @cached_property
     def cdfs(self) -> tuple[tuple[int, ...], ...]:
@@ -131,8 +142,7 @@ class LifetimeDistribution:
         return tuple(map(tuple, order_stat_cdfs(self, self.ranked_atoms)))
 
 
-@dataclass(frozen=True)
-class QualityFunction:
+class QualityFunction(Record, uncompared=("from_tied",)):
     """Relative quality of every component subset, packed-index order.
 
     values[mask] is the probability that every component in the subset
@@ -144,25 +154,24 @@ class QualityFunction:
 
     n: int
     values: tuple[Fraction, ...]
-    from_tied: bool = field(default=False, compare=False)
+    from_tied: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("quality functions need n >= 1")
-        coerced = tuple(Fraction(v) for v in self.values)
+        coerced = as_fractions(self.values)
         if len(coerced) != 1 << self.n:
             raise ValueError(
                 f"expected {1 << self.n} values for n={self.n}, got {len(coerced)}"
             )
         if coerced[0] != 1 or coerced[-1] != 1:
             raise ValueError("the empty and full subsets must have quality 1")
-        if any(not 0 <= v <= 1 for v in coerced):
+        if any(not 0 <= v.numerator <= v.denominator for v in coerced):
             raise ValueError("quality values must lie in [0, 1]")
         object.__setattr__(self, "values", coerced)
 
 
-@dataclass(frozen=True)
-class StateDistribution:
+class StateDistribution(Record):
     """Distribution of the component state vector at a fixed time."""
 
     n: int
@@ -170,12 +179,12 @@ class StateDistribution:
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(Fraction(v) for v in self.probs)
+        coerced = as_fractions(self.probs)
         if len(coerced) != 1 << self.n:
             raise ValueError(
                 f"expected {1 << self.n} state probabilities, got {len(coerced)}"
             )
-        if any(v < 0 for v in coerced):
+        if any(v.numerator < 0 for v in coerced):
             raise ValueError("state probabilities must be nonnegative")
         if sum(coerced) != 1:
             raise ValueError("state probabilities must sum to exactly 1")
@@ -194,7 +203,7 @@ class StateDistribution:
 
 def has_ties(d: LifetimeDistribution) -> bool:
     """True iff two components tie with positive probability."""
-    return any(len(set(xs)) < d.n for xs, _ in d.atoms)
+    return any(len(set(ranks)) < d.n for ranks, _ in d.ranked_atoms)
 
 
 def breakpoints(d: LifetimeDistribution) -> tuple[Fraction, ...]:
@@ -274,19 +283,23 @@ def states_exchangeable_everywhere(d: LifetimeDistribution) -> bool:
 def relative_quality(d: LifetimeDistribution) -> QualityFunction:
     """Probability, per subset, that its components outlive all of the others.
 
-    One sweep over the atoms: a subset outlives the rest in an atom exactly
-    when it is the top-j set of the atom's descending order and v_j > v_(j+1)
-    there. Computed for tied distributions as well; the result then carries
-    ``from_tied`` so that downstream signature operations can refuse it.
+    One sweep over the ranked atoms: a subset outlives the rest in an atom
+    exactly when it is the top-j set of the atom's descending order and
+    v_j > v_(j+1) there. The sums are ints over D, kept for the at most n - 1
+    subsets per atom that get mass. Computed for tied distributions as well;
+    the result then carries ``from_tied`` so that signature operations can refuse it.
     """
-    values = [Fraction(0)] * (1 << d.n)
-    for xs, p in d.atoms:
-        order = sorted(range(d.n), key=xs.__getitem__, reverse=True)
+    sums: dict[int, int] = {}
+    for ranks, p in d.ranked_atoms:
+        order = sorted(range(d.n), key=ranks.__getitem__, reverse=True)
         mask = 0
         for j in range(d.n - 1):
             mask |= 1 << order[j]
-            if xs[order[j]] > xs[order[j + 1]]:
-                values[mask] += p
+            if ranks[order[j]] > ranks[order[j + 1]]:
+                sums[mask] = sums.get(mask, 0) + p
+    values = [Fraction(0)] * (1 << d.n)
+    for mask, p in sums.items():
+        values[mask] = Fraction(p, d.denominator)
     values[0] = values[-1] = Fraction(1)
     return QualityFunction(d.n, tuple(values), from_tied=has_ties(d))
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Iterable
 
 # Largest |decimal exponent| in a string such as "1e4300": Python's default
 # int_max_str_digits, so no expansion outgrows a literal the interpreter accepts.
@@ -42,5 +43,11 @@ def parse_rational(value: object) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Canonical ``a/b`` form: gcd(a, b) = 1 and b > 0, denominator always shown."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+def as_fractions(values: Iterable[object]) -> tuple[Fraction, ...]:
+    """``tuple(Fraction(v) for v in values)``, keeping each value that already is one."""
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)

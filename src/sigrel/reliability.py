@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, pairwise
 from operator import mul, sub
@@ -30,7 +29,8 @@ from .distribution import (
     survival_numerators,
 )
 from .errors import TheoremInconsistencyError, TiesError
-from .rationals import format_rational, parse_rational
+from .rationals import as_fractions, format_rational, parse_rational
+from .record import Record
 from .signature import Signature, WeightFunction
 from .structure import (
     StructureFunction,
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReliabilityCurve:
+class ReliabilityCurve(Record):
     """Piecewise-constant survival curve of a system.
 
     ``values`` has one entry per interval: values[0] on (0, b_1), then
@@ -68,17 +67,17 @@ class ReliabilityCurve:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        vals = tuple(Fraction(v) for v in self.values)
+        bps = as_fractions(self.breakpoints)
+        vals = as_fractions(self.values)
         if not bps:
             raise ValueError("a curve needs at least one breakpoint")
-        if any(b <= 0 for b in bps):
+        if any(b.numerator <= 0 for b in bps):
             raise ValueError("breakpoints must be positive")
-        if list(bps) != sorted(set(bps)):
+        if not all(a < b for a, b in pairwise(bps)):
             raise ValueError("breakpoints must be strictly increasing")
         if len(vals) != len(bps) + 1:
             raise ValueError("need exactly one value per interval")
-        if any(not 0 <= v <= 1 for v in vals):
+        if any(not 0 <= v.numerator <= v.denominator for v in vals):
             raise ValueError("curve values must lie in [0, 1]")
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "values", vals)
@@ -96,6 +95,25 @@ class ReliabilityCurve:
         }
 
 
+_NEEDS_BOUNDARY = (
+    "system lifetime needs value 0 at the all-failed state and 1 at the all-working state"
+)
+
+
+def _failing_component(phi: StructureFunction, keys: Sequence) -> int:
+    """Index of the component whose failure stops ``phi`` when components fail in
+    the order of ``keys``, lifetimes or their ranks. Components sharing a key
+    fail together; by monotonicity, ties cannot move the failure time."""
+    if not phi.semicoherent:
+        raise ValueError(_NEEDS_BOUNDARY)
+    index = (1 << phi.n) - 1
+    for i in sorted(range(phi.n), key=keys.__getitem__):
+        index &= ~(1 << i)
+        if not phi.table >> index & 1:
+            return i
+    raise AssertionError("unreachable: a semicoherent system fails by the last failure")
+
+
 def system_lifetime(phi: StructureFunction, lifetimes: Sequence[object]) -> Fraction:
     """Failure time of the system under one realization of component lifetimes.
 
@@ -103,22 +121,13 @@ def system_lifetime(phi: StructureFunction, lifetimes: Sequence[object]) -> Frac
     needs the semicoherent boundary values, otherwise it might never fail.
     """
     if not phi.semicoherent:
-        raise ValueError(
-            "system lifetime needs value 0 at the all-failed state and 1 at "
-            "the all-working state"
-        )
+        raise ValueError(_NEEDS_BOUNDARY)
     xs = [parse_rational(v) for v in lifetimes]
     if len(xs) != phi.n:
         raise ValueError(f"expected {phi.n} lifetimes, got {len(xs)}")
     if any(x <= 0 for x in xs):
         raise ValueError("lifetimes must be strictly positive")
-    # Fail components in lifetime order; by monotonicity, ties cannot move the time.
-    index = (1 << phi.n) - 1
-    for i in sorted(range(phi.n), key=xs.__getitem__):
-        index &= ~(1 << i)
-        if phi.value(index) == 0:
-            return xs[i]
-    raise AssertionError("unreachable: a semicoherent system fails by the last failure")
+    return xs[_failing_component(phi, xs)]
 
 
 def probability_signature_oracle(
@@ -128,18 +137,18 @@ def probability_signature_oracle(
 
     For each atom the system lifetime is located among the sorted component
     lifetimes; entry k accumulates the probability that it is the k-th
-    smallest. Needs a no-ties distribution so that the rank is unambiguous.
+    smallest, in ints over D. Needs a no-ties distribution so that the rank
+    is unambiguous.
     """
     if has_ties(d):
         raise TiesError("signature oracle needs a distribution without ties")
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
-    acc = [Fraction(0)] * d.n
-    for xs, p in d.atoms:
-        failure_time = system_lifetime(phi, xs)
-        k = sorted(xs).index(failure_time) + 1
-        acc[k - 1] += p
-    return Signature(tuple(acc))
+    acc = [0] * d.n
+    for ranks, p in d.ranked_atoms:
+        failing = ranks[_failing_component(phi, ranks)]
+        acc[sum(r < failing for r in ranks)] += p
+    return Signature(tuple(Fraction(a, d.denominator) for a in acc))
 
 
 def system_reliability(
@@ -157,8 +166,9 @@ def reliability_curve(
 ) -> ReliabilityCurve:
     """Full survival curve of the system, one exact value per interval.
 
-    The system works at t iff its lifetime exceeds t, so one system lifetime
-    per atom and one cumulative sum over the breakpoints give every value.
+    The system works at t iff its lifetime exceeds t, so each atom adds its
+    mass at the breakpoint rank of the system lifetime, and one cumulative
+    sum over the breakpoints, in ints over D, gives every value.
     """
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
@@ -166,11 +176,12 @@ def reliability_curve(
     if not phi.semicoherent:
         # A monotone system without the semicoherent boundary values is constant.
         return ReliabilityCurve(bps, (Fraction(phi.value(0)),) * (len(bps) + 1))
-    failing = [Fraction(0)] * len(bps)
-    for xs, p in d.atoms:
-        failing[bisect.bisect_left(bps, system_lifetime(phi, xs))] += p
+    failing = [0] * len(bps)
+    for ranks, p in d.ranked_atoms:
+        failing[ranks[_failing_component(phi, ranks)]] += p
     # On (0, b_1) every component works, and so does the system.
-    return ReliabilityCurve(bps, tuple(accumulate(failing, sub, initial=Fraction(1))))
+    alive = accumulate(failing, sub, initial=d.denominator)
+    return ReliabilityCurve(bps, tuple(Fraction(a, d.denominator) for a in alive))
 
 
 def repr_boland(phi: StructureFunction, d: LifetimeDistribution, t: object) -> Fraction:
@@ -205,8 +216,7 @@ def repr_weighted(
     return Fraction(mixture, w.denominator * d.denominator)
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(Record):
     """One equivalence with both sides computed independently.
 
     ``relation`` is "iff" when the two sides must agree exactly, or "if"
@@ -236,8 +246,7 @@ class TheoremCheck:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class DiagnosisReport:
+class DiagnosisReport(Record):
     """Conditions, verdicts, and witnesses for one distribution.
 
     In "predicted" mode (from :func:`diagnose`) the verdicts are the values
@@ -248,8 +257,11 @@ class DiagnosisReport:
     class and cross-checked against the conditions.
 
     Verdicts and conditions that need a tie-free distribution are None when
-    ties are present.
+    ties are present. Reports compare and hash by identity.
     """
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     mode: str
     n: int

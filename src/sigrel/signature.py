@@ -12,13 +12,13 @@ from a relative quality function, the probability signature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import TiesError
-from .rationals import format_rational
+from .rationals import as_fractions, format_rational
+from .record import Record
 from .structure import StructureFunction, level_indices
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """A vector of n rational entries, index k for the k-th order statistic.
 
     Entries produced by :func:`boland_signature` are guaranteed nonnegative
@@ -50,7 +49,7 @@ class Signature:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(Fraction(v) for v in self.values)
+        coerced = as_fractions(self.values)
         if not coerced:
             raise ValueError("a signature needs at least one entry")
         object.__setattr__(self, "values", coerced)
@@ -68,8 +67,7 @@ class Signature:
         return tuple(format_rational(v) for v in self.values)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(Record):
     """A rational weight for every packed state index of an n-component system."""
 
     n: int
@@ -78,7 +76,7 @@ class WeightFunction:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("weight functions need n >= 1")
-        coerced = tuple(Fraction(v) for v in self.values)
+        coerced = as_fractions(self.values)
         if len(coerced) != 1 << self.n:
             raise ValueError(
                 f"expected {1 << self.n} weights for n={self.n}, got {len(coerced)}"
@@ -125,10 +123,10 @@ class WeightFunction:
         if phi.n != self.n:
             raise ValueError("weight function and system disagree on component count")
         weights = self.numerators
-        table = phi.table
+        bits = phi.bits()
         levels = [0] * (self.n + 1)
         for index in range(1, 1 << self.n):
-            if table >> index & 1:
+            if bits[index] == "1":
                 levels[index.bit_count()] += weights[index]
         return tuple(levels)
 

@@ -1,0 +1,317 @@
+"""The law, curve, quality and oracle on int ranks, and the truth tables from masks,
+against the Fraction and bit-at-a-time loops they replaced.
+
+The reference functions below are the earlier library code, kept here as
+oracles: the canonical form of a law by merging and sorting Fraction
+vectors, its breakpoints by sorting the distinct Fraction lifetimes, the
+reliability curve by bisecting each atom's Fraction system lifetime into the
+breakpoints, the relative quality by a dense Fraction table filled atom by
+atom, the probability-signature oracle by locating each Fraction system
+lifetime among the sorted lifetimes, and the truth-table builders by one
+shift per state index. Every comparison is exact. A guard counts Fraction
+comparisons on a 100-atom n = 10 law with 1,000 distinct lifetimes.
+"""
+
+import bisect
+import random
+from fractions import Fraction
+from itertools import accumulate
+from operator import sub
+
+import pytest
+
+from sigrel import (
+    LifetimeDistribution,
+    QualityFunction,
+    ReliabilityCurve,
+    Signature,
+    StructureFunction,
+    SystemClass,
+    TiesError,
+    WeightFunction,
+    appendix_basis,
+    distribution_from_json,
+    enumerate_systems,
+    from_path_sets,
+    from_truth_table,
+    has_ties,
+    k_out_of_n,
+    probability_signature,
+    probability_signature_oracle,
+    relative_quality,
+    reliability_curve,
+    system_lifetime,
+)
+from sigrel.structure import _low_side_mask, _monomial_table, _monotone_tables
+
+from conftest import make_dist, random_no_ties, shifted_ladders_dist, staggered_pairs_dist
+from test_integer_scan import PRIMES, coprime_law
+from test_sweeps import systems_for, tied_laws
+
+
+# --- oracles: the Fraction loops --------------------------------------------
+
+
+def canonical_atoms_by_fractions(atoms):
+    """Lifetimes coerced, duplicate vectors merged, atoms sorted as Fraction tuples."""
+    merged = {}
+    for xs, p in atoms:
+        xs = tuple(Fraction(x) for x in xs)
+        merged[xs] = merged.get(xs, Fraction(0)) + Fraction(p)
+    return tuple(sorted(merged.items()))
+
+
+def breakpoints_by_fractions(d):
+    return tuple(sorted({x for xs, _ in d.atoms for x in xs}))
+
+
+def ranked_atoms_by_fractions(d):
+    rank = {t: b for b, t in enumerate(breakpoints_by_fractions(d))}
+    D = d.denominator
+    return tuple((tuple(rank[x] for x in xs), int(p * D)) for xs, p in d.atoms)
+
+
+def curve_by_lifetimes(phi, d):
+    bps = breakpoints_by_fractions(d)
+    if not phi.semicoherent:
+        return ReliabilityCurve(bps, (Fraction(phi.value(0)),) * (len(bps) + 1))
+    failing = [Fraction(0)] * len(bps)
+    for xs, p in d.atoms:
+        failing[bisect.bisect_left(bps, system_lifetime(phi, xs))] += p
+    return ReliabilityCurve(bps, tuple(accumulate(failing, sub, initial=Fraction(1))))
+
+
+def quality_by_atoms(d):
+    values = [Fraction(0)] * (1 << d.n)
+    for xs, p in d.atoms:
+        order = sorted(range(d.n), key=xs.__getitem__, reverse=True)
+        mask = 0
+        for j in range(d.n - 1):
+            mask |= 1 << order[j]
+            if xs[order[j]] > xs[order[j + 1]]:
+                values[mask] += p
+    values[0] = values[-1] = Fraction(1)
+    tied = any(len(set(xs)) < d.n for xs, _ in d.atoms)
+    return QualityFunction(d.n, tuple(values), from_tied=tied)
+
+
+def oracle_by_lifetimes(phi, d):
+    acc = [Fraction(0)] * d.n
+    for xs, p in d.atoms:
+        acc[sorted(xs).index(system_lifetime(phi, xs))] += p
+    return Signature(tuple(acc))
+
+
+# --- oracles: one shift per state index ---------------------------------------
+
+
+def low_side_mask_by_segments(n, var):
+    block = 1 << var
+    mask = 0
+    for start in range(0, 1 << n, block << 1):
+        mask |= ((1 << block) - 1) << start
+    return mask
+
+
+def table_by_entries(bits):
+    table = 0
+    for j, entry in enumerate(bits):
+        table |= int(entry) << j
+    return table
+
+
+def path_table_by_states(n, paths):
+    masks = [sum(1 << (c - 1) for c in path) for path in paths]
+    return sum(1 << j for j in range(1 << n) if any(j & m == m for m in masks))
+
+
+def k_out_of_n_by_states(n, k):
+    return sum(1 << j for j in range(1 << n) if j.bit_count() >= n - k + 1)
+
+
+def monomial_by_states(n, subset):
+    return sum(1 << j for j in range(1 << n) if j & subset == subset)
+
+
+def level_numerators_by_shifts(w, phi):
+    levels = [0] * (w.n + 1)
+    for index in range(1, 1 << w.n):
+        if phi.table >> index & 1:
+            levels[index.bit_count()] += w.numerators[index]
+    return tuple(levels)
+
+
+# --- corpora ----------------------------------------------------------------
+
+
+def large_grid_law(rng, n, n_atoms):
+    """Tie-free lifetimes over many distinct prime denominators, so the grid
+    scale L is their product, with some vectors repeated in another spelling."""
+    rows = []
+    while len(rows) < n_atoms:
+        xs = tuple(Fraction(rng.randint(1, 60), rng.choice(PRIMES)) for _ in range(n))
+        if len(set(xs)) == n:
+            rows.append((xs, rng.randint(1, 9)))
+    rows += [(tuple(str(x) for x in xs), w) for xs, w in rows[::4]]
+    total = sum(w for _, w in rows)
+    return [(xs, Fraction(w, total)) for xs, w in rows]
+
+
+def raw_laws():
+    """(n, atoms as given) pairs: every shape of law the library accepts."""
+    rng = random.Random(1919)
+    laws = [(d.n, d.atoms) for d in (shifted_ladders_dist(), staggered_pairs_dist(), *tied_laws())]
+    laws += [(n, d.atoms) for n in (3, 4) for d in (random_no_ties(rng, n) for _ in range(10))]
+    laws += [(4, coprime_law(rng, 4, 8).atoms)]
+    laws += [(n, large_grid_law(rng, n, 30)) for n in (2, 3, 4, 5)]
+    # Duplicate vectors, shuffled, spelled as ints, strings and Fractions.
+    half, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+    laws += [
+        (2, [((2, 1), quarter), (("1", "2"), quarter), ((Fraction(2), "1"), half)]),
+        (3, [(("3/2", 1, "1/2"), third), ((half, 1, 3), third),
+             (("6/4", Fraction(2, 2), "2/4"), third)]),
+    ]
+    for n, atoms in list(laws):
+        atoms = list(atoms)
+        rng.shuffle(atoms)
+        laws.append((n, atoms))
+    return laws
+
+
+@pytest.fixture(scope="module")
+def laws(theorem_corpus):
+    return [LifetimeDistribution(n, tuple(atoms)) for n, atoms in raw_laws()] + [
+        d for _, d in theorem_corpus
+    ]
+
+
+# --- comparisons: the law, curve, quality and oracle ---------------------------
+
+
+def test_canonical_form_matches_fraction_sort():
+    seen_large = False
+    for n, atoms in raw_laws():
+        d = LifetimeDistribution(n, tuple(atoms))
+        assert d.atoms == canonical_atoms_by_fractions(atoms)
+        assert d.breakpoints == breakpoints_by_fractions(d)
+        assert d.ranked_atoms == ranked_atoms_by_fractions(d)
+        assert d == LifetimeDistribution(n, canonical_atoms_by_fractions(atoms))
+        seen_large |= len({x.denominator for xs, _ in d.atoms for x in xs}) >= 10
+    assert seen_large
+
+
+def test_reliability_curve_matches_lifetime_bisect(laws):
+    constant = 0
+    for d in laws:
+        for phi in systems_for(d.n):
+            assert reliability_curve(phi, d) == curve_by_lifetimes(phi, d), (phi, d)
+            constant += not phi.semicoherent
+    assert constant
+
+
+def test_relative_quality_matches_dense_fraction_loop(laws):
+    for d in laws:
+        got, want = relative_quality(d), quality_by_atoms(d)
+        assert got == want
+        assert got.from_tied == want.from_tied == has_ties(d)
+
+
+def test_probability_signature_oracle_matches_fraction_oracle(laws):
+    checked = 0
+    for d in laws:
+        for phi in systems_for(d.n):
+            if has_ties(d):
+                with pytest.raises(TiesError):
+                    probability_signature_oracle(phi, d)
+            elif not phi.semicoherent:
+                messages = []
+                for oracle in (probability_signature_oracle, oracle_by_lifetimes):
+                    with pytest.raises(ValueError) as exc:
+                        oracle(phi, d)
+                    messages.append(str(exc.value))
+                assert messages[0] == messages[1]
+            else:
+                assert probability_signature_oracle(phi, d) == oracle_by_lifetimes(phi, d)
+                checked += 1
+    assert checked
+
+
+def wide_law(rng, n, n_atoms):
+    """Tie-free atoms whose n * n_atoms lifetimes are distinct, as JSON strings."""
+    values = rng.sample(range(1, 10**6), n * n_atoms)
+    weights = [rng.randint(1, 9) for _ in range(n_atoms)]
+    return {
+        "n": n,
+        "atoms": [
+            {"x": [f"{v}/8" for v in values[a * n : (a + 1) * n]], "p": f"{w}/{sum(weights)}"}
+            for a, w in enumerate(weights)
+        ],
+    }
+
+
+def test_fraction_comparisons_stay_below_four_per_lifetime(monkeypatch):
+    rng = random.Random(1010)
+    obj = wide_law(rng, 10, 100)
+    phi = from_path_sets(10, [[1, 2, 3], [4, 5], [6, 7, 8], [2, 9, 10]])
+    calls = 0
+    richcmp = Fraction._richcmp
+
+    def counting(self, other, op):
+        nonlocal calls
+        calls += 1
+        return richcmp(self, other, op)
+
+    monkeypatch.setattr(Fraction, "_richcmp", counting)
+    d = distribution_from_json(obj)
+    curve = reliability_curve(phi, d)
+    signature = probability_signature(phi, relative_quality(d))
+    assert signature == probability_signature_oracle(phi, d)
+    curve.to_json()
+    monkeypatch.undo()
+    assert len(d.breakpoints) == 1000
+    assert calls <= 4 * len(d.breakpoints)
+    assert curve == curve_by_lifetimes(phi, d)
+
+
+# --- comparisons: truth tables from masks ---------------------------------------
+
+
+def test_low_side_masks_match_segment_loop():
+    for n in range(1, 13):
+        for var in range(n):
+            assert _low_side_mask(n, var) == low_side_mask_by_segments(n, var)
+
+
+def test_truth_tables_match_per_entry_shifts():
+    for n in range(2, 5):
+        for table in _monotone_tables(n):
+            bits = StructureFunction(n, table).bits()
+            for spelling in (bits, list(bits), [int(b) for b in bits], [b == "1" for b in bits]):
+                assert from_truth_table(n, spelling).table == table_by_entries(spelling) == table
+    for phi in appendix_basis(9, SystemClass.COHERENT)[::37]:
+        assert from_truth_table(9, phi.bits()).table == table_by_entries(phi.bits())
+
+
+def test_path_sets_k_out_of_n_and_monomials_match_state_loops():
+    rng = random.Random(2323)
+    for n in range(2, 11):
+        for _ in range(5):
+            count = rng.randint(1, 5)
+            paths = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(count)]
+            assert from_path_sets(n, paths).table == path_table_by_states(n, paths)
+        for k in range(1, n + 1):
+            assert k_out_of_n(n, k).table == k_out_of_n_by_states(n, k)
+    for n in range(1, 8):
+        for subset in range(1 << n):
+            assert _monomial_table(n, subset) == monomial_by_states(n, subset)
+
+
+def test_level_numerators_match_per_index_shifts(theorem_corpus):
+    weights = [WeightFunction.symmetric(3)]
+    weights += [WeightFunction.from_quality(relative_quality(d)) for _, d in theorem_corpus[::20]]
+    for w in weights:
+        for phi in enumerate_systems(3, SystemClass.COHERENT) + tuple(systems_for(3)):
+            assert w.phi_level_numerators(phi) == level_numerators_by_shifts(w, phi)
+    w = WeightFunction.symmetric(10)
+    phi = from_path_sets(10, [[1, 2, 3], [4, 5], [6, 7, 8], [2, 9, 10]])
+    assert w.phi_level_numerators(phi) == level_numerators_by_shifts(w, phi)
