@@ -4,131 +4,25 @@ Structure functions are packed truth tables over component state vectors;
 lifetime distributions are finite sets of rational atoms. Everything is
 computed in exact rational arithmetic, so equality tests in the theorem
 verifier are decidable rather than approximate.
+
+The package exports each module's ``__all__``, in module order.
 """
 
-from .distribution import (
-    LifetimeDistribution,
-    QualityFunction,
-    StateDistribution,
-    breakpoints,
-    condition_w,
-    distribution_from_json,
-    distribution_to_json,
-    group_reliability,
-    has_ties,
-    is_q_symmetric,
-    lifetimes_exchangeable,
-    order_stat_survival,
-    relative_quality,
-    state_distribution,
-    states_exchangeable_at,
-    states_exchangeable_everywhere,
-    weakly_exchangeable,
-)
-from .errors import (
-    EnumerationBoundError,
-    NonMonotoneError,
-    TheoremInconsistencyError,
-    TiesError,
-)
-from .rationals import format_rational, parse_rational
-from .reliability import (
-    DiagnosisReport,
-    ReliabilityCurve,
-    TheoremCheck,
-    diagnose,
-    probability_signature_oracle,
-    reliability_curve,
-    repr_boland,
-    repr_prob_signature,
-    repr_weighted,
-    system_lifetime,
-    system_reliability,
-    verify_theorems,
-)
-from .signature import (
-    Signature,
-    WeightFunction,
-    boland_signature,
-    phi_level,
-    probability_signature,
-    signatures_agree,
-    weighted_phi_level,
-    weighted_signature,
-)
-from .structure import (
-    BASIS_LIMIT,
-    ENUMERATION_LIMIT,
-    StructureFunction,
-    SystemClass,
-    appendix_basis,
-    enumerate_systems,
-    evaluate,
-    from_path_sets,
-    from_truth_table,
-    k_out_of_n,
-    rank_over_rationals,
-    system_from_json,
-    system_to_json,
-)
+from . import distribution, errors, rationals, reliability, signature, structure
+from .distribution import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .rationals import *  # noqa: F403
+from .reliability import *  # noqa: F403
+from .signature import *  # noqa: F403
+from .structure import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASIS_LIMIT",
-    "ENUMERATION_LIMIT",
-    "DiagnosisReport",
-    "EnumerationBoundError",
-    "LifetimeDistribution",
-    "NonMonotoneError",
-    "QualityFunction",
-    "ReliabilityCurve",
-    "Signature",
-    "StateDistribution",
-    "StructureFunction",
-    "SystemClass",
-    "TheoremCheck",
-    "TheoremInconsistencyError",
-    "TiesError",
-    "WeightFunction",
-    "appendix_basis",
-    "boland_signature",
-    "breakpoints",
-    "condition_w",
-    "diagnose",
-    "distribution_from_json",
-    "distribution_to_json",
-    "enumerate_systems",
-    "evaluate",
-    "format_rational",
-    "from_path_sets",
-    "from_truth_table",
-    "group_reliability",
-    "has_ties",
-    "is_q_symmetric",
-    "k_out_of_n",
-    "lifetimes_exchangeable",
-    "order_stat_survival",
-    "parse_rational",
-    "phi_level",
-    "probability_signature",
-    "probability_signature_oracle",
-    "rank_over_rationals",
-    "relative_quality",
-    "reliability_curve",
-    "repr_boland",
-    "repr_prob_signature",
-    "repr_weighted",
-    "signatures_agree",
-    "state_distribution",
-    "states_exchangeable_at",
-    "states_exchangeable_everywhere",
-    "system_from_json",
-    "system_lifetime",
-    "system_reliability",
-    "system_to_json",
-    "verify_theorems",
-    "weakly_exchangeable",
-    "weighted_phi_level",
-    "weighted_signature",
+    *distribution.__all__,
+    *errors.__all__,
+    *rationals.__all__,
+    *reliability.__all__,
+    *signature.__all__,
+    *structure.__all__,
 ]

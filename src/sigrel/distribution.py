@@ -28,7 +28,7 @@ from itertools import accumulate, permutations
 from typing import Iterable
 
 from .errors import EnumerationBoundError, TiesError
-from .rationals import as_fractions, format_rational, parse_rational
+from .rationals import as_fractions, format_rational, parse_rational, parse_time
 from .record import Record
 from .signature import WeightFunction
 from .structure import level_indices
@@ -216,10 +216,7 @@ def state_support(d: LifetimeDistribution, t: object) -> Support:
 
     One state per atom (component alive iff lifetime > t), merged, sorted by index.
     """
-    t = parse_rational(t)
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    alive = bisect_right(d.breakpoints, t)  # lifetime > t iff its rank >= alive
+    alive = bisect_right(d.breakpoints, parse_time(t))  # lifetime > t iff its rank >= alive
     probs: dict[int, int] = {}
     for ranks, p in d.ranked_atoms:
         index = sum(1 << i for i, r in enumerate(ranks) if r >= alive)
@@ -362,26 +359,22 @@ def order_stat_survival(d: LifetimeDistribution, k: int, t: object) -> Fraction:
 def survival_numerators(d: LifetimeDistribution, t: object) -> list[int]:
     """P(X_(k:n) > t) times D for k = 1..n: D minus :attr:`LifetimeDistribution.cdfs`
     at the last breakpoint <= t, or D before the first breakpoint."""
-    t = parse_rational(t)
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
-    b = bisect_right(d.breakpoints, t)
+    b = bisect_right(d.breakpoints, parse_time(t))
     return [d.denominator - (row[b - 1] if b else 0) for row in d.cdfs]
 
 
 def group_reliability(
     d: LifetimeDistribution, components: Iterable[int], t: object
 ) -> Fraction:
-    """Probability that every component in the (1-based) group survives past t."""
-    t = parse_rational(t)
-    group = set()
+    """Probability that every component in the (1-based) group survives past t:
+    the :func:`state_support` mass on the states in which the whole group works."""
+    support = state_support(d, t)
+    group = 0
     for comp in components:
         if not isinstance(comp, int) or isinstance(comp, bool) or not 1 <= comp <= d.n:
             raise ValueError(f"component {comp!r} out of range 1..{d.n}")
-        group.add(comp - 1)
-    return sum(
-        (p for xs, p in d.atoms if all(xs[i] > t for i in group)), Fraction(0)
-    )
+        group |= 1 << (comp - 1)
+    return Fraction(sum(p for x, p in support if x & group == group), d.denominator)
 
 
 def weakly_exchangeable(d: LifetimeDistribution) -> bool:

@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "EnumerationBoundError",
+    "NonMonotoneError",
+    "TheoremInconsistencyError",
+    "TiesError",
+]
+
 
 class NonMonotoneError(ValueError):
     """A truth table decreases along a covering pair of state indices.

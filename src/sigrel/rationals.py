@@ -6,6 +6,8 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
+__all__ = ["format_rational", "parse_rational"]
+
 # Largest |decimal exponent| in a string such as "1e4300": Python's default
 # int_max_str_digits, so no expansion outgrows a literal the interpreter accepts.
 _EXPONENT_LIMIT = 4300
@@ -39,6 +41,15 @@ def parse_rational(value: object) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r}")
+
+
+def parse_time(value: object) -> Fraction:
+    """:func:`parse_rational` of a time, refusing t <= 0: every function of t
+    holds for t > 0 only."""
+    t = parse_rational(value)
+    if t <= 0:
+        raise ValueError(f"time must be positive, got {t}")
+    return t
 
 
 def format_rational(value: Fraction) -> str:

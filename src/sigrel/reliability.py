@@ -29,7 +29,7 @@ from .distribution import (
     survival_numerators,
 )
 from .errors import TheoremInconsistencyError, TiesError
-from .rationals import as_fractions, format_rational, parse_rational
+from .rationals import as_fractions, format_rational, parse_rational, parse_time
 from .record import Record
 from .signature import Signature, WeightFunction
 from .structure import (
@@ -83,10 +83,7 @@ class ReliabilityCurve(Record):
         object.__setattr__(self, "values", vals)
 
     def value_at(self, t: object) -> Fraction:
-        t = parse_rational(t)
-        if t <= 0:
-            raise ValueError(f"time must be positive, got {t}")
-        return self.values[bisect.bisect_right(self.breakpoints, t)]
+        return self.values[bisect.bisect_right(self.breakpoints, parse_time(t))]
 
     def to_json(self) -> dict:
         return {
@@ -95,17 +92,11 @@ class ReliabilityCurve(Record):
         }
 
 
-_NEEDS_BOUNDARY = (
-    "system lifetime needs value 0 at the all-failed state and 1 at the all-working state"
-)
-
-
 def _failing_component(phi: StructureFunction, keys: Sequence) -> int:
     """Index of the component whose failure stops ``phi`` when components fail in
     the order of ``keys``, lifetimes or their ranks. Components sharing a key
-    fail together; by monotonicity, ties cannot move the failure time."""
-    if not phi.semicoherent:
-        raise ValueError(_NEEDS_BOUNDARY)
+    fail together; by monotonicity, ties cannot move the failure time. ``phi``
+    must be semicoherent."""
     index = (1 << phi.n) - 1
     for i in sorted(range(phi.n), key=keys.__getitem__):
         index &= ~(1 << i)
@@ -120,8 +111,7 @@ def system_lifetime(phi: StructureFunction, lifetimes: Sequence[object]) -> Frac
     Components sharing a lifetime value fail simultaneously. The system
     needs the semicoherent boundary values, otherwise it might never fail.
     """
-    if not phi.semicoherent:
-        raise ValueError(_NEEDS_BOUNDARY)
+    phi.require_semicoherent("system lifetime")
     xs = [parse_rational(v) for v in lifetimes]
     if len(xs) != phi.n:
         raise ValueError(f"expected {phi.n} lifetimes, got {len(xs)}")
@@ -144,6 +134,7 @@ def probability_signature_oracle(
         raise TiesError("signature oracle needs a distribution without ties")
     if phi.n != d.n:
         raise ValueError("system and distribution disagree on component count")
+    phi.require_semicoherent("system lifetime")
     acc = [0] * d.n
     for ranks, p in d.ranked_atoms:
         failing = ranks[_failing_component(phi, ranks)]
@@ -186,11 +177,7 @@ def reliability_curve(
 
 def repr_boland(phi: StructureFunction, d: LifetimeDistribution, t: object) -> Fraction:
     """Design-signature mixture of order-statistic survivals at time t."""
-    if not phi.semicoherent:
-        raise ValueError(
-            "signature needs value 0 at the all-failed state and 1 at the "
-            "all-working state"
-        )
+    phi.require_semicoherent("signature")
     return repr_weighted(phi, d, WeightFunction.symmetric(phi.n), t)
 
 
@@ -237,13 +224,7 @@ class TheoremCheck(Record):
         return self.lhs or not self.rhs
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "relation": self.relation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "consistent": self.consistent,
-        }
+        return {**{f: getattr(self, f) for f in self._fields}, "consistent": self.consistent}
 
 
 class DiagnosisReport(Record):
@@ -262,6 +243,16 @@ class DiagnosisReport(Record):
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    # The fields of the "conditions" and "verdicts" blocks of the JSON form.
+    _conditions = (
+        "has_ties",
+        "q_symmetric",
+        "states_exchangeable_everywhere",
+        "lifetimes_exchangeable",
+        "weakly_exchangeable",
+        "condition_q_everywhere",
+    )
+    _verdicts = ("boland_repr_all_systems", "prob_repr_all_systems", "both_representations")
 
     mode: str
     n: int
@@ -289,19 +280,8 @@ class DiagnosisReport(Record):
             out["systems_checked"] = self.systems_checked
             out["class_rank"] = self.class_rank
         out["breakpoints"] = [format_rational(b) for b in self.breakpoints]
-        out["conditions"] = {
-            "has_ties": self.has_ties,
-            "q_symmetric": self.q_symmetric,
-            "states_exchangeable_everywhere": self.states_exchangeable_everywhere,
-            "lifetimes_exchangeable": self.lifetimes_exchangeable,
-            "weakly_exchangeable": self.weakly_exchangeable,
-            "condition_q_everywhere": self.condition_q_everywhere,
-        }
-        out["verdicts"] = {
-            "boland_repr_all_systems": self.boland_repr_all_systems,
-            "prob_repr_all_systems": self.prob_repr_all_systems,
-            "both_representations": self.both_representations,
-        }
+        out["conditions"] = {name: getattr(self, name) for name in self._conditions}
+        out["verdicts"] = {name: getattr(self, name) for name in self._verdicts}
         out["witnesses"] = self.witnesses
         out["skipped_orderings"] = [list(s) for s in self.skipped_orderings]
         if self.theorem_checks:

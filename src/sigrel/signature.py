@@ -154,11 +154,7 @@ def boland_signature(phi: StructureFunction) -> Signature:
     symmetric weights: their level sums are the level averages, and the
     convention W(0) = 0 equals phi(0) = 0 for every semicoherent system.
     """
-    if not phi.semicoherent:
-        raise ValueError(
-            "signature needs value 0 at the all-failed state and 1 at the "
-            "all-working state"
-        )
+    phi.require_semicoherent("signature")
     return weighted_signature(phi, WeightFunction.symmetric(phi.n))
 
 

@@ -158,6 +158,14 @@ class StructureFunction(Record):
             self, "coherent", self.n >= 3 and len(essential) == self.n
         )
 
+    def require_semicoherent(self, what: str) -> None:
+        """Refuse a system without the semicoherent boundary values; ``what``
+        names the quantity that needs them."""
+        if not self.semicoherent:
+            raise ValueError(
+                f"{what} needs value 0 at the all-failed state and 1 at the all-working state"
+            )
+
     def value(self, index: int) -> int:
         """System state at a packed state index."""
         if not 0 <= index < (1 << self.n):
@@ -262,6 +270,20 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
     return tables
 
 
+def _check_size(n: int, system_class: SystemClass, needs: str, family: str, limit: int) -> None:
+    """Refuse, in this order, an unknown class, n below the class minimum and n
+    above ``limit``; ``needs`` and ``family`` word the two size messages."""
+    if not isinstance(system_class, SystemClass):
+        raise ValueError(f"unknown system class {system_class!r}")
+    if n < system_class.min_components:
+        raise ValueError(
+            f"{system_class.value} {needs} at least {system_class.min_components} "
+            f"components, got n={n}"
+        )
+    if n > limit:
+        raise EnumerationBoundError(f"{family} supports n <= {limit}, got n={n}")
+
+
 @lru_cache(maxsize=None)
 def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     """Truth tables of every system of the class on n components, ascending.
@@ -271,17 +293,7 @@ def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     n >= 3 while SEMICOHERENT also admits n = 2, where the only two such
     systems are the series and parallel pair.
     """
-    if not isinstance(system_class, SystemClass):
-        raise ValueError(f"unknown system class {system_class!r}")
-    if n < system_class.min_components:
-        raise ValueError(
-            f"{system_class.value} systems need at least "
-            f"{system_class.min_components} components, got n={n}"
-        )
-    if n > ENUMERATION_LIMIT:
-        raise EnumerationBoundError(
-            f"enumeration supports n <= {ENUMERATION_LIMIT}, got n={n}"
-        )
+    _check_size(n, system_class, "systems need", "enumeration", ENUMERATION_LIMIT)
     tables = _monotone_tables(n)
     # Keep, one component at a time, the tables on which it is essential.
     for var in range(n):
@@ -341,17 +353,7 @@ def appendix_basis(n: int, system_class: SystemClass) -> list[StructureFunction]
 
 def _basis_tables(n: int, system_class: SystemClass) -> list[int]:
     """Truth tables of :func:`appendix_basis`, in its order."""
-    if not isinstance(system_class, SystemClass):
-        raise ValueError(f"unknown system class {system_class!r}")
-    if n < system_class.min_components:
-        raise ValueError(
-            f"{system_class.value} basis needs at least "
-            f"{system_class.min_components} components, got n={n}"
-        )
-    if n > BASIS_LIMIT:
-        raise EnumerationBoundError(
-            f"the spanning family supports n <= {BASIS_LIMIT}, got n={n}"
-        )
+    _check_size(n, system_class, "basis needs", "the spanning family", BASIS_LIMIT)
     if system_class is SystemClass.SEMICOHERENT:
         return [_monomial_table(n, s) for s in range(1, 1 << n)]
     full = (1 << n) - 1

@@ -32,6 +32,7 @@ from conftest import (
     orbit_dist,
     random_no_ties,
 )
+from test_sweeps import tied_laws
 
 F = Fraction
 
@@ -221,7 +222,28 @@ class TestOrderStatSurvival:
             assert values == sorted(values)
 
 
+def group_reliability_by_lifetimes(d, components, t):
+    """Oracle: the atoms in which every lifetime of the group exceeds t, on Fractions."""
+    t = Fraction(t)
+    group = [comp - 1 for comp in components]
+    return sum((p for xs, p in d.atoms if all(xs[i] > t for i in group)), Fraction(0))
+
+
 class TestGroupReliability:
+    def test_matches_lifetime_oracle(self, theorem_corpus):
+        laws = [d for _, d in theorem_corpus] + tied_laws()
+        assert any(has_ties(d) for d in laws)
+        for d in laws:
+            bps = breakpoints(d)
+            # at, between and before the breakpoints
+            times = [*bps, *((a + b) / 2 for a, b in zip(bps, bps[1:])), bps[0] / 2]
+            for mask in range(1 << d.n):
+                group = [i + 1 for i in range(d.n) if mask >> i & 1]
+                for t in times:
+                    assert group_reliability(d, group, t) == group_reliability_by_lifetimes(
+                        d, group, t
+                    )
+
     def test_empty_group(self, staggered_pairs):
         assert group_reliability(staggered_pairs, [], 2) == 1
 

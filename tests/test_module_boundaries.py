@@ -1,9 +1,13 @@
 """Modules of the package import only public names from one another, and
-nothing from outside the package but the standard library."""
+nothing from outside the package but the standard library; the package
+exports each module's ``__all__`` once."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import sigrel
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sigrel"
 
@@ -54,3 +58,22 @@ def test_package_needs_only_the_standard_library():
     assert modules
     offenders = [hit for path in modules for hit in third_party_imports(path)]
     assert offenders == []
+
+
+MODULES = ("distribution", "errors", "rationals", "reliability", "signature", "structure")
+
+
+def test_package_exports_each_module_all_once():
+    """``sigrel.__all__`` is the modules' lists concatenated, without
+    duplicates; each name is the module's own object, ``from sigrel import *``
+    binds exactly those names, and the record base is not among them."""
+    modules = [importlib.import_module(f"sigrel.{name}") for name in MODULES]
+    assert sigrel.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(sigrel.__all__)) == len(sigrel.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(sigrel, name) is getattr(module, name), name
+    namespace: dict = {}
+    exec("from sigrel import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(sigrel.__all__)
+    assert "Record" not in sigrel.__all__ and not hasattr(sigrel, "Record")

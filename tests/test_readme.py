@@ -54,8 +54,8 @@ def test_quick_start_results_match_the_comments():
 
 def test_every_public_limit_is_named():
     """Each public module-level ``*_LIMIT`` constant of the package is named in
-    the README. The module sources are read, not ``sigrel.__all__``, because
-    some limits live only in their module's namespace."""
+    the README. The module sources are read, not ``sigrel.__all__``, so that a
+    limit left out of its module's ``__all__`` is still found."""
     readme = README.read_text(encoding="utf-8")
     limits = [
         target.id

@@ -11,11 +11,14 @@ from sigrel import (
     TheoremCheck,
     TiesError,
     WeightFunction,
+    boland_signature,
     breakpoints,
+    condition_w,
     diagnose,
     enumerate_systems,
     from_path_sets,
     from_truth_table,
+    group_reliability,
     k_out_of_n,
     order_stat_survival,
     probability_signature,
@@ -25,6 +28,8 @@ from sigrel import (
     repr_boland,
     repr_prob_signature,
     repr_weighted,
+    state_distribution,
+    states_exchangeable_at,
     system_from_json,
     system_lifetime,
     system_reliability,
@@ -267,10 +272,43 @@ def test_non_positive_time_is_refused_like_system_reliability(shifted_ladders, t
         lambda: repr_prob_signature(phi, d, t),
         lambda: repr_weighted(phi, d, WeightFunction.symmetric(3), t),
         lambda: order_stat_survival(d, 1, t),
+        lambda: group_reliability(d, [1], t),
+        lambda: reliability_curve(phi, d).value_at(t),
+        lambda: state_distribution(d, t),
+        lambda: states_exchangeable_at(d, t),
+        lambda: condition_w(d, WeightFunction.symmetric(3), t),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+BOUNDARY = "needs value 0 at the all-failed state and 1 at the all-working state"
+
+
+@pytest.mark.parametrize("bits", ["00000000", "11111111"])
+def test_boundary_refusals_name_what_needs_the_boundary(shifted_ladders, staggered_pairs, bits):
+    """A system without the semicoherent boundary values is refused before its
+    other arguments are read, in the words of the signature or of the lifetime."""
+    phi = from_truth_table(3, bits)
+    signature, lifetime = f"^signature {BOUNDARY}$", f"^system lifetime {BOUNDARY}$"
+    calls = [
+        (signature, lambda: boland_signature(phi)),
+        (signature, lambda: repr_boland(phi, shifted_ladders, 1)),
+        (signature, lambda: repr_boland(phi, shifted_ladders, 0)),
+        (signature, lambda: repr_boland(phi, staggered_pairs, 1)),
+        (lifetime, lambda: system_lifetime(phi, (1, 2, 3))),
+        (lifetime, lambda: system_lifetime(phi, (1, 2))),
+        (lifetime, lambda: system_lifetime(phi, (0, "x", 2))),
+        (lifetime, lambda: probability_signature_oracle(phi, shifted_ladders)),
+    ]
+    for message, call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    with pytest.raises(TiesError, match="^signature oracle needs a distribution without ties$"):
+        probability_signature_oracle(phi, make_dist(3, [((1, 1, 2), 1)]))
+    with pytest.raises(ValueError, match="^system and distribution disagree on component count$"):
+        probability_signature_oracle(phi, staggered_pairs)
 
 
 class TestDiagnose:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from sigrel import (
     StructureFunction,
     SystemClass,
     appendix_basis,
+    class_rank,
+    class_tables,
     enumerate_systems,
     evaluate,
     from_path_sets,
@@ -381,3 +384,43 @@ class TestJson:
             system_from_json({"n": 2, "kind": "truth_table", "bits": 7})
         with pytest.raises(ValueError):
             system_from_json([1, 2])
+
+
+ENUMERATION_REFUSALS = [
+    (3, "coherent", ValueError, "unknown system class 'coherent'"),
+    (ENUMERATION_LIMIT + 1, "semicoherent", ValueError, "unknown system class 'semicoherent'"),
+    (2, SystemClass.COHERENT, ValueError, "coherent systems need at least 3 components, got n=2"),
+    (1, SystemClass.SEMICOHERENT, ValueError,
+     "semicoherent systems need at least 2 components, got n=1"),
+    (ENUMERATION_LIMIT + 1, SystemClass.COHERENT, EnumerationBoundError,
+     f"enumeration supports n <= {ENUMERATION_LIMIT}, got n={ENUMERATION_LIMIT + 1}"),
+    (ENUMERATION_LIMIT + 1, SystemClass.SEMICOHERENT, EnumerationBoundError,
+     f"enumeration supports n <= {ENUMERATION_LIMIT}, got n={ENUMERATION_LIMIT + 1}"),
+]
+
+BASIS_REFUSALS = [
+    (3, "coherent", ValueError, "unknown system class 'coherent'"),
+    (BASIS_LIMIT + 1, None, ValueError, "unknown system class None"),
+    (2, SystemClass.COHERENT, ValueError, "coherent basis needs at least 3 components, got n=2"),
+    (1, SystemClass.SEMICOHERENT, ValueError,
+     "semicoherent basis needs at least 2 components, got n=1"),
+    (BASIS_LIMIT + 1, SystemClass.COHERENT, EnumerationBoundError,
+     f"the spanning family supports n <= {BASIS_LIMIT}, got n={BASIS_LIMIT + 1}"),
+    (BASIS_LIMIT + 1, SystemClass.SEMICOHERENT, EnumerationBoundError,
+     f"the spanning family supports n <= {BASIS_LIMIT}, got n={BASIS_LIMIT + 1}"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, case",
+    [(call, case) for call in (class_tables, enumerate_systems, class_rank)
+     for case in ENUMERATION_REFUSALS]
+    + [(appendix_basis, case) for case in BASIS_REFUSALS],
+)
+def test_class_size_refusals(call, case):
+    """An unknown class, n below the class minimum and n over the limit are
+    refused in that order, with the family's own wording."""
+    n, system_class, error, message = case
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc_info:
+        call(n, system_class)
+    assert type(exc_info.value) is error
