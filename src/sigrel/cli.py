@@ -35,6 +35,7 @@ from .structure import (
     SystemClass,
     appendix_basis,
     rank_over_rationals,
+    require_same_count,
     system_from_json,
     system_to_json,
 )
@@ -86,8 +87,7 @@ def _cmd_signature(args: argparse.Namespace, phi: StructureFunction) -> object:
 def _cmd_prob_signature(
     args: argparse.Namespace, phi: StructureFunction, d: LifetimeDistribution
 ) -> object:
-    if phi.n != d.n:  # before relative_quality forms its 2**n values
-        raise ValueError("system and distribution disagree on component count")
+    require_same_count("system and distribution", phi, d)  # before the 2**n qualities
     quality_based = probability_signature(phi, relative_quality(d))
     atom_oracle = probability_signature_oracle(phi, d)
     return {

@@ -28,10 +28,10 @@ from itertools import accumulate, permutations
 from typing import Iterable
 
 from .errors import EnumerationBoundError, TiesError
-from .rationals import as_fractions, format_rational, parse_rational, parse_time
+from .rationals import file_header, format_rational, parse_rational, parse_time, state_table
 from .record import Record
 from .signature import WeightFunction
-from .structure import level_indices
+from .structure import component_mask, level_indices, require_same_count
 
 __all__ = [
     "ORDERING_LIMIT",
@@ -159,11 +159,7 @@ class QualityFunction(Record, uncompared=("from_tied",)):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("quality functions need n >= 1")
-        coerced = as_fractions(self.values)
-        if len(coerced) != 1 << self.n:
-            raise ValueError(
-                f"expected {1 << self.n} values for n={self.n}, got {len(coerced)}"
-            )
+        coerced = state_table(self.n, self.values, f"values for n={self.n}")
         if coerced[0] != 1 or coerced[-1] != 1:
             raise ValueError("the empty and full subsets must have quality 1")
         if any(not 0 <= v.numerator <= v.denominator for v in coerced):
@@ -179,11 +175,7 @@ class StateDistribution(Record):
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = as_fractions(self.probs)
-        if len(coerced) != 1 << self.n:
-            raise ValueError(
-                f"expected {1 << self.n} state probabilities, got {len(coerced)}"
-            )
+        coerced = state_table(self.n, self.probs, "state probabilities")
         if any(v.numerator < 0 for v in coerced):
             raise ValueError("state probabilities must be nonnegative")
         if sum(coerced) != 1:
@@ -369,11 +361,7 @@ def group_reliability(
     """Probability that every component in the (1-based) group survives past t:
     the :func:`state_support` mass on the states in which the whole group works."""
     support = state_support(d, t)
-    group = 0
-    for comp in components:
-        if not isinstance(comp, int) or isinstance(comp, bool) or not 1 <= comp <= d.n:
-            raise ValueError(f"component {comp!r} out of range 1..{d.n}")
-        group |= 1 << (comp - 1)
+    group = component_mask(d.n, components, "component")
     return Fraction(sum(p for x, p in support if x & group == group), d.denominator)
 
 
@@ -431,8 +419,7 @@ def condition_w(d: LifetimeDistribution, w: WeightFunction, t: object) -> bool:
     The weight function is taken as given; nothing here requires its level
     sums to equal 1.
     """
-    if w.n != d.n:
-        raise ValueError("weight function and distribution disagree on component count")
+    require_same_count("weight function and distribution", w, d)
     return _condition_w_witness(d, w, state_support(d, t)) is None
 
 
@@ -525,17 +512,7 @@ def distribution_to_json(d: LifetimeDistribution) -> dict:
 
 def distribution_from_json(obj: object) -> LifetimeDistribution:
     """Parse the distribution-file form; validation errors name the offending field."""
-    if not isinstance(obj, dict):
-        raise ValueError("distribution file must be a JSON object")
-    try:
-        n = obj["n"]
-        atoms = obj["atoms"]
-    except KeyError as exc:
-        raise ValueError(
-            f"distribution file is missing the {exc.args[0]!r} field"
-        ) from exc
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"distribution field 'n' must be an integer, got {n!r}")
+    n, atoms = file_header(obj, "distribution", "atoms")
     if not isinstance(atoms, list) or not atoms:
         raise ValueError("distribution field 'atoms' must be a nonempty list")
     parsed = []

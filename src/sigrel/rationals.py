@@ -1,4 +1,4 @@
-"""Exact rational values at the JSON boundary."""
+"""Exact rational values, the JSON file header and 2**n state tables at the input boundary."""
 
 from __future__ import annotations
 
@@ -62,3 +62,26 @@ def format_rational(value: Fraction) -> str:
 def as_fractions(values: Iterable[object]) -> tuple[Fraction, ...]:
     """``tuple(Fraction(v) for v in values)``, keeping each value that already is one."""
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
+def state_table(n: int, values: Iterable[object], noun: str) -> tuple[Fraction, ...]:
+    """:func:`as_fractions` of a table with one entry per packed state index of n
+    components; ``noun`` names the entries when the count is not 2**n."""
+    table = as_fractions(values)
+    if len(table) != 1 << n:
+        raise ValueError(f"expected {1 << n} {noun}, got {len(table)}")
+    return table
+
+
+def file_header(obj: object, kind: str, field: str) -> tuple[int, object]:
+    """(n, ``obj[field]``) of a JSON input file of ``kind``, refusing in this order
+    a non-object, a missing ``n``, a missing ``field`` and an ``n`` that is not an int."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} file must be a JSON object")
+    for name in ("n", field):
+        if name not in obj:
+            raise ValueError(f"{kind} file is missing the {name!r} field")
+    n = obj["n"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"{kind} field 'n' must be an integer, got {n!r}")
+    return n, obj[field]

@@ -31,12 +31,13 @@ from .distribution import (
 from .errors import TheoremInconsistencyError, TiesError
 from .rationals import as_fractions, format_rational, parse_rational, parse_time
 from .record import Record
-from .signature import Signature, WeightFunction
+from .signature import Signature, WeightFunction, boland_signature, weighted_signature
 from .structure import (
     StructureFunction,
     SystemClass,
     class_rank,
     class_tables,
+    require_same_count,
     system_to_json,
 )
 
@@ -132,8 +133,7 @@ def probability_signature_oracle(
     """
     if has_ties(d):
         raise TiesError("signature oracle needs a distribution without ties")
-    if phi.n != d.n:
-        raise ValueError("system and distribution disagree on component count")
+    require_same_count("system and distribution", phi, d)
     phi.require_semicoherent("system lifetime")
     acc = [0] * d.n
     for ranks, p in d.ranked_atoms:
@@ -146,10 +146,13 @@ def system_reliability(
     phi: StructureFunction, d: LifetimeDistribution, t: object
 ) -> Fraction:
     """Probability that the system works at time t, summed over the state support."""
-    if phi.n != d.n:
-        raise ValueError("system and distribution disagree on component count")
-    support = state_support(d, t)
-    return Fraction(sum(p for x, p in support if phi.table >> x & 1), d.denominator)
+    require_same_count("system and distribution", phi, d)
+    return Fraction(_working_mass(phi, state_support(d, t)), d.denominator)
+
+
+def _working_mass(phi: StructureFunction, support: Support) -> int:
+    """The mass, over D, of the states of one :func:`state_support` in which ``phi`` works."""
+    return sum(p for x, p in support if phi.table >> x & 1)
 
 
 def reliability_curve(
@@ -161,8 +164,7 @@ def reliability_curve(
     mass at the breakpoint rank of the system lifetime, and one cumulative
     sum over the breakpoints, in ints over D, gives every value.
     """
-    if phi.n != d.n:
-        raise ValueError("system and distribution disagree on component count")
+    require_same_count("system and distribution", phi, d)
     bps = d.breakpoints
     if not phi.semicoherent:
         # A monotone system without the semicoherent boundary values is constant.
@@ -196,8 +198,7 @@ def repr_weighted(
     phi: StructureFunction, d: LifetimeDistribution, w: WeightFunction, t: object
 ) -> Fraction:
     """Mixture of order-statistic survivals weighted by differenced level sums of w."""
-    if phi.n != d.n or w.n != d.n:
-        raise ValueError("system, weights, and distribution disagree on component count")
+    require_same_count("system, weights, and distribution", phi, w, d)
     # Both sides in ints: the signature over w.denominator, the survivals over D.
     mixture = sum(map(mul, w.signature_numerators(phi), survival_numerators(d, t)))
     return Fraction(mixture, w.denominator * d.denominator)
@@ -410,16 +411,13 @@ def verify_theorems(
             return None
         works = [phi.table >> x & 1 for x in range(1 << n)]
         b = next(b for b, row in enumerate(rows) if sum(compress(row, works)))
-        t, reliability = d.breakpoints[b], sum(p for x, p in supports[b] if works[x])
+        t = d.breakpoints[b]
         return {
             "system": system_to_json(phi),
             "t": format_rational(t),
             "representation": format_rational(repr_weighted(phi, d, w, t)),
-            "reliability": format_rational(Fraction(reliability, D)),
+            "reliability": format_rational(Fraction(_working_mass(phi, supports[b]), D)),
         }
-
-    def strings(sig: Sequence[int], scale: int) -> tuple[str, ...]:
-        return tuple(format_rational(Fraction(s, scale)) for s in sig)
 
     found = {"boland_repr": representation_witness(symmetric)}
     if not ties:
@@ -432,8 +430,8 @@ def verify_theorems(
         )
         found["signature_agreement"] = None if phi is None else {
             "system": system_to_json(phi),
-            "boland": strings(symmetric.signature_numerators(phi), L),
-            "probability": strings(weights.signature_numerators(phi), Q),
+            "boland": boland_signature(phi).as_strings(),
+            "probability": weighted_signature(phi, weights).as_strings(),
         }
     witnesses.update((key, wit) for key, wit in found.items() if wit is not None)
     boland_all = found["boland_repr"] is None

@@ -17,9 +17,9 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import TiesError
-from .rationals import as_fractions, format_rational
+from .rationals import as_fractions, format_rational, state_table
 from .record import Record
-from .structure import StructureFunction, level_indices
+from .structure import StructureFunction, check_level, level_indices, require_same_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .distribution import QualityFunction
@@ -76,15 +76,11 @@ class WeightFunction(Record):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("weight functions need n >= 1")
-        coerced = as_fractions(self.values)
-        if len(coerced) != 1 << self.n:
-            raise ValueError(
-                f"expected {1 << self.n} weights for n={self.n}, got {len(coerced)}"
-            )
+        coerced = state_table(self.n, self.values, f"weights for n={self.n}")
         object.__setattr__(self, "values", coerced)
 
     @classmethod
-    @lru_cache(maxsize=None)
+    @lru_cache(maxsize=None, typed=True)
     def symmetric(cls, n: int) -> "WeightFunction":
         """Level-uniform weights 1 / C(n, |x|); weighted sums become level averages.
 
@@ -120,8 +116,7 @@ class WeightFunction(Record):
         W(k) sums w(x) * phi(x) over the level-k state vectors x, in exact
         integers; W(0) is 0 by convention (see :func:`weighted_phi_level`).
         """
-        if phi.n != self.n:
-            raise ValueError("weight function and system disagree on component count")
+        require_same_count("weight function and system", self, phi)
         weights = self.numerators
         bits = phi.bits()
         levels = [0] * (self.n + 1)
@@ -139,8 +134,6 @@ class WeightFunction(Record):
 
 def phi_level(phi: StructureFunction, k: int) -> Fraction:
     """Mean of ``phi`` over the C(n, k) state vectors with k working components."""
-    if not 0 <= k <= phi.n:
-        raise ValueError(f"level {k} out of range 0..{phi.n}")
     total = sum(phi.value(i) for i in level_indices(phi.n, k))
     return Fraction(total, math.comb(phi.n, k))
 
@@ -164,8 +157,7 @@ def weighted_phi_level(phi: StructureFunction, w: WeightFunction, k: int) -> Fra
     The value at k = 0 is 0 by convention (not w(0) * phi(0)), which makes
     signature entries telescope cleanly for any weights.
     """
-    if not 0 <= k <= phi.n:
-        raise ValueError(f"level {k} out of range 0..{phi.n}")
+    check_level(phi.n, k)
     return Fraction(w.phi_level_numerators(phi)[k], w.denominator)
 
 
@@ -196,8 +188,7 @@ def probability_signature(
         raise TiesError(
             "probability signature is undefined for distributions with tied lifetimes"
         )
-    if quality.n != phi.n:
-        raise ValueError("quality function and system disagree on component count")
+    require_same_count("quality function and system", quality, phi)
     return weighted_signature(phi, WeightFunction.from_quality(quality))
 
 

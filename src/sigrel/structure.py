@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import EnumerationBoundError, NonMonotoneError
+from .rationals import file_header
 from .record import Record
 
 __all__ = [
@@ -88,7 +89,7 @@ class SystemClass(Enum):
         return 3 if self is SystemClass.COHERENT else 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _low_side_mask(n: int, var: int) -> int:
     """Bitmask over all 2**n indices selecting those where component ``var`` is failed."""
     width = 2 << var
@@ -114,11 +115,16 @@ def _monotonicity_witness(n: int, table: int) -> tuple[int, int] | None:
     return None
 
 
-@lru_cache(maxsize=None)
+def check_level(n: int, k: int) -> None:
+    """Refuse a level k, a number of working components, outside 0..n."""
+    if not 0 <= k <= n:
+        raise ValueError(f"level {k} out of range 0..{n}")
+
+
+@lru_cache(maxsize=None, typed=True)
 def level_indices(n: int, k: int) -> tuple[int, ...]:
     """All table indices whose state vector has exactly k working components."""
-    if not 0 <= k <= n:
-        raise ValueError(f"level {k} out of range for n={n}")
+    check_level(n, k)
     return tuple(
         sorted(sum(1 << b for b in combo) for combo in combinations(range(n), k))
     )
@@ -210,18 +216,30 @@ def from_path_sets(n: int, paths: Iterable[Iterable[int]]) -> StructureFunction:
         )
     table = 0
     for path in paths:
-        members = list(path)
-        if not members:
+        mask = component_mask(n, path, "path component")
+        if not mask:
             raise ValueError("paths must be nonempty")
-        mask = 0
-        for comp in members:
-            if not isinstance(comp, int) or isinstance(comp, bool) or not 1 <= comp <= n:
-                raise ValueError(f"path component {comp!r} out of range 1..{n}")
-            mask |= 1 << (comp - 1)
         table |= _monomial_table(n, mask)
     if not table:  # each path works at least in the all-working state
         raise ValueError("at least one path is required")
     return StructureFunction(n, table)
+
+
+def require_same_count(what: str, *parts: object) -> None:
+    """Refuse systems, laws, weights or qualities whose counts n differ; ``what`` names them."""
+    if len({part.n for part in parts}) > 1:
+        raise ValueError(f"{what} disagree on component count")
+
+
+def component_mask(n: int, components: Iterable[int], noun: str) -> int:
+    """Bitmask of 1-based components, bit i - 1 for component i; ``noun`` names a
+    member that is not an int in 1..n, a bool included."""
+    mask = 0
+    for comp in components:
+        if not isinstance(comp, int) or isinstance(comp, bool) or not 1 <= comp <= n:
+            raise ValueError(f"{noun} {comp!r} out of range 1..{n}")
+        mask |= 1 << (comp - 1)
+    return mask
 
 
 def k_out_of_n(n: int, k: int) -> StructureFunction:
@@ -254,7 +272,7 @@ def evaluate(phi: StructureFunction, states: Sequence[int]) -> int:
     return phi.value(index)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _monotone_tables(n: int) -> tuple[int, ...]:
     """All monotone truth tables on n components, ascending as integers.
 
@@ -284,7 +302,21 @@ def _check_size(n: int, system_class: SystemClass, needs: str, family: str, limi
         raise EnumerationBoundError(f"{family} supports n <= {limit}, got n={n}")
 
 
-@lru_cache(maxsize=None)
+def _enumeration(func: Callable) -> Callable:
+    """``func(n, system_class)`` cached by ``lru_cache(typed=True)`` behind the enumeration's
+    :func:`_check_size`, which no refused class, even an unhashable one, passes."""
+    cached = lru_cache(maxsize=None, typed=True)(func)
+
+    @wraps(func)
+    def checked(n: int, system_class: SystemClass) -> object:
+        _check_size(n, system_class, "systems need", "enumeration", ENUMERATION_LIMIT)
+        return cached(n, system_class)
+
+    checked.cache_clear = cached.cache_clear
+    return checked
+
+
+@_enumeration
 def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     """Truth tables of every system of the class on n components, ascending.
 
@@ -293,7 +325,6 @@ def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     n >= 3 while SEMICOHERENT also admits n = 2, where the only two such
     systems are the series and parallel pair.
     """
-    _check_size(n, system_class, "systems need", "enumeration", ENUMERATION_LIMIT)
     tables = _monotone_tables(n)
     # Keep, one component at a time, the tables on which it is essential.
     for var in range(n):
@@ -302,7 +333,7 @@ def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     return tuple(tables)
 
 
-@lru_cache(maxsize=None)
+@_enumeration
 def enumerate_systems(n: int, system_class: SystemClass) -> tuple[StructureFunction, ...]:
     """Every system of the class on n components: :func:`class_tables` as objects."""
     return tuple(StructureFunction(n, table) for table in class_tables(n, system_class))
@@ -453,15 +484,7 @@ def system_to_json(phi: StructureFunction) -> dict:
 
 def system_from_json(obj: object) -> StructureFunction:
     """Parse the system-file form: a truth table or a list of path sets."""
-    if not isinstance(obj, dict):
-        raise ValueError("system file must be a JSON object")
-    try:
-        n = obj["n"]
-        kind = obj["kind"]
-    except KeyError as exc:
-        raise ValueError(f"system file is missing the {exc.args[0]!r} field") from exc
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"system field 'n' must be an integer, got {n!r}")
+    n, kind = file_header(obj, "system", "kind")
     if n < 2:
         raise ValueError(f"system field 'n' must be at least 2, got {n}")
     if kind == "truth_table":

@@ -1,0 +1,180 @@
+"""Each input rule refuses a bad input with one message at every entry point:
+the file headers, the 1-based component range, the system/law component
+count, and the cache keys of the size-indexed tables."""
+
+import ast
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sigrel import (
+    SystemClass,
+    TiesError,
+    WeightFunction,
+    appendix_basis,
+    class_rank,
+    class_tables,
+    distribution_from_json,
+    enumerate_systems,
+    from_path_sets,
+    group_reliability,
+    k_out_of_n,
+    probability_signature_oracle,
+    reliability_curve,
+    repr_weighted,
+    system_from_json,
+    system_reliability,
+)
+from sigrel.cli import run
+
+from conftest import make_dist
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+PATHS = {"kind": "paths", "paths": [[1]]}
+ATOMS = {"atoms": [{"x": ["1"], "p": "1"}]}
+
+# (parser, CLI command and option, file object, message)
+HEADER_REFUSALS = [
+    (system_from_json, ("signature", "--system"), [1, 2], "system file must be a JSON object"),
+    (system_from_json, ("signature", "--system"), PATHS, "system file is missing the 'n' field"),
+    (system_from_json, ("signature", "--system"), {}, "system file is missing the 'n' field"),
+    (system_from_json, ("signature", "--system"), {"n": 3, "paths": [[1]]},
+     "system file is missing the 'kind' field"),
+    (system_from_json, ("signature", "--system"), {"n": True},
+     "system file is missing the 'kind' field"),
+    (system_from_json, ("signature", "--system"), {"n": True, **PATHS},
+     "system field 'n' must be an integer, got True"),
+    (system_from_json, ("signature", "--system"), {"n": "3", **PATHS},
+     "system field 'n' must be an integer, got '3'"),
+    (distribution_from_json, ("diagnose", "--dist"), [ATOMS],
+     "distribution file must be a JSON object"),
+    (distribution_from_json, ("diagnose", "--dist"), ATOMS,
+     "distribution file is missing the 'n' field"),
+    (distribution_from_json, ("diagnose", "--dist"), {},
+     "distribution file is missing the 'n' field"),
+    (distribution_from_json, ("diagnose", "--dist"), {"n": 1},
+     "distribution file is missing the 'atoms' field"),
+    (distribution_from_json, ("diagnose", "--dist"), {"n": "3"},
+     "distribution file is missing the 'atoms' field"),
+    (distribution_from_json, ("diagnose", "--dist"), {"n": True, **ATOMS},
+     "distribution field 'n' must be an integer, got True"),
+    (distribution_from_json, ("diagnose", "--dist"), {"n": "3", **ATOMS},
+     "distribution field 'n' must be an integer, got '3'"),
+]
+
+
+@pytest.mark.parametrize("parse, command, obj, message", HEADER_REFUSALS)
+def test_file_header_refusals(parse, command, obj, message, capsys, tmp_path):
+    """A non-object, then the first missing field in order, then an ``n`` that
+    is not an int, in the library and on the command line (exit 1)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse(obj)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    assert run([*command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "input", "detail": f"{path}: {message}"}
+
+
+@pytest.mark.parametrize("component", [0, 4, True, 1.0, "1"])
+def test_component_range_refusals(component):
+    """A path component and a group member are refused by the same rule."""
+    message = f"component {component!r} out of range 1..3"
+    with pytest.raises(ValueError, match=f"^path {re.escape(message)}$"):
+        from_path_sets(3, [[1], [2, component]])
+    law = make_dist(3, [((1, 2, 3), 1)])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        group_reliability(law, [1, component], 1)
+    # The time is refused before the components are read.
+    with pytest.raises(ValueError, match="^time must be positive, got 0$"):
+        group_reliability(law, [component], 0)
+
+
+def test_component_count_refusals():
+    phi, law = k_out_of_n(3, 2), make_dist(2, [((1, 2), 1)])
+    message = "^system and distribution disagree on component count$"
+    for call in (
+        lambda: system_reliability(phi, law, 1),
+        lambda: reliability_curve(phi, law),
+        lambda: probability_signature_oracle(phi, law),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+    # Every part counts, not only the first two.
+    with pytest.raises(ValueError, match="^system, weights, and distribution disagree"):
+        repr_weighted(phi, law, WeightFunction.symmetric(3), 1)
+    # The oracle refuses ties before it compares the counts.
+    tied = make_dist(2, [((1, 1), 1)])
+    with pytest.raises(TiesError, match="^signature oracle needs a distribution without ties$"):
+        probability_signature_oracle(phi, tied)
+
+
+@pytest.mark.parametrize("t", [None, "1"])
+def test_component_count_refusal_on_the_command_line(capsys, tmp_path, t):
+    system, law = tmp_path / "system.json", tmp_path / "law.json"
+    system.write_text(json.dumps({"n": 3, "kind": "paths", "paths": [[1, 2], [3]]}))
+    law.write_text(json.dumps({"n": 2, "atoms": [{"x": ["1", "2"], "p": "1"}]}))
+    argv = ["reliability", "--system", str(system), "--dist", str(law)]
+    assert run(argv + (["--t", t] if t else [])) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "precondition",
+        "detail": "system and distribution disagree on component count",
+    }
+
+
+@pytest.mark.parametrize("call", [class_tables, enumerate_systems, class_rank, appendix_basis])
+@pytest.mark.parametrize("system_class", [["coherent"], "coherent", None])
+def test_unknown_class_is_refused_before_any_cache(call, system_class):
+    """An unknown class, even an unhashable one, gets the one refusal."""
+    message = f"unknown system class {system_class!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(3, system_class)
+    assert call(3, SystemClass.COHERENT)
+
+
+COLD_WARM = """
+from sigrel import SystemClass, WeightFunction, class_rank, class_tables, enumerate_systems
+from sigrel import level_indices
+
+calls = {
+    "level_indices": lambda n: level_indices(n, 1),
+    "class_tables": lambda n: class_tables(n, SystemClass.COHERENT),
+    "enumerate_systems": lambda n: enumerate_systems(n, SystemClass.COHERENT),
+    "class_rank": lambda n: class_rank(n, SystemClass.COHERENT),
+    "symmetric": lambda n: WeightFunction.symmetric(n),
+}
+
+def outcome(call, n):
+    try:
+        return repr(call(n))
+    except Exception as exc:
+        return type(exc).__name__
+
+cold = {name: outcome(call, 3.0) for name, call in calls.items()}
+for call in calls.values():
+    call(3)
+warm = {name: outcome(call, 3.0) for name, call in calls.items()}
+print(repr((cold, warm)))
+"""
+
+
+def test_cached_answers_do_not_depend_on_earlier_calls():
+    """n = 3.0 gets the same answer whether or not n = 3 ran first: the
+    caches do not share a key between equal values of different types."""
+    out = subprocess.run(
+        [sys.executable, "-c", COLD_WARM],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    cold, warm = ast.literal_eval(out)
+    assert cold == dict.fromkeys(cold, "TypeError")
+    assert warm == cold
