@@ -498,16 +498,8 @@ def evaluate_conditions(
 
 def distribution_to_json(d: LifetimeDistribution) -> dict:
     """Distribution-file form with all rationals as "a/b" strings."""
-    return {
-        "n": d.n,
-        "atoms": [
-            {
-                "x": [format_rational(x) for x in xs],
-                "p": format_rational(p),
-            }
-            for xs, p in d.atoms
-        ],
-    }
+    atoms = [{"x": [format_rational(x) for x in xs], "p": format_rational(p)} for xs, p in d.atoms]
+    return {"n": d.n, "atoms": atoms}
 
 
 def distribution_from_json(obj: object) -> LifetimeDistribution:

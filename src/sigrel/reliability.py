@@ -466,12 +466,8 @@ def verify_theorems(
 
     broken = [c for c in checks if not c.consistent]
     if broken:
-        details = "; ".join(
-            f"{c.name}: lhs={c.lhs}, rhs={c.rhs} ({c.relation})" for c in broken
-        )
-        raise TheoremInconsistencyError(
-            f"independently computed sides disagree: {details}"
-        )
+        details = "; ".join(f"{c.name}: lhs={c.lhs}, rhs={c.rhs} ({c.relation})" for c in broken)
+        raise TheoremInconsistencyError(f"independently computed sides disagree: {details}")
 
     return DiagnosisReport(
         mode="verified",

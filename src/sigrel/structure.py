@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import EnumerationBoundError, NonMonotoneError
 from .rationals import file_header
@@ -302,29 +302,20 @@ def _check_size(n: int, system_class: SystemClass, needs: str, family: str, limi
         raise EnumerationBoundError(f"{family} supports n <= {limit}, got n={n}")
 
 
-def _enumeration(func: Callable) -> Callable:
-    """``func(n, system_class)`` cached by ``lru_cache(typed=True)`` behind the enumeration's
-    :func:`_check_size`, which no refused class, even an unhashable one, passes."""
-    cached = lru_cache(maxsize=None, typed=True)(func)
-
-    @wraps(func)
-    def checked(n: int, system_class: SystemClass) -> object:
-        _check_size(n, system_class, "systems need", "enumeration", ENUMERATION_LIMIT)
-        return cached(n, system_class)
-
-    checked.cache_clear = cached.cache_clear
-    return checked
-
-
-@_enumeration
 def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     """Truth tables of every system of the class on n components, ascending.
 
     Both classes range over monotone functions in which every component is
     essential (which forces the boundary values 0 and 1); COHERENT requires
     n >= 3 while SEMICOHERENT also admits n = 2, where the only two such
-    systems are the series and parallel pair.
+    systems are the series and parallel pair. Every refusal precedes the cache.
     """
+    _check_size(n, system_class, "systems need", "enumeration", ENUMERATION_LIMIT)
+    return _class_tables(n, system_class)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     tables = _monotone_tables(n)
     # Keep, one component at a time, the tables on which it is essential.
     for var in range(n):
@@ -333,10 +324,15 @@ def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     return tuple(tables)
 
 
-@_enumeration
 def enumerate_systems(n: int, system_class: SystemClass) -> tuple[StructureFunction, ...]:
     """Every system of the class on n components: :func:`class_tables` as objects."""
-    return tuple(StructureFunction(n, table) for table in class_tables(n, system_class))
+    class_tables(n, system_class)  # checks the class and size before the cache
+    return _enumerate_systems(n, system_class)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _enumerate_systems(n: int, system_class: SystemClass) -> tuple[StructureFunction, ...]:
+    return tuple(StructureFunction(n, table) for table in _class_tables(n, system_class))
 
 
 def _monomial_table(n: int, subset: int) -> int:

@@ -29,7 +29,13 @@ from sigrel import (
 )
 from sigrel.distribution import evaluate_conditions, state_support, survival_numerators
 from sigrel.reliability import _echelon, _residual_rows
-from sigrel.structure import _monotone_tables, class_rank, class_tables
+from sigrel.structure import (
+    _class_tables,
+    _enumerate_systems,
+    _monotone_tables,
+    class_rank,
+    class_tables,
+)
 
 from conftest import exchangeable_mixture, random_no_ties
 from test_integer_scan import (
@@ -257,8 +263,8 @@ def test_verify_builds_structure_functions_only_for_witnesses(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(StructureFunction, "__post_init__", counting)
-    enumerate_systems.cache_clear()
-    class_tables.cache_clear()
+    _enumerate_systems.cache_clear()
+    _class_tables.cache_clear()
     rng = random.Random(2718)
 
     exchangeable = exchangeable_mixture(rng, 5)

@@ -17,10 +17,12 @@ from sigrel import (
     from_path_sets,
     from_truth_table,
     k_out_of_n,
+    level_indices,
     phi_level,
     probability_signature,
     relative_quality,
     signatures_agree,
+    weighted_phi_level,
 )
 from sigrel.structure import StructureFunction, _monotone_tables
 
@@ -63,6 +65,19 @@ class TestPhiLevel:
             phi_level(bridge(), 4)
         with pytest.raises(ValueError):
             phi_level(bridge(), -1)
+
+    @pytest.mark.parametrize("k", [4, -1])
+    def test_level_refusal_is_worded_once(self, k):
+        """Every entry point that takes a level refuses it with one message."""
+        phi = bridge()
+        calls = [
+            lambda: level_indices(3, k),
+            lambda: phi_level(phi, k),
+            lambda: weighted_phi_level(phi, WeightFunction.symmetric(3), k),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"^level {k} out of range 0\.\.3$"):
+                call()
 
 
 class TestBolandSignature:

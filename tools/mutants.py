@@ -1,6 +1,6 @@
 """Re-run the checked-in mutant corpus: each mutant must make its named tests fail.
 
-Usage: ``python tools/mutants.py [--timeout SECONDS] [NAME ...]``
+Usage: ``python tools/mutants.py`` (no options).
 
 The corpus is ``tools/mutants.json``: a list of mutants, each with a
 ``name``, the ``file`` it edits, an ``anchor`` text, its ``replacement`` and
@@ -14,7 +14,7 @@ and restores the file. A mutant is
 - *stale* when its anchor no longer occurs exactly once, so that the code it
   mutated has changed and the entry needs rewriting,
 - *survived* when its tests pass, and an *error* on any other outcome (a
-  collection error or a timeout).
+  collection error or a pytest run over ``TIMEOUT`` seconds).
 
 The exit status is 0 iff no mutant survived or failed with an error. Only
 the standard library is used; the test suite does not collect this file.
@@ -22,7 +22,6 @@ the standard library is used; the test suite does not collect this file.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -35,16 +34,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = Path(__file__).with_name("mutants.json")
 SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "work", "*.egg-info")
+# Seconds per pytest run: far above the slowest named set (about 10 s on a 2-vCPU VM).
+TIMEOUT = 600
 
 
-def pytest(copy: Path, tests: list[str], timeout: float) -> int | None:
+def pytest(copy: Path, tests: list[str]) -> int | None:
     """pytest's exit status on ``tests`` in ``copy``, or None on a timeout."""
     # No bytecode: a mutant of the same size and mtime second could reuse a stale .pyc.
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(copy / "src")}
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
-            command, cwd=copy, env=env, timeout=timeout,
+            command, cwd=copy, env=env, timeout=TIMEOUT,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
     except subprocess.TimeoutExpired:
@@ -52,42 +53,33 @@ def pytest(copy: Path, tests: list[str], timeout: float) -> int | None:
     return done.returncode
 
 
-def run_mutant(copy: Path, mutant: dict, timeout: float) -> str:
+def run_mutant(copy: Path, mutant: dict) -> str:
     path = copy / mutant["file"]
     source = path.read_text(encoding="utf-8")
     if source.count(mutant["anchor"]) != 1:
         return "stale"
     path.write_text(source.replace(mutant["anchor"], mutant["replacement"]), encoding="utf-8")
     try:
-        status = pytest(copy, mutant["tests"], timeout)
+        status = pytest(copy, mutant["tests"])
     finally:
         path.write_text(source, encoding="utf-8")
     return {0: "survived", 1: "caught"}.get(status, "error")
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--timeout", type=float, default=600, help="seconds per pytest run")
-    args = parser.parse_args()
     mutants = json.loads(TABLE.read_text(encoding="utf-8"))
-    unknown = set(args.names) - {m["name"] for m in mutants}
-    if unknown:
-        parser.error(f"unknown mutants: {sorted(unknown)}")
-    if args.names:
-        mutants = [m for m in mutants if m["name"] in args.names]
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="sigrel-mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=SKIP)
         tests = sorted({test for m in mutants for test in m["tests"]})
-        if pytest(copy, tests, args.timeout) != 0:
+        if pytest(copy, tests) != 0:
             print("the named tests do not all pass on the unmutated copy", file=sys.stderr)
             return 2
         counts: dict[str, int] = {}
         for mutant in mutants:
             began = time.perf_counter()
-            outcome = run_mutant(copy, mutant, args.timeout)
+            outcome = run_mutant(copy, mutant)
             counts[outcome] = counts.get(outcome, 0) + 1
             elapsed = time.perf_counter() - began
             print(f"{outcome:9} {elapsed:6.1f} s  {mutant['name']}", flush=True)
