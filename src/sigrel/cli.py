@@ -63,7 +63,7 @@ def _load(path: str, parse: Callable[[object], object]) -> object:
             obj = json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, huge ints, deep nesting
         raise _InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return parse(obj)

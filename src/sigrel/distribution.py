@@ -181,7 +181,7 @@ class StateDistribution(Record):
         if sum(coerced) != 1:
             raise ValueError("state probabilities must sum to exactly 1")
         object.__setattr__(self, "probs", coerced)
-        object.__setattr__(self, "t", Fraction(self.t))
+        object.__setattr__(self, "t", parse_time(self.t))
 
     def prob(self, index: int) -> Fraction:
         return self.probs[index]
@@ -228,7 +228,6 @@ def order_stat_cdfs(d: LifetimeDistribution, atoms: Iterable[RankedAtom]) -> lis
 
 def state_distribution(d: LifetimeDistribution, t: object) -> StateDistribution:
     """Distribution of the working/failed vector at time t (component alive iff lifetime > t)."""
-    t = parse_rational(t)
     probs = [Fraction(0)] * (1 << d.n)
     for index, p in state_support(d, t):
         probs[index] = Fraction(p, d.denominator)

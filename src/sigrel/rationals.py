@@ -19,7 +19,8 @@ def parse_rational(value: object) -> Fraction:
 
     Accepts Fractions, ints, and strings such as ``"3/8"`` or ``"2"``.
     Floats are rejected: they would smuggle binary rounding into code that
-    relies on exact equality. So is a decimal exponent beyond ±4300.
+    relies on exact equality. So are bools, Decimals and a decimal exponent
+    beyond ±4300. Every record and every input file reads its rationals here.
     """
     if isinstance(value, Fraction):
         return value
@@ -59,15 +60,10 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def as_fractions(values: Iterable[object]) -> tuple[Fraction, ...]:
-    """``tuple(Fraction(v) for v in values)``, keeping each value that already is one."""
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-
-
 def state_table(n: int, values: Iterable[object], noun: str) -> tuple[Fraction, ...]:
-    """:func:`as_fractions` of a table with one entry per packed state index of n
-    components; ``noun`` names the entries when the count is not 2**n."""
-    table = as_fractions(values)
+    """:func:`parse_rational` of each entry of a table with one entry per packed
+    state index of n components; ``noun`` names the entries when the count is not 2**n."""
+    table = tuple(map(parse_rational, values))
     if len(table) != 1 << n:
         raise ValueError(f"expected {1 << n} {noun}, got {len(table)}")
     return table

@@ -29,7 +29,7 @@ from .distribution import (
     survival_numerators,
 )
 from .errors import TheoremInconsistencyError, TiesError
-from .rationals import as_fractions, format_rational, parse_rational, parse_time
+from .rationals import format_rational, parse_rational, parse_time
 from .record import Record
 from .signature import Signature, WeightFunction, boland_signature, weighted_signature
 from .structure import (
@@ -68,8 +68,8 @@ class ReliabilityCurve(Record):
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        bps = as_fractions(self.breakpoints)
-        vals = as_fractions(self.values)
+        bps = tuple(map(parse_rational, self.breakpoints))
+        vals = tuple(map(parse_rational, self.values))
         if not bps:
             raise ValueError("a curve needs at least one breakpoint")
         if any(b.numerator <= 0 for b in bps):

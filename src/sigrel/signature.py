@@ -17,9 +17,9 @@ from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import TiesError
-from .rationals import as_fractions, format_rational, state_table
+from .rationals import format_rational, parse_rational, state_table
 from .record import Record
-from .structure import StructureFunction, check_level, level_indices, require_same_count
+from .structure import StructureFunction, check_level, require_same_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .distribution import QualityFunction
@@ -49,7 +49,7 @@ class Signature(Record):
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = as_fractions(self.values)
+        coerced = tuple(map(parse_rational, self.values))
         if not coerced:
             raise ValueError("a signature needs at least one entry")
         object.__setattr__(self, "values", coerced)
@@ -133,9 +133,11 @@ class WeightFunction(Record):
 
 
 def phi_level(phi: StructureFunction, k: int) -> Fraction:
-    """Mean of ``phi`` over the C(n, k) state vectors with k working components."""
-    total = sum(phi.value(i) for i in level_indices(phi.n, k))
-    return Fraction(total, math.comb(phi.n, k))
+    """Mean of ``phi`` over the C(n, k) state vectors with k working components:
+    :func:`weighted_phi_level` under the symmetric weights, and phi(0) at k = 0."""
+    if k == 0:
+        return Fraction(phi.value(0))
+    return weighted_phi_level(phi, WeightFunction.symmetric(phi.n), k)
 
 
 def boland_signature(phi: StructureFunction) -> Signature:

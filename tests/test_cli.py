@@ -327,6 +327,23 @@ class TestErrorPaths:
         assert code == 1
         assert err["error"] == "input"
 
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+            (b'{"n": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+            (b"[" * 100000, "maximum recursion depth exceeded"),
+        ],
+        ids=["non-utf8", "long-int-literal", "deep-nesting"],
+    )
+    def test_undecodable_json_exit_1(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        code, err = run_error(capsys, ["signature", "--system", str(path)])
+        assert code == 1
+        assert err["error"] == "input"
+        assert err["detail"].startswith(f"{path} is not valid JSON: {reason}")
+
     def test_invalid_distribution_exit_1(self, capsys, tmp_path):
         path = tmp_path / "bad_dist.json"
         path.write_text(

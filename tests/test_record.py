@@ -14,7 +14,9 @@ import os
 import pickle
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -302,6 +304,28 @@ ERRORS = [
     (law(1, ((1,), 2), ((-1,), 1)), "atom probability 2 is outside (0, 1]"),
     (law(1, ((1,), F(1, 2))), "atom probabilities sum to 1/2, off by 1/2"),
     (law(1, ((1,), F(1, 2)), ((1,), F(2, 3))), "atom probabilities sum to 7/6, off by -1/6"),
+    (lambda: StateDistribution(1, 0, (F(1, 2), F(1, 2))), "time must be positive, got 0"),
+]
+
+# Every record reads its rationals through parse_rational, as the law and the
+# input files do, so each refuses these values with parse_rational's message.
+HOSTILE = [
+    (0.1, "not a rational: 0.1"),
+    (True, "not a rational: True"),
+    (Decimal("0.1"), "not a rational: Decimal('0.1')"),
+    ("1e4301", "not a rational: '1e4301' has a decimal exponent beyond the limit of 4300"),
+]
+RATIONAL_FIELDS = [
+    lambda v: Signature((v,)),
+    lambda v: ReliabilityCurve((v,), (1, 0)),
+    lambda v: ReliabilityCurve((1,), (v, 0)),
+    lambda v: WeightFunction(1, (v, 1)),
+    lambda v: QualityFunction(1, (1, v)),
+    lambda v: StateDistribution(1, 1, (v, 1)),
+    lambda v: StateDistribution(1, v, (F(1, 2), F(1, 2))),
+]
+ERRORS += [
+    (partial(make, value), message) for value, message in HOSTILE for make in RATIONAL_FIELDS
 ]
 
 
@@ -310,3 +334,13 @@ def test_constructor_error_messages(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+def test_records_accept_fractions_ints_and_rational_strings():
+    half = (F(1, 2), F(1, 2))
+    assert Signature(("1/3", 0, F(2, 3))).values == (F(1, 3), F(0), F(2, 3))
+    curve = ReliabilityCurve(("1", "5/2"), (1, "1/2", "0"))
+    assert curve == ReliabilityCurve((1, F(5, 2)), (1, F(1, 2), 0))
+    assert WeightFunction(1, ("1/2", "1.5e0")).values == (F(1, 2), F(3, 2))
+    assert QualityFunction(1, ("1", 1)).values == (F(1), F(1))
+    assert StateDistribution(1, "1/2", ("1/2", "0.5")) == StateDistribution(1, F(1, 2), half)

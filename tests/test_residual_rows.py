@@ -31,7 +31,6 @@ from sigrel.distribution import evaluate_conditions, state_support, survival_num
 from sigrel.reliability import _echelon, _residual_rows
 from sigrel.structure import (
     _class_tables,
-    _enumerate_systems,
     _monotone_tables,
     class_rank,
     class_tables,
@@ -263,7 +262,6 @@ def test_verify_builds_structure_functions_only_for_witnesses(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(StructureFunction, "__post_init__", counting)
-    _enumerate_systems.cache_clear()
     _class_tables.cache_clear()
     rng = random.Random(2718)
 

@@ -60,6 +60,9 @@ class TestPhiLevel:
             assert phi_level(phi, 3) == 1
             assert phi_level(phi, 0) == 0
 
+    def test_level_zero_is_the_all_failed_value(self):
+        assert phi_level(StructureFunction(2, 0b1111), 0) == 1
+
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             phi_level(bridge(), 4)
