@@ -134,10 +134,9 @@ class WeightFunction(Record):
 
 def phi_level(phi: StructureFunction, k: int) -> Fraction:
     """Mean of ``phi`` over the C(n, k) state vectors with k working components:
-    :func:`weighted_phi_level` under the symmetric weights, and phi(0) at k = 0."""
-    if k == 0:
-        return Fraction(phi.value(0))
-    return weighted_phi_level(phi, WeightFunction.symmetric(phi.n), k)
+    :func:`weighted_phi_level` under the symmetric weights, except phi(0) at k = 0."""
+    level = weighted_phi_level(phi, WeightFunction.symmetric(phi.n), k)
+    return level if k else Fraction(phi.value(0))
 
 
 def boland_signature(phi: StructureFunction) -> Signature:
