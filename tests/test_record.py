@@ -337,10 +337,10 @@ def test_constructor_error_messages(make, message):
 
 
 def test_records_accept_fractions_ints_and_rational_strings():
-    half = (F(1, 2), F(1, 2))
     assert Signature(("1/3", 0, F(2, 3))).values == (F(1, 3), F(0), F(2, 3))
     curve = ReliabilityCurve(("1", "5/2"), (1, "1/2", "0"))
     assert curve == ReliabilityCurve((1, F(5, 2)), (1, F(1, 2), 0))
     assert WeightFunction(1, ("1/2", "1.5e0")).values == (F(1, 2), F(3, 2))
     assert QualityFunction(1, ("1", 1)).values == (F(1), F(1))
-    assert StateDistribution(1, "1/2", ("1/2", "0.5")) == StateDistribution(1, F(1, 2), half)
+    states = StateDistribution(1, "1/2", ("1/2", "0.5"))
+    assert states == StateDistribution(1, F(1, 2), (F(1, 2), F(1, 2)))
