@@ -31,7 +31,7 @@ from .errors import EnumerationBoundError, TiesError
 from .rationals import file_header, format_rational, parse_rational, parse_time, state_table
 from .record import Record
 from .signature import WeightFunction
-from .structure import component_mask, level_indices, require_same_count
+from .structure import check_count, check_range, component_mask, level_indices, require_same_count
 
 __all__ = [
     "ORDERING_LIMIT",
@@ -80,8 +80,7 @@ class LifetimeDistribution(Record):
     atoms: tuple[Atom, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"component count must be a positive integer, got {self.n!r}")
+        check_count(self.n)
         if not self.atoms:
             raise ValueError("a distribution needs at least one atom")
         parsed: list[Atom] = []
@@ -157,8 +156,7 @@ class QualityFunction(Record, uncompared=("from_tied",)):
     from_tied: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("quality functions need n >= 1")
+        check_count(self.n)
         coerced = state_table(self.n, self.values, f"values for n={self.n}")
         if coerced[0] != 1 or coerced[-1] != 1:
             raise ValueError("the empty and full subsets must have quality 1")
@@ -175,6 +173,7 @@ class StateDistribution(Record):
     probs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        check_count(self.n)
         coerced = state_table(self.n, self.probs, "state probabilities")
         if any(v.numerator < 0 for v in coerced):
             raise ValueError("state probabilities must be nonnegative")
@@ -342,8 +341,7 @@ def _lifetime_exchangeability_witness(d: LifetimeDistribution) -> dict | None:
 
 def order_stat_survival(d: LifetimeDistribution, k: int, t: object) -> Fraction:
     """Probability that the k-th smallest lifetime exceeds t (k in 1..n)."""
-    if not 1 <= k <= d.n:
-        raise ValueError(f"order statistic index {k} out of range 1..{d.n}")
+    check_range(k, 1, d.n, "order statistic index")
     return Fraction(survival_numerators(d, t)[k - 1], d.denominator)
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterator
 from .errors import TiesError
 from .rationals import format_rational, parse_rational, state_table
 from .record import Record
-from .structure import StructureFunction, check_level, require_same_count
+from .structure import StructureFunction, check_count, check_range, require_same_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from .distribution import QualityFunction
@@ -74,8 +74,7 @@ class WeightFunction(Record):
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("weight functions need n >= 1")
+        check_count(self.n)
         coerced = state_table(self.n, self.values, f"weights for n={self.n}")
         object.__setattr__(self, "values", coerced)
 
@@ -86,6 +85,7 @@ class WeightFunction(Record):
 
         One instance per n is built and shared; instances are frozen.
         """
+        check_count(n)
         values = [
             Fraction(1, math.comb(n, mask.bit_count())) for mask in range(1 << n)
         ]
@@ -158,7 +158,7 @@ def weighted_phi_level(phi: StructureFunction, w: WeightFunction, k: int) -> Fra
     The value at k = 0 is 0 by convention (not w(0) * phi(0)), which makes
     signature entries telescope cleanly for any weights.
     """
-    check_level(phi.n, k)
+    check_range(k, 0, phi.n, "level")
     return Fraction(w.phi_level_numerators(phi)[k], w.denominator)
 
 

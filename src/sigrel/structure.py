@@ -115,16 +115,23 @@ def _monotonicity_witness(n: int, table: int) -> tuple[int, int] | None:
     return None
 
 
-def check_level(n: int, k: int) -> None:
-    """Refuse a level k, a number of working components, outside 0..n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"level {k} out of range 0..{n}")
+def check_count(n: object) -> None:
+    """Refuse a component count that is not an int >= 1, a bool included."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"component count must be a positive integer, got {n!r}")
+
+
+def check_range(value: object, low: int, high: int, noun: str) -> None:
+    """Refuse a level, index or component that is not an int in low..high, a bool included."""
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
+        raise ValueError(f"{noun} {value!r} out of range {low}..{high}")
 
 
 @lru_cache(maxsize=None, typed=True)
 def level_indices(n: int, k: int) -> tuple[int, ...]:
     """All table indices whose state vector has exactly k working components."""
-    check_level(n, k)
+    check_count(n)
+    check_range(k, 0, n, "level")
     return tuple(
         sorted(sum(1 << b for b in combo) for combo in combinations(range(n), k))
     )
@@ -174,8 +181,7 @@ class StructureFunction(Record):
 
     def value(self, index: int) -> int:
         """System state at a packed state index."""
-        if not 0 <= index < (1 << self.n):
-            raise ValueError(f"state index {index} out of range")
+        check_range(index, 0, (1 << self.n) - 1, "state index")
         return (self.table >> index) & 1
 
     def __call__(self, states: Sequence[int]) -> int:
@@ -191,8 +197,7 @@ class StructureFunction(Record):
 
 def from_truth_table(n: int, bits: Sequence[int] | str) -> StructureFunction:
     """Build a structure function from its 2**n table entries, index 0 first."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"component count must be an integer, got {n!r}")
+    check_count(n)
     # Only a length of bit length n + 1 can be 2**n: test it before shifting.
     if len(bits).bit_length() != n + 1 or len(bits) != 1 << n:
         expected = 1 << n if n < 64 else f"2**{n}"
@@ -236,8 +241,7 @@ def component_mask(n: int, components: Iterable[int], noun: str) -> int:
     member that is not an int in 1..n, a bool included."""
     mask = 0
     for comp in components:
-        if not isinstance(comp, int) or isinstance(comp, bool) or not 1 <= comp <= n:
-            raise ValueError(f"{noun} {comp!r} out of range 1..{n}")
+        check_range(comp, 1, n, noun)
         mask |= 1 << (comp - 1)
     return mask
 
@@ -248,8 +252,8 @@ def k_out_of_n(n: int, k: int) -> StructureFunction:
     Its lifetime is the k-th smallest component lifetime, so k = 1 is the
     series system and k = n the parallel system.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in 1..{n}, got {k}")
+    check_count(n)
+    check_range(k, 1, n, "order statistic index")
     # at_least[m]: the indices over components 1..i at which at least m of them work.
     at_least = [1] + [0] * (n - k + 1)
     for i in range(n):
@@ -289,8 +293,8 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
 
 
 def _check_size(n: int, system_class: SystemClass, needs: str, family: str, limit: int) -> None:
-    """Refuse, in this order, an unknown class, n below the class minimum and n
-    above ``limit``; ``needs`` and ``family`` word the two size messages."""
+    """Refuse, in this order, an unknown class, n below the class minimum, any other bad
+    count and n above ``limit``; ``needs`` and ``family`` word the two size messages."""
     if not isinstance(system_class, SystemClass):
         raise ValueError(f"unknown system class {system_class!r}")
     if n < system_class.min_components:
@@ -298,6 +302,7 @@ def _check_size(n: int, system_class: SystemClass, needs: str, family: str, limi
             f"{system_class.value} {needs} at least {system_class.min_components} "
             f"components, got n={n}"
         )
+    check_count(n)
     if n > limit:
         raise EnumerationBoundError(f"{family} supports n <= {limit}, got n={n}")
 
@@ -412,10 +417,8 @@ def rank_over_rationals(functions: Iterable[StructureFunction]) -> int:
     fs = list(functions)
     if not fs:
         return 0
-    n = fs[0].n
-    if any(f.n != n for f in fs):
-        raise ValueError("all functions must share the same component count")
-    return _table_rank(n, [f.table for f in fs])
+    require_same_count("functions", *fs)
+    return _table_rank(fs[0].n, [f.table for f in fs])
 
 
 def class_rank(n: int, system_class: SystemClass) -> int:

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, exit codes, error JSON, determinism."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -536,3 +538,26 @@ class TestModuleEntryPoint:
             )
             assert (proc.stdout, proc.stderr, proc.returncode) == (captured.out, captured.err, code)
         assert code == 2
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_calls_print_the_recorded_bytes(capsys, tmp_path):
+    """Every call of every benchmark workload, built at the seed of
+    ``perfbench/digests.json``, exits 0 and prints stdout with the recorded sha256."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses looks its module up here
+    spec.loader.exec_module(workloads)
+    recorded = json.loads((BENCH / "digests.json").read_text())
+    assert sorted(recorded["workloads"]) == sorted(workloads.WORKLOADS)
+    for name, digests in recorded["workloads"].items():
+        work = tmp_path / name
+        work.mkdir()
+        calls = workloads.build(name, recorded["seed"], work)
+        assert sorted(call.label for call in calls) == sorted(digests)
+        for call in calls:
+            assert run(call.args) == 0, call.label
+            stdout = capsys.readouterr().out.encode()
+            assert hashlib.sha256(stdout).hexdigest() == digests[call.label], call.label

@@ -1,6 +1,7 @@
 """Each input rule refuses a bad input with one message at every entry point:
-the file headers, the 1-based component range, the system/law component
-count, and the cache keys of the size-indexed tables."""
+the file headers, the integer component count, level and index, the 1-based
+component range, the system/law component count, and the cache keys of the
+size-indexed tables."""
 
 import ast
 import json
@@ -13,6 +14,10 @@ from pathlib import Path
 import pytest
 
 from sigrel import (
+    EnumerationBoundError,
+    LifetimeDistribution,
+    QualityFunction,
+    StateDistribution,
     SystemClass,
     TiesError,
     WeightFunction,
@@ -22,13 +27,19 @@ from sigrel import (
     distribution_from_json,
     enumerate_systems,
     from_path_sets,
+    from_truth_table,
     group_reliability,
     k_out_of_n,
+    level_indices,
+    order_stat_survival,
+    phi_level,
     probability_signature_oracle,
+    rank_over_rationals,
     reliability_curve,
     repr_weighted,
     system_from_json,
     system_reliability,
+    weighted_phi_level,
 )
 from sigrel.cli import run
 
@@ -97,6 +108,80 @@ def test_component_range_refusals(component):
         group_reliability(law, [component], 0)
 
 
+COUNT = "component count must be a positive integer, got {!r}"
+MAJORITY, LAW = k_out_of_n(3, 2), make_dist(3, [((1, 2, 3), 1)])
+
+COUNTS = {
+    "LifetimeDistribution": lambda n: LifetimeDistribution(n, (((1,), 1),)),
+    "QualityFunction": lambda n: QualityFunction(n, (1, 1)),
+    "WeightFunction": lambda n: WeightFunction(n, (1, 1)),
+    "StateDistribution": lambda n: StateDistribution(n, 1, (0, 1)),
+    "from_truth_table": lambda n: from_truth_table(n, "01"),
+    "k_out_of_n": lambda n: k_out_of_n(n, 1),
+    "symmetric": WeightFunction.symmetric,
+    "level_indices": lambda n: level_indices(n, 0),
+}
+# (entry point, its range and the noun of its message)
+RANGES = {
+    "level_indices-level": (lambda k: level_indices(3, k), 0, 3, "level"),
+    "phi_level": (lambda k: phi_level(MAJORITY, k), 0, 3, "level"),
+    "weighted_phi_level": (
+        lambda k: weighted_phi_level(MAJORITY, WeightFunction.symmetric(3), k), 0, 3, "level"
+    ),
+    "order_stat_survival": (lambda k: order_stat_survival(LAW, k, 1), 1, 3, "order statistic index"),
+    "k_out_of_n-k": (lambda k: k_out_of_n(3, k), 1, 3, "order statistic index"),
+    "value": (MAJORITY.value, 0, 7, "state index"),
+    "from_path_sets": (lambda c: from_path_sets(3, [[c]]), 1, 3, "path component"),
+    "group_reliability": (lambda c: group_reliability(LAW, [c], 1), 1, 3, "component"),
+}
+# (entry point, call, bad value, message): a bool, a float, and values below and
+# above the range; a count has no upper bound, so a string stands in for it.
+INTEGER_REFUSALS = [
+    (name, make, value, COUNT.format(value))
+    for name, make in COUNTS.items()
+    for value in (True, 1.0, 0, -1, "1")
+] + [
+    (name, make, value, f"{noun} {value!r} out of range {low}..{high}")
+    for name, (make, low, high, noun) in RANGES.items()
+    for value in (True, float(low + 1), low - 1, high + 1)
+] + [
+    # Calls that a missing or partial check once let through or let fail deep inside.
+    ("StateDistribution-one-entry", lambda n: StateDistribution(n, 1, (1,)), 0, COUNT.format(0)),
+    ("StateDistribution-one-entry", lambda n: StateDistribution(n, 1, (1,)), -1, COUNT.format(-1)),
+    ("k_out_of_n", COUNTS["k_out_of_n"], 2.0, COUNT.format(2.0)),
+    ("phi_level", RANGES["phi_level"][0], 1.5, "level 1.5 out of range 0..3"),
+    ("order_stat_survival", RANGES["order_stat_survival"][0], 1.0,
+     "order statistic index 1.0 out of range 1..3"),
+    ("k_out_of_n-k", RANGES["k_out_of_n-k"][0], 1.0, "order statistic index 1.0 out of range 1..3"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, value, message",
+    [case[1:] for case in INTEGER_REFUSALS],
+    ids=[f"{name}-{value!r}" for name, _, value, _ in INTEGER_REFUSALS],
+)
+def test_integer_refusals(make, value, message):
+    """Every count, level and index is refused by one of the two integer rules."""
+    with pytest.raises(ValueError) as exc:
+        make(value)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [class_tables, enumerate_systems, class_rank, appendix_basis])
+def test_class_sizes_keep_their_messages(call):
+    """Below the class minimum (a bool included) and above the limit the size
+    messages stand; any other bad count gets the count rule's message."""
+    needs = "basis needs" if call is appendix_basis else "systems need"
+    for n in (True, 2, -1):
+        with pytest.raises(ValueError, match=f"^coherent {needs} at least 3 components, got n={n}$"):
+            call(n, SystemClass.COHERENT)
+    with pytest.raises(ValueError, match=f"^{re.escape(COUNT.format(3.0))}$"):
+        call(3.0, SystemClass.COHERENT)
+    with pytest.raises(EnumerationBoundError, match=" supports n <= "):
+        call(13, SystemClass.COHERENT)
+
+
 def test_component_count_refusals():
     phi, law = k_out_of_n(3, 2), make_dist(2, [((1, 2), 1)])
     message = "^system and distribution disagree on component count$"
@@ -110,6 +195,8 @@ def test_component_count_refusals():
     # Every part counts, not only the first two.
     with pytest.raises(ValueError, match="^system, weights, and distribution disagree"):
         repr_weighted(phi, law, WeightFunction.symmetric(3), 1)
+    with pytest.raises(ValueError, match="^functions disagree on component count$"):
+        rank_over_rationals([phi, phi, k_out_of_n(2, 1)])
     # The oracle refuses ties before it compares the counts.
     tied = make_dist(2, [((1, 1), 1)])
     with pytest.raises(TiesError, match="^signature oracle needs a distribution without ties$"):
@@ -166,7 +253,7 @@ print(repr((cold, warm)))
 
 
 def test_cached_answers_do_not_depend_on_earlier_calls():
-    """n = 3.0 gets the same answer whether or not n = 3 ran first: the
+    """n = 3.0 gets the same refusal whether or not n = 3 ran first: the
     caches do not share a key between equal values of different types."""
     out = subprocess.run(
         [sys.executable, "-c", COLD_WARM],
@@ -176,5 +263,5 @@ def test_cached_answers_do_not_depend_on_earlier_calls():
         check=True,
     ).stdout
     cold, warm = ast.literal_eval(out)
-    assert cold == dict.fromkeys(cold, "TypeError")
+    assert cold == dict.fromkeys(cold, "ValueError")
     assert warm == cold

@@ -264,7 +264,7 @@ ERRORS = [
     (lambda: ReliabilityCurve((1,), (2, 0)), "curve values must lie in [0, 1]"),
     (lambda: ReliabilityCurve((1,), (1, F(-1, 2))), "curve values must lie in [0, 1]"),
     # QualityFunction
-    (lambda: QualityFunction(0, (1,)), "quality functions need n >= 1"),
+    (lambda: QualityFunction(0, (1,)), "component count must be a positive integer, got 0"),
     (lambda: QualityFunction(1, (1,)), "expected 2 values for n=1, got 1"),
     (lambda: QualityFunction(1, (2,)), "expected 2 values for n=1, got 1"),
     (lambda: QualityFunction(1, (0, 1)), "the empty and full subsets must have quality 1"),
@@ -272,8 +272,8 @@ ERRORS = [
     (lambda: QualityFunction(2, (1, 2, 0, 1)), "quality values must lie in [0, 1]"),
     (lambda: QualityFunction(2, (1, F(-1, 2), 0, 1)), "quality values must lie in [0, 1]"),
     # WeightFunction
-    (lambda: WeightFunction(0, (1,)), "weight functions need n >= 1"),
-    (lambda: WeightFunction(0, ()), "weight functions need n >= 1"),
+    (lambda: WeightFunction(0, (1,)), "component count must be a positive integer, got 0"),
+    (lambda: WeightFunction(0, ()), "component count must be a positive integer, got 0"),
     (lambda: WeightFunction(1, (1, 2, 3)), "expected 2 weights for n=1, got 3"),
     # Signature
     (lambda: Signature(()), "a signature needs at least one entry"),
