@@ -54,9 +54,8 @@ def parse_time(value: object) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical ``a/b`` form: gcd(a, b) = 1 and b > 0, denominator always shown."""
-    if type(value) is not Fraction:
-        value = Fraction(value)
+    """Canonical ``a/b`` form of :func:`parse_rational`'s value, denominator always shown."""
+    value = parse_rational(value)
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import EnumerationBoundError, NonMonotoneError
@@ -132,9 +131,7 @@ def level_indices(n: int, k: int) -> tuple[int, ...]:
     """All table indices whose state vector has exactly k working components."""
     check_count(n)
     check_range(k, 0, n, "level")
-    return tuple(
-        sorted(sum(1 << b for b in combo) for combo in combinations(range(n), k))
-    )
+    return tuple(x for x in range(1 << n) if x.bit_count() == k)
 
 
 class StructureFunction(Record):
@@ -215,6 +212,7 @@ def from_path_sets(n: int, paths: Iterable[Iterable[int]]) -> StructureFunction:
     ``paths`` holds 1-based component subsets. At least one path is
     required and each path must be a nonempty subset of 1..n.
     """
+    check_count(n)
     if n > PATH_SET_LIMIT:
         raise EnumerationBoundError(
             f"path-set systems support n <= {PATH_SET_LIMIT}, got n={n}"
@@ -293,11 +291,11 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
 
 
 def _check_size(n: int, system_class: SystemClass, needs: str, family: str, limit: int) -> None:
-    """Refuse, in this order, an unknown class, n below the class minimum, any other bad
-    count and n above ``limit``; ``needs`` and ``family`` word the two size messages."""
+    """Refuse, in this order, an unknown class, an int n below the class minimum, any other
+    bad count and n above ``limit``; ``needs`` and ``family`` word the two size messages."""
     if not isinstance(system_class, SystemClass):
         raise ValueError(f"unknown system class {system_class!r}")
-    if n < system_class.min_components:
+    if isinstance(n, int) and n < system_class.min_components:
         raise ValueError(
             f"{system_class.value} {needs} at least {system_class.min_components} "
             f"components, got n={n}"

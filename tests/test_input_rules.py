@@ -77,13 +77,19 @@ HEADER_REFUSALS = [
      "distribution field 'n' must be an integer, got True"),
     (distribution_from_json, ("diagnose", "--dist"), {"n": "3", **ATOMS},
      "distribution field 'n' must be an integer, got '3'"),
+    # After the header, the shape of the paths and of each atom's lifetimes.
+    (system_from_json, ("signature", "--system"), {"n": 3, "kind": "paths", "paths": [1]},
+     "paths systems need a 'paths' list of lists"),
+    (distribution_from_json, ("diagnose", "--dist"), {"n": 1, "atoms": [{"x": "1", "p": "1"}]},
+     "atom 0: 'x' must be a list of rationals"),
 ]
 
 
 @pytest.mark.parametrize("parse, command, obj, message", HEADER_REFUSALS)
 def test_file_header_refusals(parse, command, obj, message, capsys, tmp_path):
     """A non-object, then the first missing field in order, then an ``n`` that
-    is not an int, in the library and on the command line (exit 1)."""
+    is not an int, then a paths or lifetimes field of the wrong shape, in the
+    library and on the command line (exit 1)."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse(obj)
     path = tmp_path / "input.json"
@@ -120,6 +126,7 @@ COUNTS = {
     "k_out_of_n": lambda n: k_out_of_n(n, 1),
     "symmetric": WeightFunction.symmetric,
     "level_indices": lambda n: level_indices(n, 0),
+    "from_path_sets-n": lambda n: from_path_sets(n, [[1]]),
 }
 # (entry point, its range and the noun of its message)
 RANGES = {
@@ -153,6 +160,7 @@ INTEGER_REFUSALS = [
     ("order_stat_survival", RANGES["order_stat_survival"][0], 1.0,
      "order statistic index 1.0 out of range 1..3"),
     ("k_out_of_n-k", RANGES["k_out_of_n-k"][0], 1.0, "order statistic index 1.0 out of range 1..3"),
+    ("from_path_sets-n", COUNTS["from_path_sets-n"], 2.5, COUNT.format(2.5)),
 ]
 
 
@@ -176,8 +184,9 @@ def test_class_sizes_keep_their_messages(call):
     for n in (True, 2, -1):
         with pytest.raises(ValueError, match=f"^coherent {needs} at least 3 components, got n={n}$"):
             call(n, SystemClass.COHERENT)
-    with pytest.raises(ValueError, match=f"^{re.escape(COUNT.format(3.0))}$"):
-        call(3.0, SystemClass.COHERENT)
+    for n in (3.0, "3", None):
+        with pytest.raises(ValueError, match=f"^{re.escape(COUNT.format(n))}$"):
+            call(n, SystemClass.COHERENT)
     with pytest.raises(EnumerationBoundError, match=" supports n <= "):
         call(13, SystemClass.COHERENT)
 

@@ -33,6 +33,7 @@ from sigrel import (
     TheoremCheck,
     WeightFunction,
     diagnose,
+    format_rational,
     k_out_of_n,
 )
 from sigrel.record import Record
@@ -327,6 +328,8 @@ RATIONAL_FIELDS = [
 ERRORS += [
     (partial(make, value), message) for value, message in HOSTILE for make in RATIONAL_FIELDS
 ]
+# Output goes through the same rule: format_rational reads parse_rational.
+ERRORS += [(partial(format_rational, value), message) for value, message in HOSTILE]
 
 
 @pytest.mark.parametrize("make, message", ERRORS, ids=range(len(ERRORS)))

@@ -1,6 +1,8 @@
 """System lifetimes, curves, the two representations, diagnosis, verification."""
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,14 @@ from sigrel import (
     ReliabilityCurve,
     SystemClass,
     TheoremCheck,
+    TheoremInconsistencyError,
     TiesError,
     WeightFunction,
     boland_signature,
     breakpoints,
     condition_w,
     diagnose,
+    distribution_to_json,
     enumerate_systems,
     from_path_sets,
     from_truth_table,
@@ -35,6 +39,8 @@ from sigrel import (
     system_reliability,
     verify_theorems,
 )
+from sigrel import reliability
+from sigrel.cli import run
 
 from conftest import make_dist, orbit_dist, random_no_ties
 
@@ -417,6 +423,30 @@ class TestVerifyTheorems:
         assert report.has_ties
         assert report.prob_repr_all_systems is None
         assert len(report.theorem_checks) == 1
+
+    def test_disagreeing_sides_raise_and_exit_3(
+        self, shifted_ladders, monkeypatch, capsys, tmp_path
+    ):
+        """A condition that contradicts the measured verdict is an inconsistency:
+        the library raises it and ``verify`` exits 3."""
+        evaluate_conditions = reliability.evaluate_conditions
+
+        def flipped(d, supports):
+            weights, fields = evaluate_conditions(d, supports)
+            states = not fields["states_exchangeable_everywhere"]
+            return weights, {**fields, "states_exchangeable_everywhere": states}
+
+        monkeypatch.setattr(reliability, "evaluate_conditions", flipped)
+        name = "boland_repr_iff_states_exchangeable: lhs=True, rhs=False (iff)"
+        with pytest.raises(TheoremInconsistencyError, match=re.escape(name)):
+            verify_theorems(3, shifted_ladders, SystemClass.COHERENT)
+        path = tmp_path / "ladders.json"
+        path.write_text(json.dumps(distribution_to_json(shifted_ladders)))
+        assert run(["verify", "--dist", str(path), "--class", "coherent"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "inconsistency" and name in err["detail"]
 
     def test_n_mismatch(self, staggered_pairs):
         with pytest.raises(ValueError):
