@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import EnumerationBoundError, NonMonotoneError
@@ -131,7 +132,9 @@ def level_indices(n: int, k: int) -> tuple[int, ...]:
     """All table indices whose state vector has exactly k working components."""
     check_count(n)
     check_range(k, 0, n, "level")
-    return tuple(x for x in range(1 << n) if x.bit_count() == k)
+    return tuple(
+        sorted(sum(1 << b for b in combo) for combo in combinations(range(n), k))
+    )
 
 
 class StructureFunction(Record):

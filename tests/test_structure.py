@@ -4,7 +4,6 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -27,7 +26,7 @@ from sigrel import (
     system_to_json,
     rank_over_rationals,
 )
-from sigrel.structure import PATH_SET_LIMIT, _monotone_tables, level_indices
+from sigrel.structure import PATH_SET_LIMIT, _monotone_tables
 
 
 def brute_force_tables(n, boundary, essential):
@@ -173,15 +172,6 @@ class TestEvaluate:
             evaluate(k_out_of_n(3, 1), (1, 1))
         with pytest.raises(ValueError):
             evaluate(k_out_of_n(3, 1), (1, 2, 0))
-
-
-def test_level_indices_match_the_subset_enumeration():
-    """A level is a popcount: the indices with k bits set, ascending, are the
-    sorted masks of the k-subsets of the n components."""
-    for n in range(1, 13):
-        for k in range(n + 1):
-            masks = (sum(1 << b for b in combo) for combo in combinations(range(n), k))
-            assert level_indices(n, k) == tuple(sorted(masks))
 
 
 class TestEnumeration:
