@@ -239,21 +239,31 @@ def _state_vector(n: int, index: int) -> list[int]:
 
 def _state_exchangeability_at(d: LifetimeDistribution, support: Support) -> dict | None:
     """Witness of the first same-level state pair, by level then index, with
-    unequal probabilities; the caller adds the time."""
+    unequal probabilities; the caller adds the time.
+
+    The pair is a level's first state and the least later state whose
+    probability differs. That state is supported or directly follows a
+    supported state at its level, so no level is listed in full."""
     probs = dict(support)
+    candidates: dict[int, list[int]] = {}
+    for x in probs:
+        # The next index at x's level: the lowest run of ones in x moves its top bit
+        # up by one and the rest of the run down to bit 0.
+        low = x & -x
+        after = x + low | (x ^ x + low) // low >> 2 if x else x
+        candidates.setdefault(x.bit_count(), []).extend((x, after))
     # A level without a supported state is all zero.
-    for k in sorted({index.bit_count() for index in probs}):
-        first, *others = level_indices(d.n, k)
+    for k, level in sorted(candidates.items()):
+        first = (1 << k) - 1
         p = probs.get(first, 0)
-        for other in others:
-            q = probs.get(other, 0)
-            if q != p:
-                return {
-                    "state": _state_vector(d.n, first),
-                    "other_state": _state_vector(d.n, other),
-                    "probability": format_rational(Fraction(p, d.denominator)),
-                    "other_probability": format_rational(Fraction(q, d.denominator)),
-                }
+        other = min((x for x in level if x >> d.n == 0 and probs.get(x, 0) != p), default=None)
+        if other is not None:
+            return {
+                "state": _state_vector(d.n, first),
+                "other_state": _state_vector(d.n, other),
+                "probability": format_rational(Fraction(p, d.denominator)),
+                "other_probability": format_rational(Fraction(probs.get(other, 0), d.denominator)),
+            }
     return None
 
 

@@ -13,11 +13,10 @@ disagreement as a fatal implementation bug.
 from __future__ import annotations
 
 import bisect
-import math
 from fractions import Fraction
 from itertools import accumulate, compress, pairwise
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .distribution import (
     LifetimeDistribution,
@@ -37,6 +36,7 @@ from .structure import (
     SystemClass,
     class_rank,
     class_tables,
+    echelon,
     require_same_count,
     system_to_json,
 )
@@ -336,24 +336,6 @@ def _residual_rows(
     return rows
 
 
-def _echelon(rows: Iterable[Sequence[int]], limit: int) -> list[list[int]]:
-    """An echelon basis of the rows' span, reduced fraction-free, each row
-    divided by its gcd; it stops at ``limit`` rows, which must bound the rank."""
-    kept: list[tuple[int, list[int]]] = []
-    for row in rows:
-        if len(kept) == limit:
-            break
-        for pivot, basis_row in kept:
-            if c := row[pivot]:
-                a = basis_row[pivot]
-                row = [a * u - c * v for u, v in zip(row, basis_row)]
-        if any(row):
-            g = math.gcd(*row)
-            row = [u // g for u in row]
-            kept.append((next(j for j, u in enumerate(row) if u), row))
-    return [row for _, row in kept]
-
-
 def verify_theorems(
     n: int, d: LifetimeDistribution, system_class: SystemClass
 ) -> DiagnosisReport:
@@ -395,7 +377,7 @@ def verify_theorems(
         # Every row is 0 at state 0 and sums to 0 on each level m = 1..n (both
         # weight functions sum to 1 on each level, the quality on the tie-free
         # laws it is used for), so the rows span at most 2**n - 1 - n dimensions.
-        basis = _echelon(rows, (1 << n) - 1 - n)
+        basis = echelon(rows, (1 << n) - 1 - n)
         if not basis:
             return None
         for table in tables:

@@ -58,8 +58,9 @@ ENUMERATION_LIMIT = 5
 
 # The spanning family has 2**n - 1 members of 2**n table entries each, so
 # every step up in n costs about four times the memory and time. At n = 12
-# the `basis` command already prints 17 MB of JSON and takes 1.2 s, or 10 s
-# with the rank check (Python 3.11 on a 2-vCPU VM, in a subprocess).
+# the `basis` command already prints 17 MB of JSON and takes 0.5 s, or 7.5 s
+# and 170 MB peak RSS with the rank check (Python 3.11 on a 2-vCPU VM, in a
+# subprocess).
 BASIS_LIMIT = 12
 
 # A path-set system is tabulated as one OR of monomial masks, 2 ms at n = 18
@@ -127,7 +128,6 @@ def check_range(value: object, low: int, high: int, noun: str) -> None:
         raise ValueError(f"{noun} {value!r} out of range {low}..{high}")
 
 
-@lru_cache(maxsize=None, typed=True)
 def level_indices(n: int, k: int) -> tuple[int, ...]:
     """All table indices whose state vector has exactly k working components."""
     check_count(n)
@@ -400,20 +400,34 @@ def _basis_tables(n: int, system_class: SystemClass) -> list[int]:
     return tables
 
 
+def echelon(rows: Iterable[Sequence[int]], limit: int) -> list[list[int]]:
+    """An echelon basis of the rows' span, reduced fraction-free, each row
+    divided by its gcd; it stops at ``limit`` rows, which must bound the rank."""
+    kept: list[tuple[int, list[int]]] = []
+    for row in rows:
+        if len(kept) == limit:
+            break
+        for pivot, basis_row in kept:
+            if c := row[pivot]:
+                a = basis_row[pivot]
+                row = [a * u - c * v for u, v in zip(row, basis_row)]
+        if any(row):
+            g = math.gcd(*row)
+            row = [u // g for u in row]
+            kept.append((next(j for j, u in enumerate(row) if u), row))
+    return [row for _, row in kept]
+
+
 def rank_over_rationals(functions: Iterable[StructureFunction]) -> int:
     """Exact rank over the rationals of the functions' value vectors.
 
-    Each function contributes the length-2**n row of its table entries. The
-    rank is the number of columns that some row touches, minus the
-    dimension of the space of functionals on those columns that vanish on
-    every row seen so far. That space starts with one unit functional per
-    touched column. A row that every functional annihilates is already in
-    the span of the earlier rows and is skipped. Otherwise one functional
-    that does not annihilate the row leaves the space, and each of the
-    others is combined with it by integer cross-multiplication so that it
-    annihilates the row too, then divided by the gcd of its entries. The
-    functionals are sparse dicts of Python ints, so the arithmetic is exact,
-    and the scan stops once no functional is left.
+    Each function contributes the length-2**n row of its table entries, and
+    the rank is the length of their :func:`echelon` basis, which stops at the
+    number of columns that some row touches. The rank ignores the order of
+    the rows, and rank(B + C) = rank(C) when every row of B is in C. So when
+    the tables contain the coherent spanning family (3 <= n <=
+    ``BASIS_LIMIT``), its 2**n - 1 tables go first, and the reduction stops
+    at full width after them instead of after thousands of other rows.
     """
     fs = list(functions)
     if not fs:
@@ -423,52 +437,22 @@ def rank_over_rationals(functions: Iterable[StructureFunction]) -> int:
 
 
 def class_rank(n: int, system_class: SystemClass) -> int:
-    """``rank_over_rationals(enumerate_systems(n, system_class))``, from the tables.
-
-    The rank ignores the order of the rows, and rank(B + C) = rank(C) when
-    every row of B is in C. So when the coherent spanning family (n >= 3)
-    lies in the class, its 2**n - 1 tables go first, and the scan stops at
-    full width after them instead of after thousands of class rows.
-    """
-    tables = class_tables(n, system_class)
-    if n >= SystemClass.COHERENT.min_components:
-        basis = _basis_tables(n, SystemClass.COHERENT)
-        if set(basis) <= set(tables):
-            tables = basis + list(tables)
-    return _table_rank(n, tables)
+    """``rank_over_rationals(enumerate_systems(n, system_class))``, from the tables."""
+    return _table_rank(n, class_tables(n, system_class))
 
 
 def _table_rank(n: int, tables: Sequence[int]) -> int:
     """:func:`rank_over_rationals` of the systems with these truth tables."""
+    distinct = set(tables)
+    if SystemClass.COHERENT.min_components <= n <= BASIS_LIMIT and len(distinct) >= (1 << n) - 1:
+        basis = _basis_tables(n, SystemClass.COHERENT)
+        if distinct.issuperset(basis):
+            tables = basis + list(tables)
     touched = 0
-    for table in tables:
+    for table in distinct:
         touched |= table
-    kernel = [{j: 1} for j in range(1 << n) if touched >> j & 1]
-    width = len(kernel)
-    for table in tables:
-        if not kernel:
-            break
-        row = {j for j in range(1 << n) if table >> j & 1}
-        values = [sum(c for j, c in y.items() if j in row) for y in kernel]
-        pos = next((i for i, v in enumerate(values) if v), None)
-        if pos is None:
-            continue
-        pivot = kernel.pop(pos)
-        a = values.pop(pos)
-        for i, b in enumerate(values):
-            if not b:
-                continue
-            # a * y - b * pivot vanishes on the row and on every earlier one.
-            z = {j: a * c for j, c in kernel[i].items()}
-            for j, c in pivot.items():
-                v = z.get(j, 0) - b * c
-                if v:
-                    z[j] = v
-                else:
-                    del z[j]
-            g = math.gcd(*z.values())
-            kernel[i] = {j: c // g for j, c in z.items()}
-    return width - len(kernel)
+    rows = ([table >> j & 1 for j in range(1 << n)] for table in tables)
+    return len(echelon(rows, touched.bit_count()))
 
 
 def system_to_json(phi: StructureFunction) -> dict:

@@ -3,11 +3,14 @@
 ``verify_by_integer_scan`` is the earlier library scan, kept here as the
 oracle: every system of the class, one at a time, with its integer signature
 mixture compared against its reliability at every breakpoint. The residual
-rows, the table enumeration and the seeded class rank must give the same
-reports, tables and ranks as the per-system scan, the filtered objects and
-``rank_over_rationals``.
+rows and the table enumeration must give the same reports and tables as the
+per-system scan and the filtered objects. ``rank_by_kernel`` is the earlier
+library rank, an elimination of sparse kernel functionals that is not seeded:
+``class_rank`` and ``rank_over_rationals``, both the seeded echelon, must
+give its ranks.
 """
 
+import math
 import random
 from fractions import Fraction
 from operator import mul
@@ -15,25 +18,30 @@ from operator import mul
 import pytest
 
 from sigrel import (
+    BASIS_LIMIT,
     DiagnosisReport,
     StructureFunction,
     SystemClass,
     TheoremCheck,
     WeightFunction,
+    appendix_basis,
     enumerate_systems,
     format_rational,
+    from_path_sets,
+    k_out_of_n,
     rank_over_rationals,
     relative_quality,
     system_to_json,
     verify_theorems,
 )
 from sigrel.distribution import evaluate_conditions, state_support, survival_numerators
-from sigrel.reliability import _echelon, _residual_rows
+from sigrel.reliability import _residual_rows
 from sigrel.structure import (
     _class_tables,
     _monotone_tables,
     class_rank,
     class_tables,
+    echelon,
 )
 
 from conftest import exchangeable_mixture, random_no_ties
@@ -192,11 +200,81 @@ def test_class_tables_match_filtered_objects():
         assert [phi.table for phi in enumerate_systems(n, system_class)] == expected
 
 
+def rank_by_kernel(n, tables):
+    """Rank of the 0/1 table rows: the touched columns minus the dimension of
+    the functionals on them that vanish on every row, kept as sparse dicts of
+    ints and updated by integer cross-multiplication, one row at a time."""
+    touched = 0
+    for table in tables:
+        touched |= table
+    kernel = [{j: 1} for j in range(1 << n) if touched >> j & 1]
+    width = len(kernel)
+    for table in tables:
+        if not kernel:
+            break
+        row = {j for j in range(1 << n) if table >> j & 1}
+        values = [sum(c for j, c in y.items() if j in row) for y in kernel]
+        pos = next((i for i, v in enumerate(values) if v), None)
+        if pos is None:
+            continue
+        pivot = kernel.pop(pos)
+        a = values.pop(pos)
+        for i, b in enumerate(values):
+            if not b:
+                continue
+            # a * y - b * pivot vanishes on the row and on every earlier one.
+            z = {j: a * c for j, c in kernel[i].items()}
+            for j, c in pivot.items():
+                v = z.get(j, 0) - b * c
+                if v:
+                    z[j] = v
+                else:
+                    del z[j]
+            g = math.gcd(*z.values())
+            kernel[i] = {j: c // g for j, c in z.items()}
+    return width - len(kernel)
+
+
+def rank_inputs():
+    """(label, n, systems): the classes, the spanning families and the inputs
+    that take each branch of the seeding rule."""
+    inputs = [(f"class {c.value} n={n}", n, enumerate_systems(n, c)) for n, c in ALLOWED]
+    for c in SystemClass:
+        for n in range(c.min_components, 9):
+            inputs.append((f"basis {c.value} n={n}", n, appendix_basis(n, c)))
+    # 2**n - 1 or more tables that lack one family member: the unseeded branch.
+    coherent = SystemClass.COHERENT
+    member = appendix_basis(5, coherent)[7]
+    missing = [phi for phi in enumerate_systems(5, coherent) if phi != member]
+    inputs.append(("class n=5 minus a family member", 5, missing))
+    # The 20 monotone functions of components 1..3 at n = 4: more than 2**4 - 1
+    # tables without the family, whose span has dimension only 8.
+    lifted = [StructureFunction(4, t | t << 8) for t in _monotone_tables(3)]
+    inputs.append(("n=4 functions of three components", 4, lifted))
+    inputs.append(("two n=12 functions", 12, [k_out_of_n(12, 3), k_out_of_n(12, 7)]))
+    above = [k_out_of_n(13, 1), k_out_of_n(13, 13), from_path_sets(13, [[1, 2], [3, 13]])]
+    inputs.append(("three n=13 functions", 13, above))
+    zero = StructureFunction(3, 0)
+    inputs.append(("all-zero tables", 3, [zero, zero]))
+    inputs.append(("no functions", 3, []))
+    return inputs
+
+
 def test_seeded_class_rank_matches_rank_over_rationals():
     assert len(ALLOWED) == 7
+    assert BASIS_LIMIT < 13
+    ranks = {}
+    for label, n, systems in rank_inputs():
+        expected = rank_by_kernel(n, [phi.table for phi in systems])
+        assert rank_over_rationals(systems) == expected, label
+        ranks[label] = expected
     for n, system_class in ALLOWED:
-        expected = rank_over_rationals(enumerate_systems(n, system_class))
+        expected = ranks[f"class {system_class.value} n={n}"]
         assert class_rank(n, system_class) == expected, (n, system_class)
+    assert ranks["class n=5 minus a family member"] == 31
+    assert ranks["n=4 functions of three components"] == 8
+    assert ranks["two n=12 functions"] == 2 and ranks["three n=13 functions"] == 3
+    assert ranks["all-zero tables"] == ranks["no functions"] == 0
 
 
 def rank_by_fractions(rows):
@@ -232,7 +310,7 @@ def test_residual_rank_is_within_the_level_bound(residual_corpus):
                     assert sum(u for x, u in enumerate(row) if x.bit_count() == m) == 0
             rank = rank_by_fractions(rows)
             assert rank <= (1 << n) - 1 - n, (d, w)
-            assert len(_echelon(rows, 1 << n)) == rank
+            assert len(echelon(rows, 1 << n)) == rank
             ranks.append((n, rank))
     # Some laws reach the bound, so stopping there is not vacuous.
     assert any(rank == (1 << n) - 1 - n for n, rank in ranks if n >= 4)
@@ -243,7 +321,7 @@ def test_echelon_basis_spans_the_rows():
     rng = random.Random(31)
     for _ in range(50):
         rows = [[rng.randint(-3, 3) * (rng.random() < 0.6) for _ in range(8)] for _ in range(6)]
-        basis = _echelon(rows, 8)
+        basis = echelon(rows, 8)
         assert len(basis) == rank_by_fractions(rows) == rank_by_fractions(rows + basis)
         # Echelon: each kept row is zero at the pivot of every earlier one.
         leads = [next(j for j, u in enumerate(row) if u) for row in basis]

@@ -4,14 +4,19 @@
 earlier library functions, kept here as oracles: each reads a dense 2**n
 table of Fraction state probabilities filled atom by atom, where the library
 compares ints over the law's common denominator on the sparse support. The
-witnesses must be equal, values and formatting included. The last tests pin
-how many supports each command builds: diagnose one per breakpoint up to
-where it has both state witnesses and none past it, verify exactly one per
-breakpoint, which its condition walk and its representation scan share.
+witnesses must be equal, values and formatting included.
+``state_exchangeability_by_levels`` is the earlier support walk, which lists
+every supported level in full; the library reads only the supported states
+and the states that follow them. The last tests pin how many supports each
+command builds: diagnose one per breakpoint up to where it has both state
+witnesses and none past it, verify exactly one per breakpoint, which its
+condition walk and its representation scan share.
 """
 
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -172,6 +177,70 @@ def test_states_exchangeable_at_any_time(support_laws):
             want = state_witness_dict(d.n, state_exchangeability_by_table(d, t))
             assert _state_exchangeability_at(d, state_support(d, t)) == want
             assert states_exchangeable_at(d, t) == (want is None)
+
+
+def state_exchangeability_by_levels(d, support):
+    """The earlier library walk: each supported level listed in full, index by index."""
+    probs = dict(support)
+    for k in sorted({index.bit_count() for index in probs}):
+        first, *others = level_indices(d.n, k)
+        p = probs.get(first, 0)
+        for other in others:
+            q = probs.get(other, 0)
+            if q != p:
+                return first, other, Fraction(p, d.denominator), Fraction(q, d.denominator)
+    return None
+
+
+def random_support(rng, n):
+    """A support and the law's n and D, which are all the walk reads of the law: a
+    few states of mass 1 or 2, or one level of equal masses, full or short of one
+    state."""
+    if rng.random() < 0.5:
+        states = rng.sample(range(1 << n), rng.randint(1, min(1 << n, 12)))
+        masses = [rng.choice((1, 1, 1, 2)) for _ in states]
+    else:
+        states = list(level_indices(n, rng.randint(0, n)))
+        if len(states) > 1 and rng.random() < 0.5:
+            states.remove(rng.choice(states))
+        masses = [1] * len(states)
+    return SimpleNamespace(n=n, denominator=sum(masses)), tuple(sorted(zip(states, masses)))
+
+
+def test_state_walk_matches_the_level_listing():
+    rng = random.Random(4242)
+    found = 0
+    for _ in range(10_000):
+        d, support = random_support(rng, rng.randint(1, 8))
+        want = state_exchangeability_by_levels(d, support)
+        assert _state_exchangeability_at(d, support) == state_witness_dict(d.n, want), support
+        found += want is not None
+    # Both outcomes are common.
+    assert 2_000 < found < 8_000, found
+
+
+def test_state_exchangeability_lists_no_level(monkeypatch):
+    """At n = 40 a one-atom law puts its state at t = 1 on level 20, which has
+    C(40, 20) states; both predicates read only the support."""
+    listing = distribution.level_indices
+
+    def small_levels_only(n, k):
+        assert math.comb(n, k) <= 10**4, f"level {k} of {n} listed in full"
+        return listing(n, k)
+
+    monkeypatch.setattr(distribution, "level_indices", small_levels_only)
+    split = make_dist(40, [([1] * 20 + [2] * 20, 1)])
+    assert not states_exchangeable_at(split, 1)
+    assert not states_exchangeable_everywhere(split)
+    assert _state_exchangeability_at(split, state_support(split, 1)) == {
+        "state": [1] * 20 + [0] * 20,
+        "other_state": [0] * 20 + [1] * 20,
+        "probability": "0/1",
+        "other_probability": "1/1",
+    }
+    comonotone = make_dist(40, [([3] * 40, 1)])
+    assert states_exchangeable_at(comonotone, 1)
+    assert states_exchangeable_everywhere(comonotone)
 
 
 def test_condition_w_with_arbitrary_weights(support_laws):
