@@ -25,7 +25,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, permutations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import EnumerationBoundError, TiesError
 from .rationals import file_header, format_rational, parse_rational, parse_time, state_table
@@ -141,28 +141,26 @@ class LifetimeDistribution(Record):
         return tuple(map(tuple, order_stat_cdfs(self, self.ranked_atoms)))
 
 
-class QualityFunction(Record, uncompared=("from_tied",)):
-    """Relative quality of every component subset, packed-index order.
+class QualityFunction(WeightFunction, uncompared=("from_tied",)):
+    """Relative quality of every component subset, packed-index order: the
+    :class:`~sigrel.signature.WeightFunction` of the probability signature.
 
     values[mask] is the probability that every component in the subset
     outlives every component outside it; the empty and full subsets carry
     the conventional value 1. ``from_tied`` records whether the source
     distribution had tied lifetimes, in which case signature operations
-    must refuse the function.
+    must refuse the function; it takes no part in equality.
     """
 
-    n: int
-    values: tuple[Fraction, ...]
     from_tied: bool = False
+    _noun = "values"
 
     def __post_init__(self) -> None:
-        check_count(self.n)
-        coerced = state_table(self.n, self.values, f"values for n={self.n}")
-        if coerced[0] != 1 or coerced[-1] != 1:
+        super().__post_init__()
+        if self.values[0] != 1 or self.values[-1] != 1:
             raise ValueError("the empty and full subsets must have quality 1")
-        if any(not 0 <= v.numerator <= v.denominator for v in coerced):
+        if any(not 0 <= v.numerator <= v.denominator for v in self.values):
             raise ValueError("quality values must lie in [0, 1]")
-        object.__setattr__(self, "values", coerced)
 
 
 class StateDistribution(Record):
@@ -386,12 +384,14 @@ def weakly_exchangeable(d: LifetimeDistribution) -> bool:
 
 def _weak_exchangeability_scan(
     d: LifetimeDistribution,
-) -> tuple[dict | None, tuple[tuple[int, ...], ...]]:
+) -> tuple[dict | None, Iterator[tuple[int, ...]]]:
     """(witness, skipped zero-probability orderings), witness lexicographically first.
 
-    The ranked atoms are grouped by realized ordering once. With P(X_(k:n) <= t,
-    group) = mass / D and P(X_(k:n) <= t) = u / D from :func:`order_stat_cdfs` and
-    P(group) = total / D, the conditional equals u / D iff mass * D == u * total.
+    Only the realized orderings are read, sorted, which is the order of
+    :func:`itertools.permutations`; the skipped ones, before the witness's or all
+    without one, are generated as read. With P(X_(k:n) <= t, group) = mass / D and
+    P(X_(k:n) <= t) = u / D from :func:`order_stat_cdfs` and P(group) = total / D,
+    the conditional equals u / D iff mass * D == u * total.
     """
     if has_ties(d):
         raise TiesError("weak exchangeability needs a distribution without ties")
@@ -399,25 +399,27 @@ def _weak_exchangeability_scan(
     for ranks, p in d.ranked_atoms:
         order = tuple(i + 1 for i in sorted(range(d.n), key=ranks.__getitem__))
         by_order.setdefault(order, []).append((ranks, p))
-    D = d.denominator
-    skipped = []
-    for sigma in permutations(range(1, d.n + 1)):
-        members = by_order.get(sigma)
-        if members is None:
-            skipped.append(sigma)
-            continue
+
+    def skipped(stop: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
+        for sigma in permutations(range(1, d.n + 1)):
+            if sigma == stop:
+                return
+            if sigma not in by_order:
+                yield sigma
+
+    for sigma, members in sorted(by_order.items()):
         total = sum(p for _, p in members)
         for k, (joint, marginal) in enumerate(zip(order_stat_cdfs(d, members), d.cdfs), start=1):
             for t, mass, u in zip(d.breakpoints, joint, marginal):
-                if mass * D != u * total:
+                if mass * d.denominator != u * total:
                     return {
                         "permutation": list(sigma),
                         "k": k,
                         "t": format_rational(t),
-                        "unconditional": format_rational(Fraction(u, D)),
+                        "unconditional": format_rational(Fraction(u, d.denominator)),
                         "conditional": format_rational(Fraction(mass, total)),
-                    }, tuple(skipped)
-    return None, tuple(skipped)
+                    }, skipped(sigma)
+    return None, skipped(None)
 
 
 def condition_w(d: LifetimeDistribution, w: WeightFunction, t: object) -> bool:
@@ -454,30 +456,30 @@ def _condition_w_witness(
 
 def evaluate_conditions(
     d: LifetimeDistribution, supports: Iterable[Support]
-) -> tuple[WeightFunction, dict]:
+) -> tuple[QualityFunction, dict]:
     """Evaluate every condition of the equivalences once, for n <= ORDERING_LIMIT.
 
     ``supports`` are :func:`state_support` at each breakpoint, in order; the
     walk stops reading them at the breakpoint where both state conditions
-    have their witness. Returns (weights, fields): ``weights`` is the
-    relative quality read as a :class:`WeightFunction`, and ``fields`` holds
+    have their witness. Returns (quality, fields): ``quality`` is
+    :func:`relative_quality`, the weights of condition (Q), and ``fields`` holds
     the condition keywords of :class:`~sigrel.reliability.DiagnosisReport`.
     Each flag is True iff its condition has no witness (weakly_exchangeable
     is None for tied laws). ``witnesses`` maps each failed condition to its
     lexicographically first counterexample, rationals as strings, and
-    ``skipped_orderings`` lists the zero-probability orderings.
+    ``skipped_orderings`` lists the zero-probability orderings before the weak
+    witness's, or all of them.
     """
     if d.n > ORDERING_LIMIT:
         raise EnumerationBoundError(
             f"the condition scan supports n <= {ORDERING_LIMIT}, got n={d.n}"
         )
     quality = relative_quality(d)
-    w = WeightFunction.from_quality(quality)
     state_wit = cond_wit = None
     for t, support in zip(d.breakpoints, supports):
         if state_wit is None and (wit := _state_exchangeability_at(d, support)):
             state_wit = {"t": format_rational(t), **wit}
-        if cond_wit is None and (wit := _condition_w_witness(d, w, support)):
+        if cond_wit is None and (wit := _condition_w_witness(d, quality, support)):
             cond_wit = {"t": format_rational(t), **wit}
         if state_wit and cond_wit:
             break
@@ -498,9 +500,9 @@ def evaluate_conditions(
         "weakly_exchangeable": None if ties else weak_wit is None,
         "condition_q_everywhere": cond_wit is None,
         "witnesses": {key: wit for key, wit in witnesses.items() if wit is not None},
-        "skipped_orderings": skipped,
+        "skipped_orderings": tuple(skipped),
     }
-    return w, fields
+    return quality, fields
 
 
 def distribution_to_json(d: LifetimeDistribution) -> dict:

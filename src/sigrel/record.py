@@ -5,7 +5,7 @@ from __future__ import annotations
 
 
 class Record:
-    """Immutable record whose fields are the annotations of the subclass body.
+    """Immutable record whose fields are the annotations of its class bodies, bases first.
 
     Fields are the constructor's parameters, in order, positional or keyword;
     a class attribute of the same name is the default. ``__post_init__`` runs
@@ -17,9 +17,10 @@ class Record:
 
     def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+        bodies = [vars(c).get("__annotations__", {}) for c in reversed(cls.__mro__)]
+        cls._fields = tuple(dict.fromkeys(f for body in bodies for f in body))
         cls._compared = tuple(f for f in cls._fields if f not in uncompared)
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields, name = self._fields, type(self).__name__

@@ -187,11 +187,12 @@ def repr_prob_signature(
     phi: StructureFunction, d: LifetimeDistribution, t: object
 ) -> Fraction:
     """Probability-signature mixture of order-statistic survivals at time t."""
+    phi.require_semicoherent("signature")
     if has_ties(d):
         raise TiesError(
             "probability-signature representation needs a distribution without ties"
         )
-    return repr_weighted(phi, d, WeightFunction.from_quality(relative_quality(d)), t)
+    return repr_weighted(phi, d, relative_quality(d), t)
 
 
 def repr_weighted(

@@ -68,14 +68,16 @@ class Signature(Record):
 
 
 class WeightFunction(Record):
-    """A rational weight for every packed state index of an n-component system."""
+    """A rational weight for every packed state index of an n-component system; the
+    relative quality, :class:`~sigrel.distribution.QualityFunction`, is one."""
 
     n: int
     values: tuple[Fraction, ...]
+    _noun = "weights"  # names the entries when their count is not 2**n
 
     def __post_init__(self) -> None:
         check_count(self.n)
-        coerced = state_table(self.n, self.values, f"weights for n={self.n}")
+        coerced = state_table(self.n, self.values, f"{self._noun} for n={self.n}")
         object.__setattr__(self, "values", coerced)
 
     @classmethod
@@ -90,15 +92,6 @@ class WeightFunction(Record):
             Fraction(1, math.comb(n, mask.bit_count())) for mask in range(1 << n)
         ]
         return cls(n, tuple(values))
-
-    @classmethod
-    def from_quality(cls, quality: "QualityFunction") -> "WeightFunction":
-        """Read a relative quality function as weights on state vectors.
-
-        A state vector is identified with the subset of its working
-        components, so the packed encodings coincide.
-        """
-        return cls(quality.n, tuple(quality.values))
 
     @cached_property
     def denominator(self) -> int:
@@ -178,19 +171,20 @@ def weighted_signature(phi: StructureFunction, w: WeightFunction) -> Signature:
 def probability_signature(
     phi: StructureFunction, quality: "QualityFunction"
 ) -> Signature:
-    """Signature with levels weighted by a relative quality function.
+    """Signature of a semicoherent system, levels weighted by a relative quality function.
 
     For a quality function derived from a no-ties distribution, entry k is
     the probability that the system lifetime equals the k-th smallest
     component lifetime. The entries always sum to exactly 1 because the
     quality of the full component set is 1 by convention.
     """
+    phi.require_semicoherent("signature")
     if quality.from_tied:
         raise TiesError(
             "probability signature is undefined for distributions with tied lifetimes"
         )
     require_same_count("quality function and system", quality, phi)
-    return weighted_signature(phi, WeightFunction.from_quality(quality))
+    return weighted_signature(phi, quality)
 
 
 def signatures_agree(phi: StructureFunction, quality: "QualityFunction") -> bool:

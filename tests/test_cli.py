@@ -191,7 +191,7 @@ class TestOrderingLimit:
 
     @staticmethod
     def two_atom_law(tmp_path, n):
-        # 1..n and its reverse: the weak scan walks all n! orderings, n! - 2 of them skipped.
+        # 1..n and its reverse: two realized orderings, and the n! - 2 others skipped.
         rows = [(tuple(range(1, n + 1)), Fraction(1, 2)), (tuple(range(n, 0, -1)), Fraction(1, 2))]
         path = tmp_path / f"two_atoms_{n}.json"
         path.write_text(json.dumps(distribution_to_json(make_dist(n, rows))))

@@ -308,7 +308,7 @@ def test_path_sets_k_out_of_n_and_monomials_match_state_loops():
 
 def test_level_numerators_match_per_index_shifts(theorem_corpus):
     weights = [WeightFunction.symmetric(3)]
-    weights += [WeightFunction.from_quality(relative_quality(d)) for _, d in theorem_corpus[::20]]
+    weights += [relative_quality(d) for _, d in theorem_corpus[::20]]
     for w in weights:
         for phi in enumerate_systems(3, SystemClass.COHERENT) + tuple(systems_for(3)):
             assert w.phi_level_numerators(phi) == level_numerators_by_shifts(w, phi)

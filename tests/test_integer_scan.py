@@ -58,7 +58,7 @@ def signature_by_fractions(phi, w):
 def verify_by_fractions(n, d, system_class):
     systems = enumerate_systems(n, system_class)
     weights, fields = evaluate_conditions(d, [state_support(d, t) for t in d.breakpoints])
-    assert weights == WeightFunction.from_quality(relative_quality(d))
+    assert weights == relative_quality(d)
     witnesses = fields["witnesses"]
     bps = d.breakpoints
     ties = fields["has_ties"]

@@ -23,6 +23,7 @@ from sigrel import (
     from_path_sets,
     from_truth_table,
     group_reliability,
+    has_ties,
     k_out_of_n,
     order_stat_survival,
     probability_signature,
@@ -38,6 +39,8 @@ from sigrel import (
     system_lifetime,
     system_reliability,
     verify_theorems,
+    weighted_phi_level,
+    weighted_signature,
 )
 from sigrel import reliability
 from sigrel.cli import run
@@ -259,7 +262,7 @@ class TestReprWeighted:
         rng = random.Random(1618)
         for _ in range(5):
             d = random_no_ties(rng, 3)
-            w = WeightFunction.from_quality(relative_quality(d))
+            w = relative_quality(d)
             for phi in enumerate_systems(3, SystemClass.COHERENT)[::2]:
                 for t in breakpoints(d):
                     assert repr_weighted(phi, d, w, t) == repr_prob_signature(
@@ -296,7 +299,7 @@ BOUNDARY = "needs value 0 at the all-failed state and 1 at the all-working state
 def test_boundary_refusals_name_what_needs_the_boundary(shifted_ladders, staggered_pairs, bits):
     """A system without the semicoherent boundary values is refused before its
     other arguments are read, in the words of the signature or of the lifetime."""
-    phi = from_truth_table(3, bits)
+    phi, tied = from_truth_table(3, bits), make_dist(3, [((1, 1, 2), 1)])
     signature, lifetime = f"^signature {BOUNDARY}$", f"^system lifetime {BOUNDARY}$"
     calls = [
         (signature, lambda: boland_signature(phi)),
@@ -307,14 +310,44 @@ def test_boundary_refusals_name_what_needs_the_boundary(shifted_ladders, stagger
         (lifetime, lambda: system_lifetime(phi, (1, 2))),
         (lifetime, lambda: system_lifetime(phi, (0, "x", 2))),
         (lifetime, lambda: probability_signature_oracle(phi, shifted_ladders)),
+        (signature, lambda: probability_signature(phi, relative_quality(shifted_ladders))),
+        (signature, lambda: probability_signature(phi, relative_quality(staggered_pairs))),
+        (signature, lambda: probability_signature(phi, relative_quality(tied))),
+        (signature, lambda: repr_prob_signature(phi, shifted_ladders, 1)),
+        (signature, lambda: repr_prob_signature(phi, shifted_ladders, 0)),
+        (signature, lambda: repr_prob_signature(phi, staggered_pairs, 1)),
+        (signature, lambda: repr_prob_signature(phi, tied, 1)),
     ]
     for message, call in calls:
         with pytest.raises(ValueError, match=message):
             call()
     with pytest.raises(TiesError, match="^signature oracle needs a distribution without ties$"):
-        probability_signature_oracle(phi, make_dist(3, [((1, 1, 2), 1)]))
+        probability_signature_oracle(phi, tied)
     with pytest.raises(ValueError, match="^system and distribution disagree on component count$"):
         probability_signature_oracle(phi, staggered_pairs)
+
+
+
+def test_routines_that_take_weights_accept_a_quality(theorem_corpus):
+    """The relative quality is the probability signature's weight function, so the
+    routines that take weights read it as the quality-based routines do."""
+    systems = enumerate_systems(3, SystemClass.COHERENT)
+    outcomes = set()
+    for _, d in theorem_corpus[::3]:
+        q = relative_quality(d)
+        assert isinstance(q, WeightFunction) and not has_ties(d)
+        for phi in systems:
+            assert weighted_signature(phi, q) == probability_signature(phi, q)
+            levels = [F(0)] * (d.n + 1)
+            for x in range(1, 1 << d.n):
+                levels[x.bit_count()] += q.values[x] * phi.value(x)
+            assert [weighted_phi_level(phi, q, k) for k in range(d.n + 1)] == levels
+            for t in d.breakpoints:
+                assert repr_weighted(phi, d, q, t) == repr_prob_signature(phi, d, t)
+        holds = all(condition_w(d, q, t) for t in d.breakpoints)
+        assert holds == diagnose(d).condition_q_everywhere, d
+        outcomes.add(holds)
+    assert outcomes == {True, False}
 
 
 class TestDiagnose:
@@ -527,7 +560,7 @@ class TestSharedConditionsAndMixture:
             symmetric = WeightFunction.symmetric(n)
             for _ in range(4):
                 d = random_no_ties(rng, n)
-                quality = WeightFunction.from_quality(relative_quality(d))
+                quality = relative_quality(d)
                 for phi in enumerate_systems(n, SystemClass.COHERENT)[::7]:
                     for t in times(d):
                         expected = mixture(phi, quality, d, t)

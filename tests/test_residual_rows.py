@@ -300,7 +300,7 @@ def test_residual_rank_is_within_the_level_bound(residual_corpus):
         survivals = [survival_numerators(d, t) for t in d.breakpoints]
         weights = [WeightFunction.symmetric(n)]
         if not evaluate_conditions(d, supports)[1]["has_ties"]:
-            weights.append(WeightFunction.from_quality(relative_quality(d)))
+            weights.append(relative_quality(d))
         for w in weights:
             rows = _residual_rows(w, d.denominator, survivals, supports)
             # Zero at state 0 and on every level sum: the reason for the bound.

@@ -144,9 +144,8 @@ class TestWeightedLevels:
         from sigrel import weighted_phi_level
 
         q = relative_quality(shifted_ladders)
-        w = WeightFunction.from_quality(q)
         # parallel is 1 on every singleton, so this is the level-1 sum of q
-        assert weighted_phi_level(k_out_of_n(3, 3), w, 1) == 1
+        assert weighted_phi_level(k_out_of_n(3, 3), q, 1) == 1
 
     def test_size_mismatch_rejected(self):
         from sigrel import weighted_phi_level

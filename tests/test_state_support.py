@@ -107,7 +107,7 @@ def condition_w_witness_dict(n, wit):
 def condition_witnesses_by_tables(d):
     """The states_exchangeable and condition_q witness dicts, first breakpoint first."""
     out = {}
-    w = WeightFunction.from_quality(relative_quality(d))
+    w = relative_quality(d)
     for t in breakpoints(d):
         wit = state_exchangeability_by_table(d, t)
         if wit is not None and "states_exchangeable" not in out:
@@ -248,7 +248,7 @@ def test_condition_w_with_arbitrary_weights(support_laws):
     outcomes = []
     for d in support_laws:
         weights = [random_weights(rng, d.n), WeightFunction.symmetric(d.n)]
-        weights.append(WeightFunction.from_quality(relative_quality(d)))
+        weights.append(relative_quality(d))
         for w in weights:
             for t in sample_times(d):
                 want = condition_w_witness_dict(d.n, condition_w_by_table(d, w, t))
@@ -263,12 +263,11 @@ def test_public_predicates_agree_with_the_report(support_laws):
     for d in support_laws:
         report = diagnose(d)
         quality = relative_quality(d)
-        w = WeightFunction.from_quality(quality)
         got = {
             "q_symmetric": is_q_symmetric(quality),
             "states_exchangeable_everywhere": states_exchangeable_everywhere(d),
             "lifetimes_exchangeable": lifetimes_exchangeable(d),
-            "condition_q_everywhere": all(condition_w(d, w, t) for t in breakpoints(d)),
+            "condition_q_everywhere": all(condition_w(d, quality, t) for t in breakpoints(d)),
         }
         if has_ties(d):
             with pytest.raises(TiesError):
