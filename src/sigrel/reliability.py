@@ -16,7 +16,7 @@ import bisect
 from fractions import Fraction
 from itertools import accumulate, compress, pairwise
 from operator import mul, sub
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .distribution import (
     LifetimeDistribution,
@@ -150,9 +150,9 @@ def system_reliability(
     return Fraction(_working_mass(phi, state_support(d, t)), d.denominator)
 
 
-def _working_mass(phi: StructureFunction, support: Support) -> int:
-    """The mass, over D, of the states of one :func:`state_support` in which ``phi`` works."""
-    return sum(p for x, p in support if phi.table >> x & 1)
+def _working_mass(phi: StructureFunction, pairs: Iterable[tuple[int, int]]) -> int:
+    """Sum of the values of the (state, value) pairs, a support's or a row's, where ``phi`` works."""
+    return sum(p for x, p in pairs if phi.table >> x & 1)
 
 
 def reliability_curve(
@@ -313,11 +313,11 @@ def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
 
 
 def _residual_rows(
-    w: WeightFunction, D: int, survivals: Sequence[Sequence[int]], supports: Sequence[Support]
-) -> list[list[int]]:
+    w: WeightFunction, D: int, columns: Iterable[Sequence[int]], supports: Iterable[Support]
+) -> Iterator[list[int]]:
     """Per breakpoint t, R_t(x) = w(x) * P(exactly |x| work at t) - P(state x at t), in
-    ints over w.denominator * D, from the :func:`survival_numerators` and
-    :func:`state_support` at t.
+    ints over w.denominator * D, from the column of :attr:`LifetimeDistribution.cdfs`
+    and the :func:`state_support` at t, each row built only when it is read.
 
     By summation by parts the representation at t is the sum over m of the
     level sums W(m) times P(exactly m work), so for phi(0) = 0 it exceeds
@@ -326,15 +326,13 @@ def _residual_rows(
     component working.
     """
     S, weights = w.denominator, w.numerators
-    rows = []
-    for surv, support in zip(survivals, supports):
-        # At least m work iff X_(n-m+1:n) > t; m = 0..n + 1.
-        exactly = [a - b for a, b in pairwise([D, *reversed(surv), 0])]
+    for column, support in zip(columns, supports):
+        # Exactly m work iff X_(n-m:n) <= t < X_(n-m+1:n), X_(0:n) = 0, X_(n+1:n) infinite.
+        exactly = [b - a for a, b in pairwise([0, *reversed(column), D])]
         row = [weights[x] * exactly[x.bit_count()] for x in range(1 << w.n)]
         for x, p in support:
             row[x] -= S * p
-        rows.append(row)
-    return rows
+        yield row
 
 
 def verify_theorems(
@@ -357,24 +355,23 @@ def verify_theorems(
     Both sides of each claim are linear in phi, so a claim is a set of
     integer rows over the states, broken by exactly the systems on which
     some row does not vanish: one residual row per breakpoint for each
-    representation, read from the survivals and the supports (built once and
-    shared with the condition walk), and one row per level for the signature
-    agreement. A claim's witness is the first table of :func:`class_tables`
-    that the rows' echelon basis does not annihilate, at the first breakpoint
-    whose own row does not; only a witness becomes a
-    :class:`StructureFunction`. The class rank is :func:`class_rank`.
+    representation, built as the echelon reads them from the columns of
+    ``d.cdfs`` and the supports (built once and shared with the condition walk),
+    and one row per level for the signature agreement. A claim's witness is the
+    first table of :func:`class_tables` that the rows' echelon basis does not
+    annihilate, at the first breakpoint whose own row does not; only a witness
+    becomes a :class:`StructureFunction`. The class rank is :func:`class_rank`.
     """
     if n != d.n:
         raise ValueError(f"n={n} does not match the distribution's n={d.n}")
     tables = class_tables(n, system_class)
     supports = [state_support(d, t) for t in d.breakpoints]
-    survivals = [survival_numerators(d, t) for t in d.breakpoints]
     weights, fields = evaluate_conditions(d, supports)
     ties, witnesses = fields["has_ties"], fields["witnesses"]
     symmetric = WeightFunction.symmetric(n)
     D, L, Q = d.denominator, symmetric.denominator, weights.denominator
 
-    def first_breaking(rows: Sequence[Sequence[int]]) -> StructureFunction | None:
+    def first_breaking(rows: Iterable[Sequence[int]]) -> StructureFunction | None:
         # Every row is 0 at state 0 and sums to 0 on each level m = 1..n (both
         # weight functions sum to 1 on each level, the quality on the tie-free
         # laws it is used for), so the rows span at most 2**n - 1 - n dimensions.
@@ -388,12 +385,11 @@ def verify_theorems(
         return None
 
     def representation_witness(w: WeightFunction) -> dict | None:
-        rows = _residual_rows(w, D, survivals, supports)
-        phi = first_breaking(rows)
+        phi = first_breaking(_residual_rows(w, D, zip(*d.cdfs), supports))
         if phi is None:
             return None
-        works = [phi.table >> x & 1 for x in range(1 << n)]
-        b = next(b for b, row in enumerate(rows) if sum(compress(row, works)))
+        rows = _residual_rows(w, D, zip(*d.cdfs), supports)
+        b = next(b for b, row in enumerate(rows) if _working_mass(phi, enumerate(row)))
         t = d.breakpoints[b]
         return {
             "system": system_to_json(phi),
@@ -402,7 +398,14 @@ def verify_theorems(
             "reliability": format_rational(Fraction(_working_mass(phi, supports[b]), D)),
         }
 
+    rank = class_rank(n, system_class)
+    relation = "iff" if rank == (1 << n) - 1 else "if"
+
+    states = fields["states_exchangeable_everywhere"]
     found = {"boland_repr": representation_witness(symmetric)}
+    boland_all = found["boland_repr"] is None
+    claims = [("boland_repr_iff_states_exchangeable", boland_all, states)]
+    prob_all = both = None
     if not ties:
         found["prob_repr"] = representation_witness(weights)
         # Row m is W(m) * Q under the design weights minus W(m) * L under the
@@ -416,20 +419,8 @@ def verify_theorems(
             "boland": boland_signature(phi).as_strings(),
             "probability": weighted_signature(phi, weights).as_strings(),
         }
-    witnesses.update((key, wit) for key, wit in found.items() if wit is not None)
-    boland_all = found["boland_repr"] is None
-    prob_all = None if ties else found["prob_repr"] is None
-    agree_all = None if ties else found["signature_agreement"] is None
-
-    rank = class_rank(n, system_class)
-    full_rank = rank == (1 << n) - 1
-    relation = "iff" if full_rank else "if"
-
-    states = fields["states_exchangeable_everywhere"]
-    claims = [("boland_repr_iff_states_exchangeable", boland_all, states)]
-    both: bool | None = None
-    if not ties:
-        assert prob_all is not None and agree_all is not None
+        prob_all = found["prob_repr"] is None
+        agree_all = phi is None
         both = boland_all and prob_all
         claims += [
             ("prob_repr_iff_condition_q", prob_all, fields["condition_q_everywhere"]),
@@ -445,6 +436,7 @@ def verify_theorems(
                 fields["q_symmetric"] and states,
             ),
         ]
+    witnesses.update((key, wit) for key, wit in found.items() if wit is not None)
     checks = [TheoremCheck(name, relation, lhs, rhs) for name, lhs, rhs in claims]
 
     broken = [c for c in checks if not c.consistent]

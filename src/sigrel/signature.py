@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import pairwise
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import TiesError
@@ -103,12 +104,10 @@ class WeightFunction(Record):
         """The weights times :attr:`denominator`, as ints."""
         return tuple(v.numerator * (self.denominator // v.denominator) for v in self.values)
 
-    def phi_level_numerators(self, phi: StructureFunction) -> tuple[int, ...]:
-        """Weighted level sums W(0), ..., W(n) of ``phi`` times :attr:`denominator`.
-
-        W(k) sums w(x) * phi(x) over the level-k state vectors x, in exact
-        integers; W(0) is 0 by convention (see :func:`weighted_phi_level`).
-        """
+    def signature_numerators(self, phi: StructureFunction) -> tuple[int, ...]:
+        """:func:`weighted_signature` of ``phi`` times :attr:`denominator`, as ints:
+        entry k is W(n - k + 1) - W(n - k), where W(m) sums w(x) * phi(x) over the
+        level-m state vectors x and W(0) = 0 (see :func:`weighted_phi_level`)."""
         require_same_count("weight function and system", self, phi)
         weights = self.numerators
         bits = phi.bits()
@@ -116,13 +115,7 @@ class WeightFunction(Record):
         for index in range(1, 1 << self.n):
             if bits[index] == "1":
                 levels[index.bit_count()] += weights[index]
-        return tuple(levels)
-
-    def signature_numerators(self, phi: StructureFunction) -> tuple[int, ...]:
-        """:func:`weighted_signature` of ``phi`` times :attr:`denominator`, as ints."""
-        levels = self.phi_level_numerators(phi)
-        n = self.n
-        return tuple(levels[n - k + 1] - levels[n - k] for k in range(1, n + 1))
+        return tuple(a - b for a, b in pairwise(reversed(levels)))
 
 
 def phi_level(phi: StructureFunction, k: int) -> Fraction:
@@ -146,13 +139,12 @@ def boland_signature(phi: StructureFunction) -> Signature:
 
 
 def weighted_phi_level(phi: StructureFunction, w: WeightFunction, k: int) -> Fraction:
-    """Weighted sum of ``phi`` over the level-k state vectors.
-
-    The value at k = 0 is 0 by convention (not w(0) * phi(0)), which makes
-    signature entries telescope cleanly for any weights.
-    """
+    """Weighted sum of ``phi`` over the level-k state vectors: the top k entries of
+    :meth:`WeightFunction.signature_numerators` telescope to it. The value at
+    k = 0 is 0 by convention (not w(0) * phi(0)), which makes signature entries
+    telescope cleanly for any weights."""
     check_range(k, 0, phi.n, "level")
-    return Fraction(w.phi_level_numerators(phi)[k], w.denominator)
+    return Fraction(sum(w.signature_numerators(phi)[phi.n - k :]), w.denominator)
 
 
 def weighted_signature(phi: StructureFunction, w: WeightFunction) -> Signature:
@@ -183,7 +175,6 @@ def probability_signature(
         raise TiesError(
             "probability signature is undefined for distributions with tied lifetimes"
         )
-    require_same_count("quality function and system", quality, phi)
     return weighted_signature(phi, quality)
 
 

@@ -33,13 +33,16 @@ from sigrel import (
     level_indices,
     order_stat_survival,
     phi_level,
+    probability_signature,
     probability_signature_oracle,
     rank_over_rationals,
+    relative_quality,
     reliability_curve,
     repr_weighted,
     system_from_json,
     system_reliability,
     weighted_phi_level,
+    weighted_signature,
 )
 from sigrel.cli import run
 
@@ -210,6 +213,19 @@ def test_component_count_refusals():
     tied = make_dist(2, [((1, 1), 1)])
     with pytest.raises(TiesError, match="^signature oracle needs a distribution without ties$"):
         probability_signature_oracle(phi, tied)
+
+
+def test_level_sums_refuse_weights_of_another_count():
+    """The level sums refuse a weight function, a quality included, of another count."""
+    phi, quality = k_out_of_n(3, 2), relative_quality(make_dist(4, [((1, 2, 3, 4), 1)]))
+    for call in (
+        lambda: probability_signature(phi, quality),
+        lambda: weighted_signature(phi, quality),
+        lambda: weighted_signature(phi, WeightFunction.symmetric(4)),
+        lambda: weighted_phi_level(phi, quality, 1),
+    ):
+        with pytest.raises(ValueError, match="^weight function and system disagree on component count$"):
+            call()
 
 
 @pytest.mark.parametrize("t", [None, "1"])

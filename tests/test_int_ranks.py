@@ -41,6 +41,7 @@ from sigrel import (
     relative_quality,
     reliability_curve,
     system_lifetime,
+    weighted_phi_level,
 )
 from sigrel.structure import _low_side_mask, _monomial_table, _monotone_tables
 
@@ -309,9 +310,15 @@ def test_path_sets_k_out_of_n_and_monomials_match_state_loops():
 def test_level_numerators_match_per_index_shifts(theorem_corpus):
     weights = [WeightFunction.symmetric(3)]
     weights += [relative_quality(d) for _, d in theorem_corpus[::20]]
-    for w in weights:
-        for phi in enumerate_systems(3, SystemClass.COHERENT) + tuple(systems_for(3)):
-            assert w.phi_level_numerators(phi) == level_numerators_by_shifts(w, phi)
-    w = WeightFunction.symmetric(10)
-    phi = from_path_sets(10, [[1, 2, 3], [4, 5], [6, 7, 8], [2, 9, 10]])
-    assert w.phi_level_numerators(phi) == level_numerators_by_shifts(w, phi)
+    systems = enumerate_systems(3, SystemClass.COHERENT) + tuple(systems_for(3))
+    cases = [(w, phi) for w in weights for phi in systems]
+    cases.append(
+        (WeightFunction.symmetric(10), from_path_sets(10, [[1, 2, 3], [4, 5], [6, 7, 8], [2, 9, 10]]))
+    )
+    for w, phi in cases:
+        levels, n = level_numerators_by_shifts(w, phi), w.n
+        # Differenced from the top: entry k is W(n - k + 1) - W(n - k).
+        expected = tuple(levels[n - k + 1] - levels[n - k] for k in range(1, n + 1))
+        assert w.signature_numerators(phi) == expected
+        for k in range(n + 1):
+            assert weighted_phi_level(phi, w, k) == Fraction(levels[k], w.denominator)

@@ -29,12 +29,14 @@ from sigrel import (
     format_rational,
     from_path_sets,
     k_out_of_n,
+    parse_rational,
     rank_over_rationals,
     relative_quality,
     system_to_json,
     verify_theorems,
 )
-from sigrel.distribution import evaluate_conditions, state_support, survival_numerators
+from sigrel import reliability
+from sigrel.distribution import evaluate_conditions, state_support
 from sigrel.reliability import _residual_rows
 from sigrel.structure import (
     _class_tables,
@@ -297,12 +299,11 @@ def test_residual_rank_is_within_the_level_bound(residual_corpus):
     for d in residual_corpus:
         n = d.n
         supports = [state_support(d, t) for t in d.breakpoints]
-        survivals = [survival_numerators(d, t) for t in d.breakpoints]
         weights = [WeightFunction.symmetric(n)]
         if not evaluate_conditions(d, supports)[1]["has_ties"]:
             weights.append(relative_quality(d))
         for w in weights:
-            rows = _residual_rows(w, d.denominator, survivals, supports)
+            rows = list(_residual_rows(w, d.denominator, zip(*d.cdfs), supports))
             # Zero at state 0 and on every level sum: the reason for the bound.
             for row in rows:
                 assert row[0] == 0
@@ -358,3 +359,34 @@ def test_verify_builds_structure_functions_only_for_witnesses(monkeypatch):
     for key in found:
         bits = report.witnesses[key]["system"]["bits"]
         assert int(bits[::-1], 2) in built
+
+
+def test_verify_builds_residual_rows_only_as_the_echelon_reads_them(monkeypatch):
+    built, survival_times = [], []
+    real_rows, real_survivals = reliability._residual_rows, reliability.survival_numerators
+
+    def counting_rows(*args):
+        rows = real_rows(*args)
+        if isinstance(rows, list):  # a list is built in full before any row is read
+            built.extend(rows)
+            return iter(rows)
+        return (built.append(row) or row for row in rows)
+
+    def counting_survivals(d, t):
+        survival_times.append(t)
+        return real_survivals(d, t)
+
+    monkeypatch.setattr(reliability, "_residual_rows", counting_rows)
+    monkeypatch.setattr(reliability, "survival_numerators", counting_survivals)
+    d = distinct_lifetime_law(random.Random(7), 5, 400)
+    report = verify_theorems(5, d, SystemClass.COHERENT)
+    assert len(d.breakpoints) == 2000 and not report.has_ties
+    # Two weight functions, one row per breakpoint each if every row were built;
+    # the echelon stops at rank 2**5 - 1 - 5 = 26, and the witness pass stops
+    # at its breakpoint.
+    assert 0 < len(built) <= len(d.breakpoints)
+    # The residual rows read the columns of d.cdfs; only a representation
+    # witness reads the survivals at its own time.
+    found = [key for key in ("boland_repr", "prob_repr") if key in report.witnesses]
+    assert found
+    assert survival_times == [parse_rational(report.witnesses[key]["t"]) for key in found]
