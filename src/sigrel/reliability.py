@@ -142,39 +142,38 @@ def probability_signature_oracle(
     return Signature(tuple(Fraction(a, d.denominator) for a in acc))
 
 
+def _system_survivals(phi: StructureFunction, d: LifetimeDistribution) -> list[int]:
+    """P(the system works) times D on (0, b_1), then from each breakpoint on.
+
+    Each atom's mass leaves at the breakpoint rank of the component whose
+    failure stops the system; one cumulative sum gives every value.
+    """
+    if not phi.semicoherent:
+        # A monotone system without the semicoherent boundary values is constant.
+        return [phi.value(0) * d.denominator] * (len(d.breakpoints) + 1)
+    failing = [0] * len(d.breakpoints)
+    for ranks, p in d.ranked_atoms:
+        failing[ranks[_failing_component(phi, ranks)]] += p
+    # On (0, b_1) every component works, and so does the system.
+    return list(accumulate(failing, sub, initial=d.denominator))
+
+
 def system_reliability(
     phi: StructureFunction, d: LifetimeDistribution, t: object
 ) -> Fraction:
-    """Probability that the system works at time t, summed over the state support."""
+    """Probability that the system works at time t: its lifetime exceeds t."""
     require_same_count("system and distribution", phi, d)
-    return Fraction(_working_mass(phi, state_support(d, t)), d.denominator)
-
-
-def _working_mass(phi: StructureFunction, pairs: Iterable[tuple[int, int]]) -> int:
-    """Sum of the values of the (state, value) pairs, a support's or a row's, where ``phi`` works."""
-    return sum(p for x, p in pairs if phi.table >> x & 1)
+    interval = bisect.bisect_right(d.breakpoints, parse_time(t))
+    return Fraction(_system_survivals(phi, d)[interval], d.denominator)
 
 
 def reliability_curve(
     phi: StructureFunction, d: LifetimeDistribution
 ) -> ReliabilityCurve:
-    """Full survival curve of the system, one exact value per interval.
-
-    The system works at t iff its lifetime exceeds t, so each atom adds its
-    mass at the breakpoint rank of the system lifetime, and one cumulative
-    sum over the breakpoints, in ints over D, gives every value.
-    """
+    """Full survival curve of the system, one exact value per interval."""
     require_same_count("system and distribution", phi, d)
-    bps = d.breakpoints
-    if not phi.semicoherent:
-        # A monotone system without the semicoherent boundary values is constant.
-        return ReliabilityCurve(bps, (Fraction(phi.value(0)),) * (len(bps) + 1))
-    failing = [0] * len(bps)
-    for ranks, p in d.ranked_atoms:
-        failing[ranks[_failing_component(phi, ranks)]] += p
-    # On (0, b_1) every component works, and so does the system.
-    alive = accumulate(failing, sub, initial=d.denominator)
-    return ReliabilityCurve(bps, tuple(Fraction(a, d.denominator) for a in alive))
+    alive = _system_survivals(phi, d)
+    return ReliabilityCurve(d.breakpoints, tuple(Fraction(a, d.denominator) for a in alive))
 
 
 def repr_boland(phi: StructureFunction, d: LifetimeDistribution, t: object) -> Fraction:
@@ -389,13 +388,13 @@ def verify_theorems(
         if phi is None:
             return None
         rows = _residual_rows(w, D, zip(*d.cdfs), supports)
-        b = next(b for b, row in enumerate(rows) if _working_mass(phi, enumerate(row)))
+        b = next(b for b, row in enumerate(rows) if sum(compress(row, map(int, phi.bits()))))
         t = d.breakpoints[b]
         return {
             "system": system_to_json(phi),
             "t": format_rational(t),
             "representation": format_rational(repr_weighted(phi, d, w, t)),
-            "reliability": format_rational(Fraction(_working_mass(phi, supports[b]), D)),
+            "reliability": format_rational(system_reliability(phi, d, t)),
         }
 
     rank = class_rank(n, system_class)

@@ -171,6 +171,10 @@ def probability_signature(
     quality of the full component set is 1 by convention.
     """
     phi.require_semicoherent("signature")
+    if not hasattr(quality, "from_tied"):  # a relative quality records whether its law tied
+        raise ValueError(
+            f"probability signature needs a relative quality, not a {type(quality).__name__}"
+        )
     if quality.from_tied:
         raise TiesError(
             "probability signature is undefined for distributions with tied lifetimes"

@@ -154,7 +154,7 @@ class StructureFunction(Record):
         if not isinstance(self.n, int) or self.n < 2:
             raise ValueError(f"need at least 2 components, got n={self.n!r}")
         size = 1 << self.n
-        if not isinstance(self.table, int) or not 0 <= self.table < (1 << size):
+        if type(self.table) is not int or not 0 <= self.table < (1 << size):
             raise ValueError("truth table must pack exactly 2**n binary entries")
         witness = _monotonicity_witness(self.n, self.table)
         if witness is not None:
@@ -203,7 +203,7 @@ def from_truth_table(n: int, bits: Sequence[int] | str) -> StructureFunction:
         expected = 1 << n if n < 64 else f"2**{n}"
         raise ValueError(f"expected {expected} table entries for n={n}, got {len(bits)}")
     for j, entry in enumerate(bits):
-        if entry not in ("0", "1", 0, 1):
+        if not isinstance(entry, (int, str)) or entry not in (0, 1, "0", "1"):
             raise ValueError(f"table entry {entry!r} at index {j} is not 0 or 1")
     digits = bits if isinstance(bits, str) else "".join(str(int(entry)) for entry in bits)
     return StructureFunction(n, int(digits[::-1], 2))
@@ -271,9 +271,9 @@ def evaluate(phi: StructureFunction, states: Sequence[int]) -> int:
         raise ValueError(f"expected {phi.n} component states, got {len(states)}")
     index = 0
     for i, state in enumerate(states):
-        if state not in (0, 1):
+        if type(state) is not int or state not in (0, 1):
             raise ValueError(f"component state {state!r} is not 0 or 1")
-        index |= int(state) << i
+        index |= state << i
     return phi.value(index)
 
 

@@ -18,6 +18,7 @@ from sigrel import (
     LifetimeDistribution,
     QualityFunction,
     StateDistribution,
+    StructureFunction,
     SystemClass,
     TiesError,
     WeightFunction,
@@ -26,6 +27,7 @@ from sigrel import (
     class_tables,
     distribution_from_json,
     enumerate_systems,
+    evaluate,
     from_path_sets,
     from_truth_table,
     group_reliability,
@@ -164,6 +166,21 @@ INTEGER_REFUSALS = [
      "order statistic index 1.0 out of range 1..3"),
     ("k_out_of_n-k", RANGES["k_out_of_n-k"][0], 1.0, "order statistic index 1.0 out of range 1..3"),
     ("from_path_sets-n", COUNTS["from_path_sets-n"], 2.5, COUNT.format(2.5)),
+] + [
+    # A 0/1 input refuses a bool and a float in its own words. A table entry
+    # keeps True and False, the spelling [b == "1" for b in bits], and refuses a float.
+    (name, make, value, message.format(value))
+    for name, make, values, message in (
+        ("evaluate", lambda v: evaluate(MAJORITY, [v, 1, 0]), (True, 1.0),
+         "component state {!r} is not 0 or 1"),
+        ("StructureFunction-call", lambda v: MAJORITY((1, 1, v)), (False, 0.0),
+         "component state {!r} is not 0 or 1"),
+        ("from_truth_table-entry", lambda v: from_truth_table(2, [0, 1, v, 1]), (1.0, 0.0),
+         "table entry {!r} at index 2 is not 0 or 1"),
+        ("StructureFunction-table", lambda v: StructureFunction(3, v), (False, True),
+         "truth table must pack exactly 2**n binary entries"),
+    )
+    for value in values
 ]
 
 
@@ -213,6 +230,20 @@ def test_component_count_refusals():
     tied = make_dist(2, [((1, 1), 1)])
     with pytest.raises(TiesError, match="^signature oracle needs a distribution without ties$"):
         probability_signature_oracle(phi, tied)
+
+
+def test_probability_signature_needs_a_relative_quality():
+    """Plain weights are refused after the boundary values and before the ties."""
+    plain = WeightFunction.symmetric(3)
+    with pytest.raises(ValueError, match="^signature needs value 0 at the all-failed state"):
+        probability_signature(from_truth_table(3, "0" * 8), plain)
+    message = "^probability signature needs a relative quality, not a WeightFunction$"
+    for phi in (k_out_of_n(3, 2), k_out_of_n(3, 1)):
+        with pytest.raises(ValueError, match=message):
+            probability_signature(phi, plain)
+    tied = relative_quality(make_dist(3, [((1, 1, 2), 1)]))
+    with pytest.raises(TiesError, match="^probability signature is undefined"):
+        probability_signature(k_out_of_n(3, 2), tied)
 
 
 def test_level_sums_refuse_weights_of_another_count():

@@ -6,7 +6,8 @@ distribution by one dense 2**n table filled atom by atom, the survival
 curve by one such table per breakpoint, order-statistic survivals by one
 pass over the atoms per (k, t), weak exchangeability
 by one pass over the atoms per ordering, and lifetime exchangeability by
-the full lexicographic permutation scan. The library decides lifetime
+the full lexicographic permutation scan, and the system reliability at t by
+its state support. The library decides lifetime
 exchangeability from the n - 1 adjacent transpositions alone; the
 stabilizer corpus, laws fixed by a non-trivial group of relabelings, checks
 that against the full scan. Every comparison is exact, witnesses and
@@ -40,9 +41,11 @@ from sigrel import (
     state_distribution,
     system_reliability,
 )
+from sigrel import reliability
 from sigrel.distribution import (
     _lifetime_exchangeability_witness,
     _weak_exchangeability_scan,
+    state_support,
 )
 from sigrel.structure import SystemClass, StructureFunction, _monotone_tables
 
@@ -100,6 +103,11 @@ def reliability_by_states(phi, probs):
         (p for index, p in enumerate(probs) if p and phi.value(index)),
         Fraction(0),
     )
+
+
+def reliability_by_support(phi, d, t):
+    """Mass of the state support at t on the states where phi works, over D."""
+    return Fraction(sum(p for x, p in state_support(d, t) if phi.value(x)), d.denominator)
 
 
 def curves_by_state_distributions(d, systems):
@@ -357,7 +365,30 @@ def test_system_reliability_matches_full_state_sum(all_laws):
         for t in (bps[0] / 2, bps[len(bps) // 2], bps[-1] + 1):
             probs = states_by_atoms(d, t)
             for phi in systems_for(d.n):
-                assert system_reliability(phi, d, t) == reliability_by_states(phi, probs)
+                assert system_reliability(phi, d, t) == reliability_by_states(phi, probs) == (
+                    reliability_by_support(phi, d, t)
+                )
+
+
+def test_system_reliability_builds_no_state_support(monkeypatch):
+    """The reliability at one time reads the failure ranks, as the curve does,
+    on a tie-free law, a tied law and a constant system alike."""
+    cases = [
+        (phi, d, (breakpoints(d)[0] / 2, *breakpoints(d)))
+        for phi, d in (
+            (k_out_of_n(3, 2), shifted_ladders_dist()),
+            (k_out_of_n(3, 2), tied_laws()[1]),
+            (from_truth_table(3, "1" * 8), shifted_ladders_dist()),
+        )
+    ]
+    expected = [[reliability_by_support(phi, d, t) for t in times] for phi, d, times in cases]
+
+    def refuse(d, t):
+        raise AssertionError("system_reliability built a state support")
+
+    monkeypatch.setattr(reliability, "state_support", refuse)
+    got = [[system_reliability(phi, d, t) for t in times] for phi, d, times in cases]
+    assert got == expected
 
 
 def test_weak_scan_matches_per_permutation_loop(all_laws, perturbed_corpus):
