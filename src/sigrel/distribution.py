@@ -181,6 +181,7 @@ class StateDistribution(Record):
         object.__setattr__(self, "t", parse_time(self.t))
 
     def prob(self, index: int) -> Fraction:
+        check_range(index, 0, (1 << self.n) - 1, "state index")
         return self.probs[index]
 
     def level_total(self, k: int) -> Fraction:

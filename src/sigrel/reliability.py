@@ -312,11 +312,11 @@ def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
 
 
 def _residual_rows(
-    w: WeightFunction, D: int, columns: Iterable[Sequence[int]], supports: Iterable[Support]
+    w: WeightFunction, d: LifetimeDistribution, supports: Iterable[Support]
 ) -> Iterator[list[int]]:
     """Per breakpoint t, R_t(x) = w(x) * P(exactly |x| work at t) - P(state x at t), in
-    ints over w.denominator * D, from the column of :attr:`LifetimeDistribution.cdfs`
-    and the :func:`state_support` at t, each row built only when it is read.
+    ints over w.denominator * D, from the column of ``d.cdfs`` and the
+    :func:`state_support` at t, each row built only when it is read.
 
     By summation by parts the representation at t is the sum over m of the
     level sums W(m) times P(exactly m work), so for phi(0) = 0 it exceeds
@@ -325,9 +325,9 @@ def _residual_rows(
     component working.
     """
     S, weights = w.denominator, w.numerators
-    for column, support in zip(columns, supports):
+    for column, support in zip(zip(*d.cdfs), supports):
         # Exactly m work iff X_(n-m:n) <= t < X_(n-m+1:n), X_(0:n) = 0, X_(n+1:n) infinite.
-        exactly = [b - a for a, b in pairwise([0, *reversed(column), D])]
+        exactly = [b - a for a, b in pairwise([0, *reversed(column), d.denominator])]
         row = [weights[x] * exactly[x.bit_count()] for x in range(1 << w.n)]
         for x, p in support:
             row[x] -= S * p
@@ -358,7 +358,9 @@ def verify_theorems(
     ``d.cdfs`` and the supports (built once and shared with the condition walk),
     and one row per level for the signature agreement. A claim's witness is the
     first table of :func:`class_tables` that the rows' echelon basis does not
-    annihilate, at the first breakpoint whose own row does not; only a witness
+    annihilate, at the origin of its first basis row that does not: earlier basis rows
+    combine earlier rows, which annihilate the table, and the first row that does not
+    is kept, reduced to a nonzero multiple of itself plus such rows. Only a witness
     becomes a :class:`StructureFunction`. The class rank is :func:`class_rank`.
     """
     if n != d.n:
@@ -368,27 +370,25 @@ def verify_theorems(
     weights, fields = evaluate_conditions(d, supports)
     ties, witnesses = fields["has_ties"], fields["witnesses"]
     symmetric = WeightFunction.symmetric(n)
-    D, L, Q = d.denominator, symmetric.denominator, weights.denominator
+    L, Q = symmetric.denominator, weights.denominator
 
-    def first_breaking(rows: Iterable[Sequence[int]]) -> StructureFunction | None:
+    def first_breaking(rows: Iterable[list[int]]) -> tuple[StructureFunction | None, int | None]:
         # Every row is 0 at state 0 and sums to 0 on each level m = 1..n (both
         # weight functions sum to 1 on each level, the quality on the tie-free
         # laws it is used for), so the rows span at most 2**n - 1 - n dimensions.
         basis = echelon(rows, (1 << n) - 1 - n)
-        if not basis:
-            return None
-        for table in tables:
-            works = [table >> x & 1 for x in range(1 << n)]
-            if any(sum(compress(row, works)) for row in basis):
-                return StructureFunction(n, table)
-        return None
+        if basis:
+            for table in tables:
+                works = [table >> x & 1 for x in range(1 << n)]
+                for origin, row in basis:
+                    if sum(compress(row, works)):
+                        return StructureFunction(n, table), origin
+        return None, None
 
     def representation_witness(w: WeightFunction) -> dict | None:
-        phi = first_breaking(_residual_rows(w, D, zip(*d.cdfs), supports))
+        phi, b = first_breaking(_residual_rows(w, d, supports))
         if phi is None:
             return None
-        rows = _residual_rows(w, D, zip(*d.cdfs), supports)
-        b = next(b for b, row in enumerate(rows) if sum(compress(row, map(int, phi.bits()))))
         t = d.breakpoints[b]
         return {
             "system": system_to_json(phi),
@@ -410,7 +410,7 @@ def verify_theorems(
         # Row m is W(m) * Q under the design weights minus W(m) * L under the
         # quality; the signatures, differenced W with W(0) = 0, agree iff all vanish.
         gap = [a * Q - b * L for a, b in zip(symmetric.numerators, weights.numerators)]
-        phi = first_breaking(
+        phi, _ = first_breaking(
             [[g if x.bit_count() == m else 0 for x, g in enumerate(gap)] for m in range(1, n + 1)]
         )
         found["signature_agreement"] = None if phi is None else {

@@ -203,9 +203,9 @@ def from_truth_table(n: int, bits: Sequence[int] | str) -> StructureFunction:
         expected = 1 << n if n < 64 else f"2**{n}"
         raise ValueError(f"expected {expected} table entries for n={n}, got {len(bits)}")
     for j, entry in enumerate(bits):
-        if not isinstance(entry, (int, str)) or entry not in (0, 1, "0", "1"):
+        if type(entry) not in (int, str) or entry not in (0, 1, "0", "1"):
             raise ValueError(f"table entry {entry!r} at index {j} is not 0 or 1")
-    digits = bits if isinstance(bits, str) else "".join(str(int(entry)) for entry in bits)
+    digits = "".join(map(str, bits))
     return StructureFunction(n, int(digits[::-1], 2))
 
 
@@ -400,22 +400,22 @@ def _basis_tables(n: int, system_class: SystemClass) -> list[int]:
     return tables
 
 
-def echelon(rows: Iterable[Sequence[int]], limit: int) -> list[list[int]]:
+def echelon(rows: Iterable[Sequence[int]], limit: int) -> list[tuple[int, list[int]]]:
     """An echelon basis of the rows' span, reduced fraction-free, each row
-    divided by its gcd; it stops at ``limit`` rows, which must bound the rank."""
-    kept: list[tuple[int, list[int]]] = []
-    for row in rows:
+    divided by its gcd and paired with the index of the input row it reduced,
+    its origin; it stops at ``limit`` rows, which must bound the rank."""
+    kept: list[tuple[int, int, list[int]]] = []
+    for origin, row in enumerate(rows):
         if len(kept) == limit:
             break
-        for pivot, basis_row in kept:
+        for _, pivot, basis_row in kept:
             if c := row[pivot]:
                 a = basis_row[pivot]
                 row = [a * u - c * v for u, v in zip(row, basis_row)]
-        if any(row):
-            g = math.gcd(*row)
+        if g := math.gcd(*row):  # 0 only for the zero row
             row = [u // g for u in row]
-            kept.append((next(j for j, u in enumerate(row) if u), row))
-    return [row for _, row in kept]
+            kept.append((origin, next(j for j, u in enumerate(row) if u), row))
+    return [(origin, row) for origin, _, row in kept]
 
 
 def rank_over_rationals(functions: Iterable[StructureFunction]) -> int:

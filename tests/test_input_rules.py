@@ -143,6 +143,7 @@ RANGES = {
     "order_stat_survival": (lambda k: order_stat_survival(LAW, k, 1), 1, 3, "order statistic index"),
     "k_out_of_n-k": (lambda k: k_out_of_n(3, k), 1, 3, "order statistic index"),
     "value": (MAJORITY.value, 0, 7, "state index"),
+    "prob": (StateDistribution(2, 1, ("1/2", 0, 0, "1/2")).prob, 0, 3, "state index"),
     "from_path_sets": (lambda c: from_path_sets(3, [[c]]), 1, 3, "path component"),
     "group_reliability": (lambda c: group_reliability(LAW, [c], 1), 1, 3, "component"),
 }
@@ -167,15 +168,15 @@ INTEGER_REFUSALS = [
     ("k_out_of_n-k", RANGES["k_out_of_n-k"][0], 1.0, "order statistic index 1.0 out of range 1..3"),
     ("from_path_sets-n", COUNTS["from_path_sets-n"], 2.5, COUNT.format(2.5)),
 ] + [
-    # A 0/1 input refuses a bool and a float in its own words. A table entry
-    # keeps True and False, the spelling [b == "1" for b in bits], and refuses a float.
+    # A 0/1 input refuses a bool and a float in its own words, a table entry included.
     (name, make, value, message.format(value))
     for name, make, values, message in (
         ("evaluate", lambda v: evaluate(MAJORITY, [v, 1, 0]), (True, 1.0),
          "component state {!r} is not 0 or 1"),
         ("StructureFunction-call", lambda v: MAJORITY((1, 1, v)), (False, 0.0),
          "component state {!r} is not 0 or 1"),
-        ("from_truth_table-entry", lambda v: from_truth_table(2, [0, 1, v, 1]), (1.0, 0.0),
+        ("from_truth_table-entry", lambda v: from_truth_table(2, [0, 1, v, 1]),
+         (1.0, 0.0, True, False),
          "table entry {!r} at index 2 is not 0 or 1"),
         ("StructureFunction-table", lambda v: StructureFunction(3, v), (False, True),
          "truth table must pack exactly 2**n binary entries"),

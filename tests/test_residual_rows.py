@@ -13,6 +13,7 @@ give its ranks.
 import math
 import random
 from fractions import Fraction
+from itertools import compress, pairwise
 from operator import mul
 
 import pytest
@@ -303,7 +304,7 @@ def test_residual_rank_is_within_the_level_bound(residual_corpus):
         if not evaluate_conditions(d, supports)[1]["has_ties"]:
             weights.append(relative_quality(d))
         for w in weights:
-            rows = list(_residual_rows(w, d.denominator, zip(*d.cdfs), supports))
+            rows = list(_residual_rows(w, d, supports))
             # Zero at state 0 and on every level sum: the reason for the bound.
             for row in rows:
                 assert row[0] == 0
@@ -322,11 +323,38 @@ def test_echelon_basis_spans_the_rows():
     rng = random.Random(31)
     for _ in range(50):
         rows = [[rng.randint(-3, 3) * (rng.random() < 0.6) for _ in range(8)] for _ in range(6)]
-        basis = echelon(rows, 8)
+        basis = [row for _, row in echelon(rows, 8)]
         assert len(basis) == rank_by_fractions(rows) == rank_by_fractions(rows + basis)
         # Echelon: each kept row is zero at the pivot of every earlier one.
         leads = [next(j for j, u in enumerate(row) if u) for row in basis]
         assert all(later[j] == 0 for i, j in enumerate(leads) for later in basis[i + 1 :])
+
+
+def test_echelon_origin_is_the_first_row_a_vector_breaks():
+    """The earlier witness scan as the oracle: the first input row that a 0/1
+    vector does not annihilate is the origin of the first basis row that it does
+    not annihilate, also when the basis stops at the rank."""
+    rng = random.Random(4099)
+    for _ in range(200):
+        width, rows = rng.randint(1, 8), []
+        for _ in range(rng.randint(0, 10)):
+            if rows and rng.random() < 0.4:  # a combination of earlier rows
+                a, b = rng.choice(rows), rng.choice(rows)
+                rows.append([rng.randint(-2, 2) * u + v for u, v in zip(a, b)])
+            else:
+                rows.append([rng.randint(-3, 3) * (rng.random() < 0.5) for _ in range(width)])
+        ranks = [rank_by_fractions(rows[:i]) for i in range(len(rows) + 1)]
+        rises = [i for i, (r, s) in enumerate(pairwise(ranks)) if s > r]
+        for limit in (width, ranks[-1]):
+            basis = echelon(rows, limit)
+            origins = [origin for origin, _ in basis]
+            # Origins strictly increase, each where the rank of the rows read so far rises.
+            assert all(a < b for a, b in pairwise(origins))
+            assert origins == rises
+            for _ in range(10):
+                works = [rng.randint(0, 1) for _ in range(width)]
+                first = next((i for i, row in enumerate(rows) if sum(compress(row, works))), None)
+                assert first == next((o for o, row in basis if sum(compress(row, works))), None)
 
 
 # --- a timing-free performance guard ------------------------------------------
@@ -362,10 +390,11 @@ def test_verify_builds_structure_functions_only_for_witnesses(monkeypatch):
 
 
 def test_verify_builds_residual_rows_only_as_the_echelon_reads_them(monkeypatch):
-    built, survival_times = [], []
+    built, calls, survival_times = [], [], []
     real_rows, real_survivals = reliability._residual_rows, reliability.survival_numerators
 
     def counting_rows(*args):
+        calls.append(args)
         rows = real_rows(*args)
         if isinstance(rows, list):  # a list is built in full before any row is read
             built.extend(rows)
@@ -382,9 +411,11 @@ def test_verify_builds_residual_rows_only_as_the_echelon_reads_them(monkeypatch)
     report = verify_theorems(5, d, SystemClass.COHERENT)
     assert len(d.breakpoints) == 2000 and not report.has_ties
     # Two weight functions, one row per breakpoint each if every row were built;
-    # the echelon stops at rank 2**5 - 1 - 5 = 26, and the witness pass stops
-    # at its breakpoint.
+    # the echelon stops at rank 2**5 - 1 - 5 = 26.
     assert 0 < len(built) <= len(d.breakpoints)
+    # One pass per representation claim: a witness's breakpoint is an echelon
+    # origin, so no rows are built again to find it.
+    assert len(calls) == 2
     # The residual rows read the columns of d.cdfs; only a representation
     # witness reads the survivals at its own time.
     found = [key for key in ("boland_repr", "prob_repr") if key in report.witnesses]
