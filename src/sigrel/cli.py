@@ -136,16 +136,29 @@ _FILES = {
     "dist": (distribution_from_json, "distribution JSON file"),
 }
 
-# Each command: name, handler, the file options `run` loads for the handler in order, help.
+_CLASSES = [c.value for c in SystemClass]  # the choices of both --class options
+
+# Each command: name, handler, the file options `run` loads for the handler in order, help,
+# and its other options, as (flag, argparse keywords) pairs added after the file options.
 _COMMANDS = (
-    ("signature", _cmd_signature, ("system",), "design signature of a system"),
+    ("signature", _cmd_signature, ("system",), "design signature of a system", ()),
     ("prob-signature", _cmd_prob_signature, ("system", "dist"),
-     "probability signature via the quality function and via the atom oracle"),
-    ("reliability", _cmd_reliability, ("system", "dist"), "survival curve, or one value at --t"),
-    ("diagnose", _cmd_diagnose, ("dist",), "conditions and predicted verdicts, no enumeration"),
+     "probability signature via the quality function and via the atom oracle", ()),
+    ("reliability", _cmd_reliability, ("system", "dist"), "survival curve, or one value at --t",
+     (("--t", dict(type=_time_arg, help='time as "a/b" or an integer')),)),
+    ("diagnose", _cmd_diagnose, ("dist",),
+     "conditions and predicted verdicts, no enumeration", ()),
     ("verify", _cmd_verify, ("dist",),
-     "measure the verdicts over an enumerated class and cross-check them"),
-    ("basis", _cmd_basis, (), "spanning family of systems plus its rank"),
+     "measure the verdicts over an enumerated class and cross-check them",
+     (("--class", dict(dest="system_class", choices=_CLASSES, required=True,
+                       help="system class to enumerate")),)),
+    ("basis", _cmd_basis, (), "spanning family of systems plus its rank", (
+        ("--n", dict(type=int, required=True, help="number of components")),
+        ("--class", dict(dest="system_class", choices=_CLASSES, default=SystemClass.COHERENT.value,
+                         help="system class (default: coherent)")),
+        ("--check-rank", dict(action="store_true",
+                              help="also report the exact rank and the full-span target")),
+    )),
 )
 
 
@@ -155,29 +168,13 @@ def _build_parser() -> _Parser:
         description="Exact signature and reliability computations on JSON files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, files, help_text in _COMMANDS:
+    for name, handler, files, help_text, options in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for option in files:
             p.add_argument(f"--{option}", required=True, help=_FILES[option][1])
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
         p.set_defaults(handler=handler, files=files)
-    p = sub.choices["reliability"]
-    p.add_argument("--t", type=_time_arg, help='time as "a/b" or an integer')
-    class_option = {"dest": "system_class", "choices": [c.value for c in SystemClass]}
-    p = sub.choices["verify"]
-    p.add_argument("--class", required=True, help="system class to enumerate", **class_option)
-    p = sub.choices["basis"]
-    p.add_argument("--n", type=int, required=True, help="number of components")
-    p.add_argument(
-        "--class",
-        default=SystemClass.COHERENT.value,
-        help="system class (default: coherent)",
-        **class_option,
-    )
-    p.add_argument(
-        "--check-rank",
-        action="store_true",
-        help="also report the exact rank and the full-span target",
-    )
     return parser
 
 

@@ -283,13 +283,13 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
 
     Built by doubling: a table on k components is a pair (g, h) of monotone
     tables on k - 1 components with g <= h pointwise, where g is the slice
-    with component k failed and h the slice with it working.
+    with component k failed and h the slice with it working. As g < 2**shift,
+    the tables g | h << shift come out ascending with h in the outer loop.
     """
     tables: tuple[int, ...] = (0, 1)
     for k in range(1, n + 1):
         shift = 1 << (k - 1)
-        merged = (g | (h << shift) for g in tables for h in tables if g & ~h == 0)
-        tables = tuple(sorted(merged))
+        tables = tuple(g | h << shift for h in tables for g in tables if g & ~h == 0)
     return tables
 
 

@@ -212,6 +212,9 @@ class TestEnumeration:
     def test_monotone_table_counts(self):
         # sizes of the free distributive lattices, used by the doubling step
         assert [len(_monotone_tables(k)) for k in range(6)] == [2, 3, 6, 20, 168, 7581]
+        for k in range(6):  # class_tables and the witnesses read this order
+            tables = _monotone_tables(k)
+            assert all(a < b for a, b in zip(tables, tables[1:]))
 
     def test_classes_agree_for_n_at_least_3(self):
         for n in (3, 4):
