@@ -24,7 +24,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, permutations
+from itertools import accumulate, pairwise, permutations
 from typing import Iterable, Iterator
 
 from .errors import EnumerationBoundError, TiesError
@@ -134,6 +134,11 @@ class LifetimeDistribution(Record):
         rank = {g: b for b, g in enumerate(sorted({g for key in self._grid for g in key}))}
         D, atoms = self.denominator, zip(self._grid, self.atoms)
         return tuple((tuple(map(rank.__getitem__, key)), int(p * D)) for key, (_, p) in atoms)
+
+    @cached_property
+    def failure_orders(self) -> tuple[tuple[int, ...], ...]:
+        """Per atom, its components by ascending rank, ties by component index."""
+        return tuple(tuple(sorted(range(self.n), key=r.__getitem__)) for r, _ in self.ranked_atoms)
 
     @cached_property
     def cdfs(self) -> tuple[tuple[int, ...], ...]:
@@ -279,19 +284,18 @@ def states_exchangeable_everywhere(d: LifetimeDistribution) -> bool:
 def relative_quality(d: LifetimeDistribution) -> QualityFunction:
     """Probability, per subset, that its components outlive all of the others.
 
-    One sweep over the ranked atoms: a subset outlives the rest in an atom
-    exactly when it is the top-j set of the atom's descending order and
-    v_j > v_(j+1) there. The sums are ints over D, kept for the at most n - 1
-    subsets per atom that get mass. Computed for tied distributions as well;
+    One walk down each atom's failure order from the top: a subset outlives the
+    rest in an atom exactly when it is the top-j set and v_j > v_(j+1) there, so
+    the tie order changes nothing. The sums are ints over D, kept for the at most
+    n - 1 subsets per atom that get mass. Computed for tied distributions as well;
     the result then carries ``from_tied`` so that signature operations can refuse it.
     """
     sums: dict[int, int] = {}
-    for ranks, p in d.ranked_atoms:
-        order = sorted(range(d.n), key=ranks.__getitem__, reverse=True)
+    for (ranks, p), order in zip(d.ranked_atoms, d.failure_orders):
         mask = 0
-        for j in range(d.n - 1):
-            mask |= 1 << order[j]
-            if ranks[order[j]] > ranks[order[j + 1]]:
+        for i, below in pairwise(reversed(order)):
+            mask |= 1 << i
+            if ranks[i] > ranks[below]:
                 sums[mask] = sums.get(mask, 0) + p
     values = [Fraction(0)] * (1 << d.n)
     for mask, p in sums.items():
@@ -397,9 +401,8 @@ def _weak_exchangeability_scan(
     if has_ties(d):
         raise TiesError("weak exchangeability needs a distribution without ties")
     by_order: dict[tuple[int, ...], list[RankedAtom]] = {}
-    for ranks, p in d.ranked_atoms:
-        order = tuple(i + 1 for i in sorted(range(d.n), key=ranks.__getitem__))
-        by_order.setdefault(order, []).append((ranks, p))
+    for atom, order in zip(d.ranked_atoms, d.failure_orders):
+        by_order.setdefault(tuple(i + 1 for i in order), []).append(atom)
 
     def skipped(stop: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
         for sigma in permutations(range(1, d.n + 1)):
@@ -484,7 +487,7 @@ def evaluate_conditions(
             cond_wit = {"t": format_rational(t), **wit}
         if state_wit and cond_wit:
             break
-    ties = has_ties(d)
+    ties = quality.from_tied
     weak_wit, skipped = (None, ()) if ties else _weak_exchangeability_scan(d)
     witnesses = {
         "q_symmetric": _q_symmetry_witness(quality),

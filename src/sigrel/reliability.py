@@ -93,13 +93,13 @@ class ReliabilityCurve(Record):
         }
 
 
-def _failing_component(phi: StructureFunction, keys: Sequence) -> int:
+def _failing_component(phi: StructureFunction, order: Iterable[int]) -> int:
     """Index of the component whose failure stops ``phi`` when components fail in
-    the order of ``keys``, lifetimes or their ranks. Components sharing a key
-    fail together; by monotonicity, ties cannot move the failure time. ``phi``
-    must be semicoherent."""
+    ``order``, as :attr:`LifetimeDistribution.failure_orders` lists them. Tied
+    components fail together; by monotonicity, their order cannot move the failure
+    time. ``phi`` must be semicoherent."""
     index = (1 << phi.n) - 1
-    for i in sorted(range(phi.n), key=keys.__getitem__):
+    for i in order:
         index &= ~(1 << i)
         if not phi.table >> index & 1:
             return i
@@ -118,7 +118,7 @@ def system_lifetime(phi: StructureFunction, lifetimes: Sequence[object]) -> Frac
         raise ValueError(f"expected {phi.n} lifetimes, got {len(xs)}")
     if any(x <= 0 for x in xs):
         raise ValueError("lifetimes must be strictly positive")
-    return xs[_failing_component(phi, xs)]
+    return xs[_failing_component(phi, sorted(range(phi.n), key=xs.__getitem__))]
 
 
 def probability_signature_oracle(
@@ -126,19 +126,17 @@ def probability_signature_oracle(
 ) -> Signature:
     """Probability signature by direct atom scan, no quality function involved.
 
-    For each atom the system lifetime is located among the sorted component
-    lifetimes; entry k accumulates the probability that it is the k-th
-    smallest, in ints over D. Needs a no-ties distribution so that the rank
-    is unambiguous.
+    For each atom the failing component is located in its failure order;
+    entry k accumulates the probability that it is the k-th to fail, in ints
+    over D. Needs a no-ties distribution so that the position is unambiguous.
     """
     if has_ties(d):
         raise TiesError("signature oracle needs a distribution without ties")
     require_same_count("system and distribution", phi, d)
     phi.require_semicoherent("system lifetime")
     acc = [0] * d.n
-    for ranks, p in d.ranked_atoms:
-        failing = ranks[_failing_component(phi, ranks)]
-        acc[sum(r < failing for r in ranks)] += p
+    for order, (_, p) in zip(d.failure_orders, d.ranked_atoms):
+        acc[order.index(_failing_component(phi, order))] += p
     return Signature(tuple(Fraction(a, d.denominator) for a in acc))
 
 
@@ -152,8 +150,8 @@ def _system_survivals(phi: StructureFunction, d: LifetimeDistribution) -> list[i
         # A monotone system without the semicoherent boundary values is constant.
         return [phi.value(0) * d.denominator] * (len(d.breakpoints) + 1)
     failing = [0] * len(d.breakpoints)
-    for ranks, p in d.ranked_atoms:
-        failing[ranks[_failing_component(phi, ranks)]] += p
+    for (ranks, p), order in zip(d.ranked_atoms, d.failure_orders):
+        failing[ranks[_failing_component(phi, order)]] += p
     # On (0, b_1) every component works, and so does the system.
     return list(accumulate(failing, sub, initial=d.denominator))
 

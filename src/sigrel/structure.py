@@ -137,6 +137,18 @@ def level_indices(n: int, k: int) -> tuple[int, ...]:
     )
 
 
+def evaluate(phi: StructureFunction, states: Sequence[int]) -> int:
+    """Apply ``phi`` to a component state vector (component 1 first)."""
+    if len(states) != phi.n:
+        raise ValueError(f"expected {phi.n} component states, got {len(states)}")
+    index = 0
+    for i, state in enumerate(states):
+        if type(state) is not int or state not in (0, 1):
+            raise ValueError(f"component state {state!r} is not 0 or 1")
+        index |= state << i
+    return phi.value(index)
+
+
 class StructureFunction(Record):
     """An n-component monotone structure function backed by a packed truth table.
 
@@ -184,8 +196,7 @@ class StructureFunction(Record):
         check_range(index, 0, (1 << self.n) - 1, "state index")
         return (self.table >> index) & 1
 
-    def __call__(self, states: Sequence[int]) -> int:
-        return evaluate(self, states)
+    __call__ = evaluate
 
     def bits(self) -> str:
         """Truth table as a string of '0'/'1', index 0 first."""
@@ -265,18 +276,6 @@ def k_out_of_n(n: int, k: int) -> StructureFunction:
     return StructureFunction(n, at_least[-1])
 
 
-def evaluate(phi: StructureFunction, states: Sequence[int]) -> int:
-    """Apply ``phi`` to a component state vector (component 1 first)."""
-    if len(states) != phi.n:
-        raise ValueError(f"expected {phi.n} component states, got {len(states)}")
-    index = 0
-    for i, state in enumerate(states):
-        if type(state) is not int or state not in (0, 1):
-            raise ValueError(f"component state {state!r} is not 0 or 1")
-        index |= state << i
-    return phi.value(index)
-
-
 @lru_cache(maxsize=None, typed=True)
 def _monotone_tables(n: int) -> tuple[int, ...]:
     """All monotone truth tables on n components, ascending as integers.
@@ -317,11 +316,11 @@ def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     systems are the series and parallel pair. Every refusal precedes the cache.
     """
     _check_size(n, system_class, "systems need", "enumeration", ENUMERATION_LIMIT)
-    return _class_tables(n, system_class)
+    return _class_tables(n)
 
 
 @lru_cache(maxsize=None, typed=True)
-def _class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
+def _class_tables(n: int) -> tuple[int, ...]:
     tables = _monotone_tables(n)
     # Keep, one component at a time, the tables on which it is essential.
     for var in range(n):

@@ -15,7 +15,7 @@ comparisons on a 100-atom n = 10 law with 1,000 distinct lifetimes.
 import bisect
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import sub
 
 import pytest
@@ -208,6 +208,28 @@ def test_reliability_curve_matches_lifetime_bisect(laws):
             assert reliability_curve(phi, d) == curve_by_lifetimes(phi, d), (phi, d)
             constant += not phi.semicoherent
     assert constant
+
+
+def test_failure_orders_sort_each_atom_by_rank_then_index(laws):
+    assert any(has_ties(d) for d in laws)
+    for d in laws:
+        want = [tuple(sorted(range(d.n), key=ranks.__getitem__)) for ranks, _ in d.ranked_atoms]
+        assert list(d.failure_orders) == want, d
+
+
+def test_tie_order_in_failure_orders_changes_no_result(laws):
+    changed = 0
+    for d in filter(has_ties, laws):
+        flipped = LifetimeDistribution(d.n, d.atoms)
+        flipped.__dict__["failure_orders"] = tuple(
+            tuple(i for _, group in groupby(order, ranks.__getitem__) for i in reversed([*group]))
+            for (ranks, _), order in zip(d.ranked_atoms, d.failure_orders)
+        )
+        changed += flipped.failure_orders != d.failure_orders
+        assert relative_quality(flipped) == relative_quality(d), d
+        for phi in systems_for(d.n):
+            assert reliability_curve(phi, flipped) == reliability_curve(phi, d), (phi, d)
+    assert changed
 
 
 def test_relative_quality_matches_dense_fraction_loop(laws):

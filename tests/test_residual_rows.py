@@ -201,6 +201,8 @@ def test_class_tables_match_filtered_objects():
         expected = [phi.table for phi in systems if len(phi.essential) == n]
         assert list(class_tables(n, system_class)) == expected, (n, system_class)
         assert [phi.table for phi in enumerate_systems(n, system_class)] == expected
+    for n in (3, 4, 5):
+        assert class_tables(n, SystemClass.COHERENT) is class_tables(n, SystemClass.SEMICOHERENT)
 
 
 def rank_by_kernel(n, tables):

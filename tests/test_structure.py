@@ -166,6 +166,7 @@ class TestEvaluate:
         assert evaluate(phi, (1, 1, 0)) == 1
         assert evaluate(phi, (0, 1, 1)) == 0
         assert phi((1, 1, 0)) == 1 and phi((0, 1, 1)) == 0
+        assert evaluate(phi=phi, states=(1, 1, 0)) == 1 and phi(states=(0, 1, 1)) == 0
 
     def test_state_vector_validated(self):
         with pytest.raises(ValueError):
