@@ -21,14 +21,16 @@ component i working at time t sets bit i - 1.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, pairwise, permutations
 from typing import Iterable, Iterator
 
 from .errors import EnumerationBoundError, TiesError
-from .rationals import file_header, format_rational, parse_rational, parse_time, state_table
+from .rationals import (
+    file_header, format_rational, parse_rational, parse_rationals, parse_time, state_table
+)
 from .record import Record
 from .signature import WeightFunction
 from .structure import check_count, check_range, component_mask, level_indices, require_same_count
@@ -90,7 +92,7 @@ class LifetimeDistribution(Record):
                 lifetimes, prob = entry
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"atom {entry!r} is not a (lifetimes, probability) pair") from exc
-            xs = tuple(parse_rational(v) for v in lifetimes)
+            xs = parse_rationals(lifetimes, "lifetimes")
             if len(xs) != self.n:
                 raise ValueError(
                     f"atom {entry!r} has {len(xs)} lifetimes, expected {self.n}"
@@ -136,9 +138,18 @@ class LifetimeDistribution(Record):
         return tuple((tuple(map(rank.__getitem__, key)), int(p * D)) for key, (_, p) in atoms)
 
     @cached_property
-    def failure_orders(self) -> tuple[tuple[int, ...], ...]:
-        """Per atom, its components by ascending rank, ties by component index."""
-        return tuple(tuple(sorted(range(self.n), key=r.__getitem__)) for r, _ in self.ranked_atoms)
+    def state_chains(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per atom, (rank, packed state) pairs from (-1, all working) to the empty state, one
+        per distinct rank: the state once the components of that rank have failed."""
+        chains = []
+        for ranks, _ in self.ranked_atoms:
+            state = (1 << self.n) - 1
+            chain = {-1: state}
+            for i in sorted(range(self.n), key=ranks.__getitem__):
+                state ^= 1 << i
+                chain[ranks[i]] = state  # a tie group keeps the state after all of it
+            chains.append(tuple(chain.items()))
+        return tuple(chains)
 
     @cached_property
     def cdfs(self) -> tuple[tuple[int, ...], ...]:
@@ -198,7 +209,7 @@ class StateDistribution(Record):
 
 def has_ties(d: LifetimeDistribution) -> bool:
     """True iff two components tie with positive probability."""
-    return any(len(set(ranks)) < d.n for ranks, _ in d.ranked_atoms)
+    return any(len(chain) <= d.n for chain in d.state_chains)
 
 
 def breakpoints(d: LifetimeDistribution) -> tuple[Fraction, ...]:
@@ -211,10 +222,10 @@ def state_support(d: LifetimeDistribution, t: object) -> Support:
 
     One state per atom (component alive iff lifetime > t), merged, sorted by index.
     """
-    alive = bisect_right(d.breakpoints, parse_time(t))  # lifetime > t iff its rank >= alive
+    alive = bisect_right(d.breakpoints, parse_time(t))  # by t the ranks below alive have failed
     probs: dict[int, int] = {}
-    for ranks, p in d.ranked_atoms:
-        index = sum(1 << i for i, r in enumerate(ranks) if r >= alive)
+    for chain, (_, p) in zip(d.state_chains, d.ranked_atoms):
+        index = chain[bisect_left(chain, (alive,)) - 1][1]  # the last entry with rank < alive
         probs[index] = probs.get(index, 0) + p
     return tuple(sorted(probs.items()))
 
@@ -284,23 +295,19 @@ def states_exchangeable_everywhere(d: LifetimeDistribution) -> bool:
 def relative_quality(d: LifetimeDistribution) -> QualityFunction:
     """Probability, per subset, that its components outlive all of the others.
 
-    One walk down each atom's failure order from the top: a subset outlives the
-    rest in an atom exactly when it is the top-j set and v_j > v_(j+1) there, so
-    the tie order changes nothing. The sums are ints over D, kept for the at most
-    n - 1 subsets per atom that get mass. Computed for tied distributions as well;
-    the result then carries ``from_tied`` so that signature operations can refuse it.
+    A subset outlives the rest in an atom exactly when it is the working set of an
+    entry of the atom's state chain; every chain starts at all and ends at none, so
+    those get the conventional 1. The sums are ints over D, kept for the at most n + 1
+    subsets per atom that get mass. Computed for tied distributions as well; the
+    result then carries ``from_tied`` so that signature operations can refuse it.
     """
     sums: dict[int, int] = {}
-    for (ranks, p), order in zip(d.ranked_atoms, d.failure_orders):
-        mask = 0
-        for i, below in pairwise(reversed(order)):
-            mask |= 1 << i
-            if ranks[i] > ranks[below]:
-                sums[mask] = sums.get(mask, 0) + p
+    for chain, (_, p) in zip(d.state_chains, d.ranked_atoms):
+        for _, mask in chain:
+            sums[mask] = sums.get(mask, 0) + p
     values = [Fraction(0)] * (1 << d.n)
     for mask, p in sums.items():
         values[mask] = Fraction(p, d.denominator)
-    values[0] = values[-1] = Fraction(1)
     return QualityFunction(d.n, tuple(values), from_tied=has_ties(d))
 
 
@@ -401,8 +408,10 @@ def _weak_exchangeability_scan(
     if has_ties(d):
         raise TiesError("weak exchangeability needs a distribution without ties")
     by_order: dict[tuple[int, ...], list[RankedAtom]] = {}
-    for atom, order in zip(d.ranked_atoms, d.failure_orders):
-        by_order.setdefault(tuple(i + 1 for i in order), []).append(atom)
+    for atom, chain in zip(d.ranked_atoms, d.state_chains):
+        # Without ties consecutive states differ in the one component that fails.
+        sigma = tuple((a ^ b).bit_length() for (_, a), (_, b) in pairwise(chain))
+        by_order.setdefault(sigma, []).append(atom)
 
     def skipped(stop: tuple[int, ...] | None) -> Iterator[tuple[int, ...]]:
         for sigma in permutations(range(1, d.n + 1)):

@@ -59,10 +59,20 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def parse_rationals(values: Iterable[object], field: str) -> tuple[Fraction, ...]:
+    """:func:`parse_rational` of each of ``values``, the one rule for a field of rationals.
+
+    A string or bytes would be read as its characters, so it is refused, as is a value
+    that cannot be iterated; the message names the ``field``."""
+    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
+        raise ValueError(f"{field} must be a sequence of rationals, got {values!r}")
+    return tuple(map(parse_rational, values))
+
+
 def state_table(n: int, values: Iterable[object], noun: str) -> tuple[Fraction, ...]:
-    """:func:`parse_rational` of each entry of a table with one entry per packed
-    state index of n components; ``noun`` names the entries when the count is not 2**n."""
-    table = tuple(map(parse_rational, values))
+    """:func:`parse_rationals` of a table with one entry per packed state index of
+    n components; ``noun`` names the entries in each refusal."""
+    table = parse_rationals(values, noun)
     if len(table) != 1 << n:
         raise ValueError(f"expected {1 << n} {noun}, got {len(table)}")
     return table

@@ -28,7 +28,7 @@ from .distribution import (
     survival_numerators,
 )
 from .errors import TheoremInconsistencyError, TiesError
-from .rationals import format_rational, parse_rational, parse_time
+from .rationals import format_rational, parse_rationals, parse_time
 from .record import Record
 from .signature import Signature, WeightFunction, boland_signature, weighted_signature
 from .structure import (
@@ -68,8 +68,8 @@ class ReliabilityCurve(Record):
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        bps = tuple(map(parse_rational, self.breakpoints))
-        vals = tuple(map(parse_rational, self.values))
+        bps = parse_rationals(self.breakpoints, "breakpoints")
+        vals = parse_rationals(self.values, "curve values")
         if not bps:
             raise ValueError("a curve needs at least one breakpoint")
         if any(b.numerator <= 0 for b in bps):
@@ -93,32 +93,25 @@ class ReliabilityCurve(Record):
         }
 
 
-def _failing_component(phi: StructureFunction, order: Iterable[int]) -> int:
-    """Index of the component whose failure stops ``phi`` when components fail in
-    ``order``, as :attr:`LifetimeDistribution.failure_orders` lists them. Tied
-    components fail together; by monotonicity, their order cannot move the failure
-    time. ``phi`` must be semicoherent."""
-    index = (1 << phi.n) - 1
-    for i in order:
-        index &= ~(1 << i)
-        if not phi.table >> index & 1:
-            return i
-    raise AssertionError("unreachable: a semicoherent system fails by the last failure")
+def _stopping_entry(phi: StructureFunction, chain: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """The first (rank, state) entry of an atom's state chain, one of
+    :attr:`LifetimeDistribution.state_chains`, at which the semicoherent ``phi`` is 0."""
+    return next(entry for entry in chain if not phi.table >> entry[1] & 1)
 
 
 def system_lifetime(phi: StructureFunction, lifetimes: Sequence[object]) -> Fraction:
-    """Failure time of the system under one realization of component lifetimes.
+    """Failure time of the system under one realization of component lifetimes: the
+    least lifetime x at which phi is 0 on the components whose lifetimes exceed x.
 
-    Components sharing a lifetime value fail simultaneously. The system
-    needs the semicoherent boundary values, otherwise it might never fail.
+    The system needs the semicoherent boundary values, otherwise it might never fail.
     """
     phi.require_semicoherent("system lifetime")
-    xs = [parse_rational(v) for v in lifetimes]
+    xs = parse_rationals(lifetimes, "lifetimes")
     if len(xs) != phi.n:
         raise ValueError(f"expected {phi.n} lifetimes, got {len(xs)}")
     if any(x <= 0 for x in xs):
         raise ValueError("lifetimes must be strictly positive")
-    return xs[_failing_component(phi, sorted(range(phi.n), key=xs.__getitem__))]
+    return min(x for x in xs if not phi.value(sum(1 << i for i, y in enumerate(xs) if y > x)))
 
 
 def probability_signature_oracle(
@@ -126,17 +119,17 @@ def probability_signature_oracle(
 ) -> Signature:
     """Probability signature by direct atom scan, no quality function involved.
 
-    For each atom the failing component is located in its failure order;
-    entry k accumulates the probability that it is the k-th to fail, in ints
-    over D. Needs a no-ties distribution so that the position is unambiguous.
+    Each atom's mass goes to entry k when the system stops in its state chain
+    with n - k components working, so at the k-th failure; the sums are ints
+    over D. Needs a no-ties distribution so that one component fails at a time.
     """
     if has_ties(d):
         raise TiesError("signature oracle needs a distribution without ties")
     require_same_count("system and distribution", phi, d)
     phi.require_semicoherent("system lifetime")
     acc = [0] * d.n
-    for order, (_, p) in zip(d.failure_orders, d.ranked_atoms):
-        acc[order.index(_failing_component(phi, order))] += p
+    for chain, (_, p) in zip(d.state_chains, d.ranked_atoms):
+        acc[d.n - 1 - _stopping_entry(phi, chain)[1].bit_count()] += p
     return Signature(tuple(Fraction(a, d.denominator) for a in acc))
 
 
@@ -150,8 +143,8 @@ def _system_survivals(phi: StructureFunction, d: LifetimeDistribution) -> list[i
         # A monotone system without the semicoherent boundary values is constant.
         return [phi.value(0) * d.denominator] * (len(d.breakpoints) + 1)
     failing = [0] * len(d.breakpoints)
-    for (ranks, p), order in zip(d.ranked_atoms, d.failure_orders):
-        failing[ranks[_failing_component(phi, order)]] += p
+    for chain, (_, p) in zip(d.state_chains, d.ranked_atoms):
+        failing[_stopping_entry(phi, chain)[0]] += p
     # On (0, b_1) every component works, and so does the system.
     return list(accumulate(failing, sub, initial=d.denominator))
 

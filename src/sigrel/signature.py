@@ -18,7 +18,7 @@ from itertools import pairwise
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import TiesError
-from .rationals import format_rational, parse_rational, state_table
+from .rationals import format_rational, parse_rationals, state_table
 from .record import Record
 from .structure import StructureFunction, check_count, check_range, require_same_count
 
@@ -50,7 +50,7 @@ class Signature(Record):
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(map(parse_rational, self.values))
+        coerced = parse_rationals(self.values, "signature entries")
         if not coerced:
             raise ValueError("a signature needs at least one entry")
         object.__setattr__(self, "values", coerced)

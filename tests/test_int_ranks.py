@@ -15,7 +15,7 @@ comparisons on a 100-atom n = 10 law with 1,000 distinct lifetimes.
 import bisect
 import random
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import accumulate
 from operator import sub
 
 import pytest
@@ -210,26 +210,34 @@ def test_reliability_curve_matches_lifetime_bisect(laws):
     assert constant
 
 
-def test_failure_orders_sort_each_atom_by_rank_then_index(laws):
+def test_state_chains_hold_the_working_set_after_each_distinct_rank(laws):
     assert any(has_ties(d) for d in laws)
     for d in laws:
-        want = [tuple(sorted(range(d.n), key=ranks.__getitem__)) for ranks, _ in d.ranked_atoms]
-        assert list(d.failure_orders) == want, d
+        want = [
+            ((-1, (1 << d.n) - 1),
+             *((v, sum(1 << i for i, r in enumerate(ranks) if r > v)) for v in sorted(set(ranks))))
+            for ranks, _ in d.ranked_atoms
+        ]
+        assert list(d.state_chains) == want, d
 
 
-def test_tie_order_in_failure_orders_changes_no_result(laws):
-    changed = 0
-    for d in filter(has_ties, laws):
-        flipped = LifetimeDistribution(d.n, d.atoms)
-        flipped.__dict__["failure_orders"] = tuple(
-            tuple(i for _, group in groupby(order, ranks.__getitem__) for i in reversed([*group]))
-            for (ranks, _), order in zip(d.ranked_atoms, d.failure_orders)
-        )
-        changed += flipped.failure_orders != d.failure_orders
-        assert relative_quality(flipped) == relative_quality(d), d
-        for phi in systems_for(d.n):
-            assert reliability_curve(phi, flipped) == reliability_curve(phi, d), (phi, d)
-    assert changed
+def test_system_lifetime_is_where_the_one_atom_curve_drops_to_zero():
+    # system_lifetime and the curve share no code: one reads Fraction lifetimes, the
+    # other the state chain of a one-atom law.
+    rng = random.Random(3131)
+    kinds = set()
+    for n in (2, 3, 4):
+        systems = [StructureFunction(n, table) for table in _monotone_tables(n)]
+        systems = [phi for phi in systems if phi.semicoherent]
+        for _ in range(8):
+            xs = tuple(Fraction(rng.randint(1, 2 * n), rng.randint(1, 3)) for _ in range(n))
+            d = LifetimeDistribution(n, ((xs, 1),))
+            kinds.add(has_ties(d))
+            for phi in systems:
+                curve = reliability_curve(phi, d)
+                drop = curve.breakpoints[curve.values.index(0) - 1]
+                assert system_lifetime(phi, xs) == drop, (phi, xs)
+    assert kinds == {False, True}
 
 
 def test_relative_quality_matches_dense_fraction_loop(laws):

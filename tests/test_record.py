@@ -35,6 +35,7 @@ from sigrel import (
     diagnose,
     format_rational,
     k_out_of_n,
+    system_lifetime,
 )
 from sigrel.record import Record
 
@@ -248,6 +249,10 @@ def law(n, *atoms):
 
 
 def states(*probs):
+    return states_given(probs)
+
+
+def states_given(probs):
     return lambda: StateDistribution(1, 1, probs)
 
 
@@ -330,6 +335,26 @@ ERRORS += [
 ]
 # Output goes through the same rule: format_rational reads parse_rational.
 ERRORS += [(partial(format_rational, value), message) for value, message in HOSTILE]
+
+# A string would be read as its characters, "11" as the rationals 1 and 1, and bytes
+# as ints; a value that is not iterable has no entries. One rule refuses both for
+# every field of rationals, naming the field.
+SEQUENCE = "must be a sequence of rationals, got"
+ERRORS += [
+    (lambda: WeightFunction(1, "11"), f"weights for n=1 {SEQUENCE} '11'"),
+    (lambda: WeightFunction(1, b"11"), f"weights for n=1 {SEQUENCE} b'11'"),
+    (lambda: QualityFunction(1, "11"), f"values for n=1 {SEQUENCE} '11'"),
+    (states_given("01"), f"state probabilities {SEQUENCE} '01'"),
+    (states_given(None), f"state probabilities {SEQUENCE} None"),
+    (lambda: Signature("1"), f"signature entries {SEQUENCE} '1'"),
+    (lambda: Signature(1), f"signature entries {SEQUENCE} 1"),
+    (lambda: ReliabilityCurve("1", "10"), f"breakpoints {SEQUENCE} '1'"),
+    (lambda: ReliabilityCurve((1,), "10"), f"curve values {SEQUENCE} '10'"),
+    (law(2, ("12", 1)), f"lifetimes {SEQUENCE} '12'"),
+    (law(2, (5, 1)), f"lifetimes {SEQUENCE} 5"),
+    (lambda: system_lifetime(k_out_of_n(2, 1), "12"), f"lifetimes {SEQUENCE} '12'"),
+    (lambda: system_lifetime(k_out_of_n(2, 1), 12), f"lifetimes {SEQUENCE} 12"),
+]
 
 
 @pytest.mark.parametrize("make, message", ERRORS, ids=range(len(ERRORS)))

@@ -6,9 +6,10 @@ The corpus is ``tools/mutants.json``: a list of mutants, each with a
 ``name``, the ``file`` it edits, an ``anchor`` text, its ``replacement`` and
 the ``tests`` (pytest node ids) that must catch it. The script copies the
 repository, without ``.git``, into a temporary directory and first runs every
-named test there unmutated; they must all pass. Then, one mutant at a time,
-it replaces the anchor with the replacement, runs only that mutant's tests
-and restores the file. A mutant is
+named test there unmutated; they must all pass, or the script lists the node
+ids that pytest reports missing or failing and stops. Then, one mutant at a
+time, it replaces the anchor with the replacement, runs only that mutant's
+tests and restores the file. A mutant is
 
 - *caught* when pytest reports a failing test (exit status 1),
 - *stale* when its anchor no longer occurs exactly once, so that the code it
@@ -39,19 +40,30 @@ SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "work", "*
 TIMEOUT = 600
 
 
-def pytest(copy: Path, tests: list[str]) -> int | None:
-    """pytest's exit status on ``tests`` in ``copy``, or None on a timeout."""
+def pytest(copy: Path, tests: list[str], *options: str) -> tuple[int | None, str]:
+    """pytest's exit status on ``tests`` in ``copy``, or None on a timeout, and its output."""
     # No bytecode: a mutant of the same size and mtime second could reuse a stale .pyc.
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(copy / "src")}
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *options, *tests]
     try:
         done = subprocess.run(
             command, cwd=copy, env=env, timeout=TIMEOUT,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
     except subprocess.TimeoutExpired:
-        return None
-    return done.returncode
+        return None, f"timed out after {TIMEOUT} s"
+    return done.returncode, done.stdout
+
+
+def broken(copy: Path, output: str) -> list[str]:
+    """The node ids that pytest's ``output`` reports not found, failed or in error."""
+    ids = []
+    for line in output.splitlines():
+        for prefix in ("ERROR: not found: ", "FAILED ", "ERROR "):
+            if line.startswith(prefix):
+                ids.append(line[len(prefix) :].split(" - ")[0].removeprefix(f"{copy}/"))
+                break
+    return ids
 
 
 def run_mutant(copy: Path, mutant: dict) -> str:
@@ -61,7 +73,7 @@ def run_mutant(copy: Path, mutant: dict) -> str:
         return "stale"
     path.write_text(source.replace(mutant["anchor"], mutant["replacement"]), encoding="utf-8")
     try:
-        status = pytest(copy, mutant["tests"])
+        status, _ = pytest(copy, mutant["tests"], "-x")
     finally:
         path.write_text(source, encoding="utf-8")
     return {0: "survived", 1: "caught"}.get(status, "error")
@@ -74,8 +86,11 @@ def main() -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=SKIP)
         tests = sorted({test for m in mutants for test in m["tests"]})
-        if pytest(copy, tests) != 0:
-            print("the named tests do not all pass on the unmutated copy", file=sys.stderr)
+        status, output = pytest(copy, tests)
+        if status != 0:
+            print("the named tests do not all pass on the unmutated copy:", file=sys.stderr)
+            for line in broken(copy, output) or output.splitlines()[-20:]:
+                print(f"  {line}", file=sys.stderr)
             return 2
         counts: dict[str, int] = {}
         for mutant in mutants:
