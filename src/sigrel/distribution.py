@@ -29,7 +29,8 @@ from typing import Iterable, Iterator
 
 from .errors import EnumerationBoundError, TiesError
 from .rationals import (
-    file_header, format_rational, parse_rational, parse_rationals, parse_time, state_table
+    check_sequence, file_header, format_rational, parse_rational, parse_rationals, parse_time,
+    state_table,
 )
 from .record import Record
 from .signature import WeightFunction
@@ -60,7 +61,7 @@ __all__ = [
 
 Atom = tuple[tuple[Fraction, ...], Fraction]
 RankedAtom = tuple[tuple[int, ...], int]
-Support = tuple[tuple[int, int], ...]
+Support = dict[int, int]
 
 # The weak scan lists every zero-probability ordering: `diagnose` on a 3-atom comonotone law took
 # (2-vCPU VM) 1.2 s, 34 MB of JSON and 111 MB peak RSS at n = 9, and 14 s, 374 MB and 1.0 GB at 10.
@@ -85,6 +86,7 @@ class LifetimeDistribution(Record):
         check_count(self.n)
         if not self.atoms:
             raise ValueError("a distribution needs at least one atom")
+        check_sequence(self.atoms, "atoms", "(lifetimes, probability) pairs")
         parsed: list[Atom] = []
         total = Fraction(0)
         for entry in self.atoms:
@@ -218,16 +220,16 @@ def breakpoints(d: LifetimeDistribution) -> tuple[Fraction, ...]:
 
 
 def state_support(d: LifetimeDistribution, t: object) -> Support:
-    """(state index, probability times D) of each state with positive probability at t.
+    """State index -> probability times D, for each state with positive probability at t.
 
-    One state per atom (component alive iff lifetime > t), merged, sorted by index.
+    One state per atom (component alive iff lifetime > t), merged.
     """
     alive = bisect_right(d.breakpoints, parse_time(t))  # by t the ranks below alive have failed
     probs: dict[int, int] = {}
     for chain, (_, p) in zip(d.state_chains, d.ranked_atoms):
         index = chain[bisect_left(chain, (alive,)) - 1][1]  # the last entry with rank < alive
         probs[index] = probs.get(index, 0) + p
-    return tuple(sorted(probs.items()))
+    return probs
 
 
 def order_stat_cdfs(d: LifetimeDistribution, atoms: Iterable[RankedAtom]) -> list[list[int]]:
@@ -243,7 +245,7 @@ def order_stat_cdfs(d: LifetimeDistribution, atoms: Iterable[RankedAtom]) -> lis
 def state_distribution(d: LifetimeDistribution, t: object) -> StateDistribution:
     """Distribution of the working/failed vector at time t (component alive iff lifetime > t)."""
     probs = [Fraction(0)] * (1 << d.n)
-    for index, p in state_support(d, t):
+    for index, p in state_support(d, t).items():
         probs[index] = Fraction(p, d.denominator)
     return StateDistribution(d.n, t, tuple(probs))
 
@@ -252,14 +254,13 @@ def _state_vector(n: int, index: int) -> list[int]:
     return [(index >> i) & 1 for i in range(n)]
 
 
-def _state_exchangeability_at(d: LifetimeDistribution, support: Support) -> dict | None:
+def _state_exchangeability_at(d: LifetimeDistribution, probs: Support) -> dict | None:
     """Witness of the first same-level state pair, by level then index, with
     unequal probabilities; the caller adds the time.
 
     The pair is a level's first state and the least later state whose
     probability differs. That state is supported or directly follows a
     supported state at its level, so no level is listed in full."""
-    probs = dict(support)
     candidates: dict[int, list[int]] = {}
     for x in probs:
         # The next index at x's level: the lowest run of ones in x moves its top bit
@@ -379,7 +380,7 @@ def group_reliability(
     the :func:`state_support` mass on the states in which the whole group works."""
     support = state_support(d, t)
     group = component_mask(d.n, components, "component")
-    return Fraction(sum(p for x, p in support if x & group == group), d.denominator)
+    return Fraction(sum(p for x, p in support.items() if x & group == group), d.denominator)
 
 
 def weakly_exchangeable(d: LifetimeDistribution) -> bool:
@@ -446,15 +447,14 @@ def condition_w(d: LifetimeDistribution, w: WeightFunction, t: object) -> bool:
 
 
 def _condition_w_witness(
-    d: LifetimeDistribution, w: WeightFunction, support: Support
+    d: LifetimeDistribution, w: WeightFunction, probs: Support
 ) -> dict | None:
     """Witness of the first state x >= 1 where P(x) != w(x) * P(level of x),
     compared as ints: P(x) * Q against ``w.numerators[x]`` times the level
     total, both over D. The caller adds the time."""
     Q, weights = w.denominator, w.numerators
-    probs = dict(support)
     totals = [0] * (d.n + 1)
-    for index, p in support:
+    for index, p in probs.items():
         totals[index.bit_count()] += p
     for x in range(1, 1 << d.n):
         p, expected = probs.get(x, 0), weights[x] * totals[x.bit_count()]
@@ -529,12 +529,10 @@ def distribution_from_json(obj: object) -> LifetimeDistribution:
     n, atoms = file_header(obj, "distribution", "atoms")
     if not isinstance(atoms, list) or not atoms:
         raise ValueError("distribution field 'atoms' must be a nonempty list")
-    parsed = []
     for i, entry in enumerate(atoms):
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
             raise ValueError(f"atom {i} must be an object with 'x' and 'p' fields")
-        xs = entry["x"]
-        if not isinstance(xs, list):
+        if not isinstance(entry["x"], list):
             raise ValueError(f"atom {i}: 'x' must be a list of rationals")
-        parsed.append((tuple(parse_rational(v) for v in xs), parse_rational(entry["p"])))
-    return LifetimeDistribution(n, tuple(parsed))
+    # The law parses each value once.
+    return LifetimeDistribution(n, tuple((entry["x"], entry["p"]) for entry in atoms))

@@ -59,13 +59,17 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_rationals(values: Iterable[object], field: str) -> tuple[Fraction, ...]:
-    """:func:`parse_rational` of each of ``values``, the one rule for a field of rationals.
-
-    A string or bytes would be read as its characters, so it is refused, as is a value
-    that cannot be iterated; the message names the ``field``."""
+def check_sequence(values: object, field: str, entries: str) -> None:
+    """The one rule for a field that is a sequence of ``entries``: a string or bytes would
+    be read as its characters, so it is refused, as is a value that cannot be iterated;
+    the message names the ``field``."""
     if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
-        raise ValueError(f"{field} must be a sequence of rationals, got {values!r}")
+        raise ValueError(f"{field} must be a sequence of {entries}, got {values!r}")
+
+
+def parse_rationals(values: Iterable[object], field: str) -> tuple[Fraction, ...]:
+    """:func:`parse_rational` of each of ``values``, the one rule for a field of rationals."""
+    check_sequence(values, field, "rationals")
     return tuple(map(parse_rational, values))
 
 

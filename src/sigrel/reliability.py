@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from itertools import accumulate, compress, pairwise
+from itertools import accumulate, compress, pairwise, tee
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -96,7 +96,9 @@ class ReliabilityCurve(Record):
 def _stopping_entry(phi: StructureFunction, chain: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """The first (rank, state) entry of an atom's state chain, one of
     :attr:`LifetimeDistribution.state_chains`, at which the semicoherent ``phi`` is 0."""
-    return next(entry for entry in chain if not phi.table >> entry[1] & 1)
+    for entry in chain:
+        if not phi.table >> entry[1] & 1:
+            return entry
 
 
 def system_lifetime(phi: StructureFunction, lifetimes: Sequence[object]) -> Fraction:
@@ -209,6 +211,10 @@ class TheoremCheck(Record):
     lhs: bool
     rhs: bool
 
+    def __post_init__(self) -> None:
+        if self.relation not in ("iff", "if"):
+            raise ValueError(f"relation must be 'iff' or 'if', got {self.relation!r}")
+
     @property
     def consistent(self) -> bool:
         if self.relation == "iff":
@@ -320,7 +326,7 @@ def _residual_rows(
         # Exactly m work iff X_(n-m:n) <= t < X_(n-m+1:n), X_(0:n) = 0, X_(n+1:n) infinite.
         exactly = [b - a for a, b in pairwise([0, *reversed(column), d.denominator])]
         row = [weights[x] * exactly[x.bit_count()] for x in range(1 << w.n)]
-        for x, p in support:
+        for x, p in support.items():
             row[x] -= S * p
         yield row
 
@@ -346,7 +352,7 @@ def verify_theorems(
     integer rows over the states, broken by exactly the systems on which
     some row does not vanish: one residual row per breakpoint for each
     representation, built as the echelon reads them from the columns of
-    ``d.cdfs`` and the supports (built once and shared with the condition walk),
+    ``d.cdfs`` and the supports (each built once, when its first reader reaches it),
     and one row per level for the signature agreement. A claim's witness is the
     first table of :func:`class_tables` that the rows' echelon basis does not
     annihilate, at the origin of its first basis row that does not: earlier basis rows
@@ -357,8 +363,8 @@ def verify_theorems(
     if n != d.n:
         raise ValueError(f"n={n} does not match the distribution's n={d.n}")
     tables = class_tables(n, system_class)
-    supports = [state_support(d, t) for t in d.breakpoints]
-    weights, fields = evaluate_conditions(d, supports)
+    walk, boland_scan, prob_scan = tee((state_support(d, t) for t in d.breakpoints), 3)
+    weights, fields = evaluate_conditions(d, walk)
     ties, witnesses = fields["has_ties"], fields["witnesses"]
     symmetric = WeightFunction.symmetric(n)
     L, Q = symmetric.denominator, weights.denominator
@@ -376,7 +382,7 @@ def verify_theorems(
                         return StructureFunction(n, table), origin
         return None, None
 
-    def representation_witness(w: WeightFunction) -> dict | None:
+    def representation_witness(w: WeightFunction, supports: Iterator[Support]) -> dict | None:
         phi, b = first_breaking(_residual_rows(w, d, supports))
         if phi is None:
             return None
@@ -392,12 +398,12 @@ def verify_theorems(
     relation = "iff" if rank == (1 << n) - 1 else "if"
 
     states = fields["states_exchangeable_everywhere"]
-    found = {"boland_repr": representation_witness(symmetric)}
+    found = {"boland_repr": representation_witness(symmetric, boland_scan)}
     boland_all = found["boland_repr"] is None
     claims = [("boland_repr_iff_states_exchangeable", boland_all, states)]
     prob_all = both = None
     if not ties:
-        found["prob_repr"] = representation_witness(weights)
+        found["prob_repr"] = representation_witness(weights, prob_scan)
         # Row m is W(m) * Q under the design weights minus W(m) * L under the
         # quality; the signatures, differenced W with W(0) = 0, agree iff all vanish.
         gap = [a * Q - b * L for a, b in zip(symmetric.numerators, weights.numerators)]

@@ -25,7 +25,7 @@ from sigrel import (
     states_exchangeable_everywhere,
     weakly_exchangeable,
 )
-from sigrel import distribution
+from sigrel import distribution, rationals
 from sigrel.distribution import _weak_exchangeability_scan, evaluate_conditions, state_support
 
 from conftest import (
@@ -368,6 +368,21 @@ class TestJson:
         }
         d = distribution_from_json(obj)
         assert d.atoms[0] == ((F(1, 2), 2), F(1, 2))
+
+    def test_parses_each_value_once(self, monkeypatch):
+        calls = []
+        real = rationals.parse_rational
+
+        def counting(value):
+            calls.append(value)
+            return real(value)
+
+        monkeypatch.setattr(rationals, "parse_rational", counting)
+        monkeypatch.setattr(distribution, "parse_rational", counting)
+        obj = {"n": 2, "atoms": [{"x": ["1/2", 2], "p": "1/3"}, {"x": [3, "4"], "p": "2/3"}]}
+        distribution_from_json(obj)
+        # The file's values, each read once, atom by atom: the lifetimes, then p.
+        assert calls == ["1/2", 2, "1/3", 3, "4", "2/3"]
 
     def test_errors_name_the_problem(self):
         with pytest.raises(ValueError, match="'atoms'"):

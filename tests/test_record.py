@@ -355,6 +355,15 @@ ERRORS += [
     (lambda: system_lifetime(k_out_of_n(2, 1), "12"), f"lifetimes {SEQUENCE} '12'"),
     (lambda: system_lifetime(k_out_of_n(2, 1), 12), f"lifetimes {SEQUENCE} 12"),
 ]
+# The atoms field goes through the same rule, and a relation is "iff" or "if".
+PAIRS = "must be a sequence of (lifetimes, probability) pairs, got"
+RELATION = "relation must be 'iff' or 'if', got"
+ERRORS += [
+    (lambda: LifetimeDistribution(2, 5), f"atoms {PAIRS} 5"),
+    (lambda: LifetimeDistribution(1, "1"), f"atoms {PAIRS} '1'"),
+    (lambda: TheoremCheck("x", "maybe", True, False), f"{RELATION} 'maybe'"),
+    (lambda: TheoremCheck("x", "IFF", True, True), f"{RELATION} 'IFF'"),
+]
 
 
 @pytest.mark.parametrize("make, message", ERRORS, ids=range(len(ERRORS)))

@@ -79,7 +79,7 @@ def verify_by_integer_scan(n, d, system_class):
     def representation_witness(phi, sig, scale):
         for t, surv, support in zip(d.breakpoints, survivals, supports):
             lhs = sum(map(mul, sig, surv))
-            rhs = scale * sum(p for x, p in support if phi.value(x))
+            rhs = scale * sum(p for x, p in support.items() if phi.value(x))
             if lhs != rhs:
                 return {
                     "system": system_to_json(phi),

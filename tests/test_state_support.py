@@ -204,7 +204,7 @@ def random_support(rng, n):
         if len(states) > 1 and rng.random() < 0.5:
             states.remove(rng.choice(states))
         masses = [1] * len(states)
-    return SimpleNamespace(n=n, denominator=sum(masses)), tuple(sorted(zip(states, masses)))
+    return SimpleNamespace(n=n, denominator=sum(masses)), dict(zip(states, masses))
 
 
 def test_state_walk_matches_the_level_listing():
@@ -366,12 +366,18 @@ def test_diagnose_builds_supports_only_up_to_its_witnesses(support_calls):
 
 
 def test_verify_builds_one_support_per_breakpoint(support_calls):
+    walked = []
     for d in fresh_laws():
         support_calls.clear()
         report = verify_theorems(d.n, d, SystemClass.SEMICOHERENT)
         bps = list(breakpoints(d))
-        # One list, shared by the condition walk and the representation scan.
-        assert support_calls == bps
+        # One stream, shared by the condition walk and the representation scans: at most
+        # one support per breakpoint, in order, and at least the condition walk's.
+        assert support_calls == bps[: len(support_calls)]
+        assert len(support_calls) >= walk_length(d, report.witnesses)
+        walked.append(len(support_calls) == len(bps))
+    # The exchangeable law walks every breakpoint; a generic law stops before the last.
+    assert walked[2] and not all(walked)
 
 
 def test_cached_views_leave_equality_and_hash_alone():
@@ -379,7 +385,7 @@ def test_cached_views_leave_equality_and_hash_alone():
     a, b = make_dist(3, rows), make_dist(3, rows)
     # Probabilities as ints over D = 3; component i alive sets bit i - 1.
     supports = tuple(state_support(a, t) for t in a.breakpoints)
-    assert supports == (((0b011, 2), (0b110, 1)), ((0b001, 2), (0b100, 1)), ((0, 3),))
+    assert supports == ({0b011: 2, 0b110: 1}, {0b001: 2, 0b100: 1}, {0: 3})
     assert a.denominator == 3
     assert a.breakpoints == (1, 2, 3)
     # Lifetime ranks among the breakpoints, and the probabilities over D.

@@ -107,7 +107,7 @@ def reliability_by_states(phi, probs):
 
 def reliability_by_support(phi, d, t):
     """Mass of the state support at t on the states where phi works, over D."""
-    return Fraction(sum(p for x, p in state_support(d, t) if phi.value(x)), d.denominator)
+    return Fraction(sum(p for x, p in state_support(d, t).items() if phi.value(x)), d.denominator)
 
 
 def curves_by_state_distributions(d, systems):
