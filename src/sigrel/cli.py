@@ -20,7 +20,7 @@ from itertools import islice
 from typing import Callable
 
 from .distribution import LifetimeDistribution, distribution_from_json, relative_quality
-from .errors import EnumerationBoundError, TheoremInconsistencyError, TiesError
+from .errors import EnumerationBoundError, TheoremInconsistencyError
 from .rationals import format_rational, parse_rational
 from .reliability import (
     diagnose,
@@ -111,8 +111,7 @@ def _cmd_diagnose(args: argparse.Namespace, d: LifetimeDistribution) -> object:
 
 
 def _cmd_verify(args: argparse.Namespace, d: LifetimeDistribution) -> object:
-    system_class = SystemClass(args.system_class)
-    return verify_theorems(d.n, d, system_class).to_json()
+    return verify_theorems(d, SystemClass(args.system_class)).to_json()
 
 
 def _cmd_basis(args: argparse.Namespace) -> object:
@@ -196,7 +195,7 @@ def run(argv: list[str] | None = None) -> int:
         return _fail(1, "input", str(exc))
     except TheoremInconsistencyError as exc:
         return _fail(3, "inconsistency", str(exc))
-    except (TiesError, EnumerationBoundError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(2, "precondition", str(exc))
     # The payload is complete; write the pure-Python encoder's chunks in batches, not joined.
     chunks = json.JSONEncoder(indent=2).iterencode(payload)

@@ -41,7 +41,6 @@ __all__ = [
     "LifetimeDistribution",
     "QualityFunction",
     "StateDistribution",
-    "breakpoints",
     "condition_w",
     "distribution_from_json",
     "distribution_to_json",
@@ -214,9 +213,11 @@ def has_ties(d: LifetimeDistribution) -> bool:
     return any(len(chain) <= d.n for chain in d.state_chains)
 
 
-def breakpoints(d: LifetimeDistribution) -> tuple[Fraction, ...]:
-    """Public spelling of :attr:`LifetimeDistribution.breakpoints`."""
-    return d.breakpoints
+def require_no_ties(d: LifetimeDistribution, what: str) -> None:
+    """Refuse a law in which two components tie with positive probability; ``what``
+    names the quantity that needs one component to fail at a time."""
+    if has_ties(d):
+        raise TiesError(f"{what} needs a distribution without ties")
 
 
 def state_support(d: LifetimeDistribution, t: object) -> Support:
@@ -406,8 +407,7 @@ def _weak_exchangeability_scan(
     P(X_(k:n) <= t) = u / D from :func:`order_stat_cdfs` and P(group) = total / D,
     the conditional equals u / D iff mass * D == u * total.
     """
-    if has_ties(d):
-        raise TiesError("weak exchangeability needs a distribution without ties")
+    require_no_ties(d, "weak exchangeability")
     by_order: dict[tuple[int, ...], list[RankedAtom]] = {}
     for atom, chain in zip(d.ranked_atoms, d.state_chains):
         # Without ties consecutive states differ in the one component that fails.

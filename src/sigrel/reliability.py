@@ -22,12 +22,12 @@ from .distribution import (
     LifetimeDistribution,
     Support,
     evaluate_conditions,
-    has_ties,
     relative_quality,
+    require_no_ties,
     state_support,
     survival_numerators,
 )
-from .errors import TheoremInconsistencyError, TiesError
+from .errors import TheoremInconsistencyError
 from .rationals import format_rational, parse_rationals, parse_time
 from .record import Record
 from .signature import Signature, WeightFunction, boland_signature, weighted_signature
@@ -125,8 +125,7 @@ def probability_signature_oracle(
     with n - k components working, so at the k-th failure; the sums are ints
     over D. Needs a no-ties distribution so that one component fails at a time.
     """
-    if has_ties(d):
-        raise TiesError("signature oracle needs a distribution without ties")
+    require_no_ties(d, "signature oracle")
     require_same_count("system and distribution", phi, d)
     phi.require_semicoherent("system lifetime")
     acc = [0] * d.n
@@ -180,10 +179,7 @@ def repr_prob_signature(
 ) -> Fraction:
     """Probability-signature mixture of order-statistic survivals at time t."""
     phi.require_semicoherent("signature")
-    if has_ties(d):
-        raise TiesError(
-            "probability-signature representation needs a distribution without ties"
-        )
+    require_no_ties(d, "probability-signature representation")
     return repr_weighted(phi, d, relative_quality(d), t)
 
 
@@ -214,6 +210,9 @@ class TheoremCheck(Record):
     def __post_init__(self) -> None:
         if self.relation not in ("iff", "if"):
             raise ValueError(f"relation must be 'iff' or 'if', got {self.relation!r}")
+        for side, value in (("lhs", self.lhs), ("rhs", self.rhs)):
+            if not isinstance(value, bool):
+                raise ValueError(f"{side} must be a bool, got {value!r}")
 
     @property
     def consistent(self) -> bool:
@@ -228,12 +227,12 @@ class TheoremCheck(Record):
 class DiagnosisReport(Record):
     """Conditions, verdicts, and witnesses for one distribution.
 
-    In "predicted" mode (from :func:`diagnose`) the verdicts are the values
-    the equivalences dictate from the conditions alone; no systems are
-    enumerated, and the predictions refer to the representation holding for
-    the whole semicoherent family. In "verified" mode (from
-    :func:`verify_theorems`) the verdicts are measured over an enumerated
-    class and cross-checked against the conditions.
+    The mode follows from the class. In "predicted" mode (from :func:`diagnose`,
+    no class) the verdicts are the values the equivalences dictate from the
+    conditions alone; no systems are enumerated, and the predictions refer to
+    the representation holding for the whole semicoherent family. In "verified"
+    mode (from :func:`verify_theorems`) the verdicts are measured over an
+    enumerated class and cross-checked against the conditions.
 
     Verdicts and conditions that need a tie-free distribution are None when
     ties are present. Reports compare and hash by identity.
@@ -252,7 +251,6 @@ class DiagnosisReport(Record):
     )
     _verdicts = ("boland_repr_all_systems", "prob_repr_all_systems", "both_representations")
 
-    mode: str
     n: int
     breakpoints: tuple[Fraction, ...]
     has_ties: bool
@@ -270,6 +268,10 @@ class DiagnosisReport(Record):
     systems_checked: int | None = None
     class_rank: int | None = None
     theorem_checks: tuple[TheoremCheck, ...] = ()
+
+    @property
+    def mode(self) -> str:
+        return "predicted" if self.system_class is None else "verified"
 
     def to_json(self) -> dict:
         out: dict = {"mode": self.mode, "n": self.n}
@@ -298,7 +300,6 @@ def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
     _, fields = evaluate_conditions(d, (state_support(d, t) for t in d.breakpoints))
     ties, states = fields["has_ties"], fields["states_exchangeable_everywhere"]
     return DiagnosisReport(
-        mode="predicted",
         n=d.n,
         breakpoints=d.breakpoints,
         **fields,
@@ -331,9 +332,7 @@ def _residual_rows(
         yield row
 
 
-def verify_theorems(
-    n: int, d: LifetimeDistribution, system_class: SystemClass
-) -> DiagnosisReport:
+def verify_theorems(d: LifetimeDistribution, system_class: SystemClass) -> DiagnosisReport:
     """Measure the representation verdicts over an enumerated class and
     cross-check them against the independently evaluated conditions.
 
@@ -360,8 +359,7 @@ def verify_theorems(
     is kept, reduced to a nonzero multiple of itself plus such rows. Only a witness
     becomes a :class:`StructureFunction`. The class rank is :func:`class_rank`.
     """
-    if n != d.n:
-        raise ValueError(f"n={n} does not match the distribution's n={d.n}")
+    n = d.n
     tables = class_tables(n, system_class)
     walk, boland_scan, prob_scan = tee((state_support(d, t) for t in d.breakpoints), 3)
     weights, fields = evaluate_conditions(d, walk)
@@ -441,7 +439,6 @@ def verify_theorems(
         raise TheoremInconsistencyError(f"independently computed sides disagree: {details}")
 
     return DiagnosisReport(
-        mode="verified",
         n=d.n,
         breakpoints=d.breakpoints,
         **fields,

@@ -89,10 +89,8 @@ class WeightFunction(Record):
         One instance per n is built and shared; instances are frozen.
         """
         check_count(n)
-        values = [
-            Fraction(1, math.comb(n, mask.bit_count())) for mask in range(1 << n)
-        ]
-        return cls(n, tuple(values))
+        levels = [Fraction(1, math.comb(n, k)) for k in range(n + 1)]
+        return cls(n, tuple(levels[mask.bit_count()] for mask in range(1 << n)))
 
     @cached_property
     def denominator(self) -> int:

@@ -14,7 +14,6 @@ from fractions import Fraction
 from sigrel import (
     SystemClass,
     appendix_basis,
-    breakpoints,
     enumerate_systems,
     order_stat_survival,
     probability_signature,
@@ -68,7 +67,7 @@ def test_criterion_1_eight_atom_ladder(capsys):
             for mask in (0b011, 0b101, 0b110):
                 assert sd.prob(mask) == F(1, 8)
 
-        report = verify_theorems(3, d, SystemClass.COHERENT)
+        report = verify_theorems(d, SystemClass.COHERENT)
         assert report.systems_checked == 9
         assert report.breakpoints == (1, 2, 3, 4, 5)
         assert report.boland_repr_all_systems is True
@@ -107,7 +106,7 @@ def test_criterion_2_ordering_orbit_family(capsys):
         start = time.perf_counter()
 
         uniform = [F(1, 6)] * 6
-        report = verify_theorems(3, orbit_dist(uniform), SystemClass.COHERENT)
+        report = verify_theorems(orbit_dist(uniform), SystemClass.COHERENT)
         assert report.boland_repr_all_systems is True
         assert report.prob_repr_all_systems is True
         assert report.both_representations is True
@@ -116,7 +115,7 @@ def test_criterion_2_ordering_orbit_family(capsys):
 
         lopsided = [F(1, 2), 0, 0, F(1, 2), 0, 0]
         d = orbit_dist(lopsided)
-        report = verify_theorems(3, d, SystemClass.COHERENT)
+        report = verify_theorems(d, SystemClass.COHERENT)
         assert report.prob_repr_all_systems is True
         assert report.boland_repr_all_systems is False
         witness = report.witnesses["boland_repr"]
@@ -135,7 +134,7 @@ def test_criterion_2_ordering_orbit_family(capsys):
         ]
         for probs in more:
             flag = verify_theorems(
-                3, orbit_dist(probs), SystemClass.COHERENT
+                orbit_dist(probs), SystemClass.COHERENT
             ).states_exchangeable_everywhere
             assert flag == is_coset_combination(probs)
 
@@ -145,7 +144,7 @@ def test_criterion_2_ordering_orbit_family(capsys):
 def test_criterion_3_staggered_pairs(capsys):
     with verdict(capsys, 3, "staggered-pairs flags"):
         d = staggered_pairs_dist()
-        report = verify_theorems(2, d, SystemClass.SEMICOHERENT)
+        report = verify_theorems(d, SystemClass.SEMICOHERENT)
 
         assert report.states_exchangeable_everywhere is True
         for t in (1, F(3, 2), 2, 3, F(7, 2)):
@@ -197,7 +196,7 @@ def test_criterion_6_iff_theorem_suite(capsys, theorem_corpus):
         counts = {}
         for _, d in theorem_corpus:
             # raises TheoremInconsistencyError if any equivalence breaks
-            report = verify_theorems(3, d, SystemClass.COHERENT)
+            report = verify_theorems(d, SystemClass.COHERENT)
             assert len(report.theorem_checks) == 5
             for check in report.theorem_checks:
                 assert check.relation == "iff"
@@ -233,7 +232,7 @@ def test_criterion_8_exact_identities(capsys, theorem_corpus):
         # survival differences equal level totals at every breakpoint
         for _, d in list(theorem_corpus) + named:
             n = d.n
-            for t in breakpoints(d):
+            for t in d.breakpoints:
                 sd = state_distribution(d, t)
                 for k in range(1, n + 1):
                     diff = survival(d, n - k + 1, t) - survival(d, n - k, t)

@@ -9,7 +9,6 @@ import pytest
 from sigrel import (
     TiesError,
     WeightFunction,
-    breakpoints,
     condition_w,
     distribution_from_json,
     distribution_to_json,
@@ -76,9 +75,9 @@ class TestTiesAndBreakpoints:
         assert has_ties(make_dist(3, [((1, 1, 2), 1)]))
 
     def test_breakpoints(self, staggered_pairs, shifted_ladders):
-        assert breakpoints(staggered_pairs) == (1, 2, 3, 4)
-        assert breakpoints(shifted_ladders) == (1, 2, 3, 4, 5)
-        assert breakpoints(make_dist(3, [((5, 5, 5), 1)])) == (5,)
+        assert staggered_pairs.breakpoints == (1, 2, 3, 4)
+        assert shifted_ladders.breakpoints == (1, 2, 3, 4, 5)
+        assert make_dist(3, [((5, 5, 5), 1)]).breakpoints == (5,)
 
 
 class TestStateDistribution:
@@ -100,7 +99,7 @@ class TestStateDistribution:
 
     def test_constant_between_breakpoints(self, theorem_corpus):
         for _, d in theorem_corpus[:20]:
-            bps = breakpoints(d)
+            bps = d.breakpoints
             for left, right in zip(bps, bps[1:]):
                 mid = (left + right) / 2
                 assert state_distribution(d, mid).probs == state_distribution(d, left).probs
@@ -219,7 +218,7 @@ class TestOrderStatSurvival:
             order_stat_survival(staggered_pairs, 3, 1)
 
     def test_monotone_in_k(self, shifted_ladders):
-        for t in breakpoints(shifted_ladders):
+        for t in shifted_ladders.breakpoints:
             values = [order_stat_survival(shifted_ladders, k, t) for k in (1, 2, 3)]
             assert values == sorted(values)
 
@@ -236,7 +235,7 @@ class TestGroupReliability:
         laws = [d for _, d in theorem_corpus] + tied_laws()
         assert any(has_ties(d) for d in laws)
         for d in laws:
-            bps = breakpoints(d)
+            bps = d.breakpoints
             # at, between and before the breakpoints
             times = [*bps, *((a + b) / 2 for a, b in zip(bps, bps[1:])), bps[0] / 2]
             for mask in range(1 << d.n):
@@ -263,7 +262,7 @@ class TestGroupReliability:
         for d in (shifted_ladders, staggered_pairs):
             n = d.n
             full = (1 << n) - 1
-            for t in breakpoints(d):
+            for t in d.breakpoints:
                 sd = state_distribution(d, t)
                 for a in range(1 << n):
                     total = Fraction(0)
@@ -278,7 +277,7 @@ class TestGroupReliability:
         # a group's survival depends only on its size iff states are exchangeable
         for _, d in theorem_corpus[95:115]:
             n = d.n
-            for t in breakpoints(d):
+            for t in d.breakpoints:
                 by_size = {}
                 uniform = True
                 for mask in range(1 << n):
@@ -326,7 +325,7 @@ class TestWeakExchangeability:
             if not weakly_exchangeable(d):
                 continue
             w = relative_quality(d)
-            for t in breakpoints(d):
+            for t in d.breakpoints:
                 assert condition_w(d, w, t)
 
 
@@ -334,7 +333,7 @@ class TestConditionW:
     def test_symmetric_weights_iff_state_exchangeability(self, theorem_corpus):
         w3 = WeightFunction.symmetric(3)
         for _, d in theorem_corpus[190:230]:
-            for t in breakpoints(d):
+            for t in d.breakpoints:
                 assert condition_w(d, w3, t) == states_exchangeable_at(d, t)
 
     def test_staggered_pairs_with_quality(self, staggered_pairs):
@@ -344,7 +343,7 @@ class TestConditionW:
     def test_lopsided_orbit_with_quality(self):
         d = orbit_dist([F(1, 2), 0, 0, F(1, 2), 0, 0])
         w = relative_quality(d)
-        for t in breakpoints(d):
+        for t in d.breakpoints:
             assert condition_w(d, w, t)
 
     def test_size_mismatch(self, staggered_pairs):
@@ -399,15 +398,15 @@ class TestStateExchangeabilityScan:
     def test_everywhere_is_every_breakpoint(self, theorem_corpus):
         for _, d in theorem_corpus:
             assert states_exchangeable_everywhere(d) == all(
-                states_exchangeable_at(d, t) for t in breakpoints(d)
+                states_exchangeable_at(d, t) for t in d.breakpoints
             )
 
     def test_witness_is_at_first_failing_breakpoint(self, theorem_corpus):
         failures = 0
         for _, d in theorem_corpus:
-            supports = [state_support(d, t) for t in breakpoints(d)]
+            supports = [state_support(d, t) for t in d.breakpoints]
             witnesses = evaluate_conditions(d, supports)[1]["witnesses"]
-            failing = [t for t in breakpoints(d) if not states_exchangeable_at(d, t)]
+            failing = [t for t in d.breakpoints if not states_exchangeable_at(d, t)]
             if not failing:
                 assert "states_exchangeable" not in witnesses
                 continue

@@ -40,9 +40,11 @@ from sigrel import (
     rank_over_rationals,
     relative_quality,
     reliability_curve,
+    repr_prob_signature,
     repr_weighted,
     system_from_json,
     system_reliability,
+    weakly_exchangeable,
     weighted_phi_level,
     weighted_signature,
 )
@@ -231,6 +233,22 @@ def test_component_count_refusals():
     tied = make_dist(2, [((1, 1), 1)])
     with pytest.raises(TiesError, match="^signature oracle needs a distribution without ties$"):
         probability_signature_oracle(phi, tied)
+
+
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        ("weak exchangeability", weakly_exchangeable),
+        ("signature oracle", lambda d: probability_signature_oracle(MAJORITY, d)),
+        ("probability-signature representation", lambda d: repr_prob_signature(MAJORITY, d, 1)),
+    ],
+    ids=["weak-scan", "oracle", "representation"],
+)
+def test_tie_refusals_name_what_needs_them(what, call):
+    """One rule refuses a tied law, in the words of the quantity that needs no ties."""
+    tied = make_dist(3, [((1, 1, 2), 1)])
+    with pytest.raises(TiesError, match=f"^{re.escape(what)} needs a distribution without ties$"):
+        call(tied)
 
 
 def test_probability_signature_needs_a_relative_quality():

@@ -121,7 +121,6 @@ def verify_by_fractions(n, d, system_class):
             ),
         ]
     return DiagnosisReport(
-        mode="verified",
         n=d.n,
         breakpoints=bps,
         **fields,
@@ -211,7 +210,7 @@ def test_integer_scan_matches_fraction_scan(theorem_corpus):
     reports = []
     denominators = []
     for n, d, system_class in oracle_cases(theorem_corpus):
-        got = verify_theorems(n, d, system_class).to_json()
+        got = verify_theorems(d, system_class).to_json()
         assert got == verify_by_fractions(n, d, system_class), (d, system_class)
         reports.append(got)
         denominators.append(math.lcm(*(p.denominator for _, p in d.atoms)))
@@ -254,7 +253,7 @@ def test_verify_distinct_lifetimes_n5_runtime():
     d = distinct_lifetime_law(random.Random(7), 5, 400)
     assert len(d.breakpoints) == 2000
     start = time.perf_counter()
-    report = verify_theorems(5, d, SystemClass.COHERENT)
+    report = verify_theorems(d, SystemClass.COHERENT)
     assert time.perf_counter() - start < 8.0
     assert report.systems_checked == 6894
     assert report.boland_repr_all_systems is False
@@ -263,7 +262,7 @@ def test_verify_distinct_lifetimes_n5_runtime():
 def test_verify_comonotone_n5_runtime():
     d = comonotone_law(random.Random(555), 5, 3)
     start = time.perf_counter()
-    report = verify_theorems(5, d, SystemClass.SEMICOHERENT)
+    report = verify_theorems(d, SystemClass.SEMICOHERENT)
     assert time.perf_counter() - start < 2.0
     assert report.systems_checked == 6894
     assert report.prob_repr_all_systems is True

@@ -42,7 +42,6 @@ from sigrel.record import Record
 from conftest import shifted_ladders_dist
 
 REPORT_FIELDS = (
-    "mode",
     "n",
     "breakpoints",
     "has_ties",
@@ -139,7 +138,7 @@ def test_defaults():
     values = (F(1), F(1, 4), F(3, 4), F(1))
     assert QualityFunction(2, values).from_tied is False
     args = report_args()
-    report = DiagnosisReport(*args[:14])
+    report = DiagnosisReport(*args[:13])
     assert (report.system_class, report.systems_checked, report.class_rank) == (None, None, None)
     assert report.theorem_checks == ()
     # The derived flags of a structure function are not constructor arguments.
@@ -157,6 +156,14 @@ def test_fields_cannot_be_assigned_or_deleted(cls, fields, args):
         with pytest.raises(AttributeError):
             delattr(obj, name)
     assert [getattr(obj, f) for f in fields] == [getattr(cls(*arguments(args)), f) for f in fields]
+
+
+def test_report_mode_is_not_a_field():
+    """The mode follows from the class, so no report can be given one."""
+    args = dict(zip(REPORT_FIELDS, report_args()))
+    assert "mode" not in DiagnosisReport._fields
+    with pytest.raises(TypeError):
+        DiagnosisReport(**args, mode="verified")
 
 
 def test_cached_views_are_cached_and_frozen():
@@ -363,6 +370,14 @@ ERRORS += [
     (lambda: LifetimeDistribution(1, "1"), f"atoms {PAIRS} '1'"),
     (lambda: TheoremCheck("x", "maybe", True, False), f"{RELATION} 'maybe'"),
     (lambda: TheoremCheck("x", "IFF", True, True), f"{RELATION} 'IFF'"),
+]
+# Each side of a claim is exactly True or False: consistency is not read by truthiness.
+ERRORS += [
+    (lambda: TheoremCheck(None, "if", [], "no"), "lhs must be a bool, got []"),
+    (lambda: TheoremCheck("x", "iff", 1, True), "lhs must be a bool, got 1"),
+    (lambda: TheoremCheck("x", "iff", True, "no"), "rhs must be a bool, got 'no'"),
+    (lambda: TheoremCheck("x", "if", False, None), "rhs must be a bool, got None"),
+    (lambda: TheoremCheck("x", "if", False, 0), "rhs must be a bool, got 0"),
 ]
 
 

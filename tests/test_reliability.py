@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from sigrel import (
+    DiagnosisReport,
     ReliabilityCurve,
     SystemClass,
     TheoremCheck,
@@ -15,7 +16,6 @@ from sigrel import (
     TiesError,
     WeightFunction,
     boland_signature,
-    breakpoints,
     condition_w,
     diagnose,
     distribution_to_json,
@@ -125,7 +125,7 @@ class TestSystemReliability:
         systems = enumerate_systems(3, SystemClass.COHERENT)
         for _, d in theorem_corpus[40:55]:
             for phi in systems[::3]:
-                for t in breakpoints(d):
+                for t in d.breakpoints:
                     assert system_reliability(phi, d, t) == atom_scan_reliability(
                         phi, d, t
                     )
@@ -133,7 +133,7 @@ class TestSystemReliability:
     def test_k_out_of_n_matches_order_statistics(self, shifted_ladders):
         for k in (1, 2, 3):
             phi = k_out_of_n(3, k)
-            for t in breakpoints(shifted_ladders):
+            for t in shifted_ladders.breakpoints:
                 assert system_reliability(phi, shifted_ladders, t) == (
                     order_stat_survival(shifted_ladders, k, t)
                 )
@@ -189,12 +189,12 @@ class TestReprBoland:
         for d in (shifted_ladders,):
             for k in (1, 2, 3):
                 phi = k_out_of_n(3, k)
-                for t in breakpoints(d):
+                for t in d.breakpoints:
                     assert repr_boland(phi, d, t) == order_stat_survival(d, k, t)
 
     def test_exact_for_state_exchangeable_input(self, shifted_ladders):
         for phi in enumerate_systems(3, SystemClass.COHERENT):
-            for t in breakpoints(shifted_ladders):
+            for t in shifted_ladders.breakpoints:
                 assert repr_boland(phi, shifted_ladders, t) == system_reliability(
                     phi, shifted_ladders, t
                 )
@@ -204,7 +204,7 @@ class TestReprBoland:
         mismatches = [
             (phi, t)
             for phi in enumerate_systems(3, SystemClass.COHERENT)
-            for t in breakpoints(d)
+            for t in d.breakpoints
             if repr_boland(phi, d, t) != system_reliability(phi, d, t)
         ]
         assert mismatches
@@ -220,7 +220,7 @@ class TestReprProbSignature:
             total = sum(weights)
             d = orbit_dist([F(w, total) for w in weights])
             for phi in enumerate_systems(3, SystemClass.COHERENT):
-                for t in breakpoints(d):
+                for t in d.breakpoints:
                     assert repr_prob_signature(phi, d, t) == system_reliability(
                         phi, d, t
                     )
@@ -229,7 +229,7 @@ class TestReprProbSignature:
         mismatches = [
             (phi, t)
             for phi in enumerate_systems(3, SystemClass.COHERENT)
-            for t in breakpoints(shifted_ladders)
+            for t in shifted_ladders.breakpoints
             if repr_prob_signature(phi, shifted_ladders, t)
             != system_reliability(phi, shifted_ladders, t)
         ]
@@ -240,7 +240,7 @@ class TestReprProbSignature:
         for _ in range(5):
             d = random_no_ties(rng, 3)
             phi = k_out_of_n(3, 1)
-            for t in breakpoints(d):
+            for t in d.breakpoints:
                 assert repr_prob_signature(phi, d, t) == order_stat_survival(d, 1, t)
 
     def test_ties_refused(self):
@@ -253,7 +253,7 @@ class TestReprWeighted:
     def test_symmetric_weights_match_design_representation(self, shifted_ladders):
         w = WeightFunction.symmetric(3)
         for phi in enumerate_systems(3, SystemClass.COHERENT)[::2]:
-            for t in breakpoints(shifted_ladders):
+            for t in shifted_ladders.breakpoints:
                 assert repr_weighted(phi, shifted_ladders, w, t) == repr_boland(
                     phi, shifted_ladders, t
                 )
@@ -264,7 +264,7 @@ class TestReprWeighted:
             d = random_no_ties(rng, 3)
             w = relative_quality(d)
             for phi in enumerate_systems(3, SystemClass.COHERENT)[::2]:
-                for t in breakpoints(d):
+                for t in d.breakpoints:
                     assert repr_weighted(phi, d, w, t) == repr_prob_signature(
                         phi, d, t
                     )
@@ -402,7 +402,7 @@ class TestDiagnose:
 
 class TestVerifyTheorems:
     def test_ladders_coherent(self, shifted_ladders):
-        report = verify_theorems(3, shifted_ladders, SystemClass.COHERENT)
+        report = verify_theorems(shifted_ladders, SystemClass.COHERENT)
         assert report.mode == "verified"
         assert report.systems_checked == 9
         assert report.class_rank == 7
@@ -413,7 +413,7 @@ class TestVerifyTheorems:
         assert all(c.consistent for c in report.theorem_checks)
 
     def test_ladders_witness_reevaluates(self, shifted_ladders):
-        report = verify_theorems(3, shifted_ladders, SystemClass.COHERENT)
+        report = verify_theorems(shifted_ladders, SystemClass.COHERENT)
         witness = report.witnesses["prob_repr"]
         phi = system_from_json(witness["system"])
         t = Fraction(witness["t"])
@@ -425,7 +425,7 @@ class TestVerifyTheorems:
 
     def test_lopsided_orbit_witness_reevaluates(self):
         d = orbit_dist([F(1, 2), 0, 0, F(1, 2), 0, 0])
-        report = verify_theorems(3, d, SystemClass.COHERENT)
+        report = verify_theorems(d, SystemClass.COHERENT)
         assert report.prob_repr_all_systems is True
         assert report.boland_repr_all_systems is False
         witness = report.witnesses["boland_repr"]
@@ -437,13 +437,13 @@ class TestVerifyTheorems:
 
     def test_skipped_orderings_listed(self):
         d = orbit_dist([F(1, 2), 0, 0, F(1, 2), 0, 0])
-        report = verify_theorems(3, d, SystemClass.COHERENT)
+        report = verify_theorems(d, SystemClass.COHERENT)
         assert ((1, 3, 2) in report.skipped_orderings) and (
             len(report.skipped_orderings) == 4
         )
 
     def test_pairs_semicoherent_uses_one_sided_checks(self, staggered_pairs):
-        report = verify_theorems(2, staggered_pairs, SystemClass.SEMICOHERENT)
+        report = verify_theorems(staggered_pairs, SystemClass.SEMICOHERENT)
         assert report.systems_checked == 2
         assert report.class_rank == 2  # below full span, so only "if" direction
         assert {c.relation for c in report.theorem_checks} == {"if"}
@@ -452,7 +452,7 @@ class TestVerifyTheorems:
 
     def test_tied_input_checks_only_design_representation(self):
         d = make_dist(3, [((1, 1, 2), F(1, 2)), ((2, 3, 1), F(1, 2))])
-        report = verify_theorems(3, d, SystemClass.COHERENT)
+        report = verify_theorems(d, SystemClass.COHERENT)
         assert report.has_ties
         assert report.prob_repr_all_systems is None
         assert len(report.theorem_checks) == 1
@@ -472,7 +472,7 @@ class TestVerifyTheorems:
         monkeypatch.setattr(reliability, "evaluate_conditions", flipped)
         name = "boland_repr_iff_states_exchangeable: lhs=True, rhs=False (iff)"
         with pytest.raises(TheoremInconsistencyError, match=re.escape(name)):
-            verify_theorems(3, shifted_ladders, SystemClass.COHERENT)
+            verify_theorems(shifted_ladders, SystemClass.COHERENT)
         path = tmp_path / "ladders.json"
         path.write_text(json.dumps(distribution_to_json(shifted_ladders)))
         assert run(["verify", "--dist", str(path), "--class", "coherent"]) == 3
@@ -481,12 +481,25 @@ class TestVerifyTheorems:
         err = json.loads(captured.err)
         assert err["error"] == "inconsistency" and name in err["detail"]
 
-    def test_n_mismatch(self, staggered_pairs):
-        with pytest.raises(ValueError):
+    def test_n_comes_from_the_law(self, staggered_pairs):
+        with pytest.raises(TypeError):
             verify_theorems(3, staggered_pairs, SystemClass.COHERENT)
+        assert verify_theorems(staggered_pairs, SystemClass.SEMICOHERENT).n == staggered_pairs.n
+
+    def test_mode_follows_the_class(self, staggered_pairs):
+        """No class makes a prediction and a class a verification, whoever builds the report."""
+        predicted = diagnose(staggered_pairs)
+        verified = verify_theorems(staggered_pairs, SystemClass.SEMICOHERENT)
+        assert (predicted.system_class, predicted.mode) == (None, "predicted")
+        assert (verified.system_class, verified.mode) == (SystemClass.SEMICOHERENT, "verified")
+        assert [r.to_json()["mode"] for r in (predicted, verified)] == ["predicted", "verified"]
+        fields = {f: getattr(verified, f) for f in DiagnosisReport._fields}
+        assert DiagnosisReport(**{**fields, "system_class": None}).mode == "predicted"
+        fields = {f: getattr(predicted, f) for f in DiagnosisReport._fields}
+        assert DiagnosisReport(**{**fields, "system_class": SystemClass.COHERENT}).mode == "verified"
 
     def test_json_shape(self, staggered_pairs):
-        payload = verify_theorems(2, staggered_pairs, SystemClass.SEMICOHERENT).to_json()
+        payload = verify_theorems(staggered_pairs, SystemClass.SEMICOHERENT).to_json()
         assert payload["class"] == "semicoherent"
         assert payload["systems_checked"] == 2
         assert payload["theorem_checks"]
@@ -516,7 +529,7 @@ class TestSharedConditionsAndMixture:
     def test_verify_reports_the_conditions_diagnose_reports(self, theorem_corpus):
         for _, d in theorem_corpus:
             predicted = diagnose(d)
-            verified = verify_theorems(3, d, SystemClass.COHERENT)
+            verified = verify_theorems(d, SystemClass.COHERENT)
             assert verified.to_json()["conditions"] == predicted.to_json()["conditions"]
             assert verified.skipped_orderings == predicted.skipped_orderings
             condition_witnesses = {
@@ -540,7 +553,7 @@ class TestSharedConditionsAndMixture:
 
         def times(d):
             # Before the first breakpoint, at each one, between each pair and past the last.
-            bps = breakpoints(d)
+            bps = d.breakpoints
             mids = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
             return [bps[0] / 2, *bps, *mids, bps[-1] + 1]
 

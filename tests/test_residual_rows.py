@@ -131,7 +131,6 @@ def verify_by_integer_scan(n, d, system_class):
             ),
         ]
     return DiagnosisReport(
-        mode="verified",
         n=d.n,
         breakpoints=d.breakpoints,
         **fields,
@@ -178,7 +177,7 @@ def test_residual_rows_match_integer_scan(residual_corpus):
     reports = []
     for d in residual_corpus:
         for system_class in classes_for(d.n):
-            got = verify_theorems(d.n, d, system_class).to_json()
+            got = verify_theorems(d, system_class).to_json()
             assert got == verify_by_integer_scan(d.n, d, system_class), (d, system_class)
             reports.append(got)
     # Every representation witness and its absence occur, at n = 5 too, under
@@ -375,13 +374,13 @@ def test_verify_builds_structure_functions_only_for_witnesses(monkeypatch):
     rng = random.Random(2718)
 
     exchangeable = exchangeable_mixture(rng, 5)
-    report = verify_theorems(5, exchangeable, SystemClass.COHERENT)
+    report = verify_theorems(exchangeable, SystemClass.COHERENT)
     assert report.systems_checked == 6894
     assert all(report.to_json()["verdicts"].values())
     assert built == []
 
     generic = random_no_ties(rng, 5)
-    report = verify_theorems(5, generic, SystemClass.COHERENT)
+    report = verify_theorems(generic, SystemClass.COHERENT)
     found = [key for key in REPRESENTATION_KEYS if key in report.witnesses]
     assert found
     assert 0 < len(built) <= len(found)
@@ -410,7 +409,7 @@ def test_verify_builds_residual_rows_only_as_the_echelon_reads_them(monkeypatch)
     monkeypatch.setattr(reliability, "_residual_rows", counting_rows)
     monkeypatch.setattr(reliability, "survival_numerators", counting_survivals)
     d = distinct_lifetime_law(random.Random(7), 5, 400)
-    report = verify_theorems(5, d, SystemClass.COHERENT)
+    report = verify_theorems(d, SystemClass.COHERENT)
     assert len(d.breakpoints) == 2000 and not report.has_ties
     # Two weight functions, one row per breakpoint each if every row were built;
     # the echelon stops at rank 2**5 - 1 - 5 = 26.

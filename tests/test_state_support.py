@@ -24,7 +24,6 @@ from sigrel import (
     SystemClass,
     TiesError,
     WeightFunction,
-    breakpoints,
     condition_w,
     diagnose,
     format_rational,
@@ -108,7 +107,7 @@ def condition_witnesses_by_tables(d):
     """The states_exchangeable and condition_q witness dicts, first breakpoint first."""
     out = {}
     w = relative_quality(d)
-    for t in breakpoints(d):
+    for t in d.breakpoints:
         wit = state_exchangeability_by_table(d, t)
         if wit is not None and "states_exchangeable" not in out:
             out["states_exchangeable"] = {"t": format_rational(t), **state_witness_dict(d.n, wit)}
@@ -140,7 +139,7 @@ def support_laws(theorem_corpus, perturbed_corpus):
 
 def sample_times(d):
     """Below, at, between and past the breakpoints."""
-    bps = breakpoints(d)
+    bps = d.breakpoints
     between = [(a + b) / 2 for a, b in zip(bps, bps[1:])]
     return [bps[0] / 2, *bps, *between[:3], bps[-1] + 1]
 
@@ -157,7 +156,7 @@ def random_weights(rng, n):
 def test_condition_witnesses_match_dense_tables(support_laws):
     found = {"states_exchangeable": 0, "condition_q": 0}
     for d in support_laws:
-        _, fields = evaluate_conditions(d, [state_support(d, t) for t in breakpoints(d)])
+        _, fields = evaluate_conditions(d, [state_support(d, t) for t in d.breakpoints])
         witnesses = fields["witnesses"]
         want = condition_witnesses_by_tables(d)
         for key in found:
@@ -267,7 +266,7 @@ def test_public_predicates_agree_with_the_report(support_laws):
             "q_symmetric": is_q_symmetric(quality),
             "states_exchangeable_everywhere": states_exchangeable_everywhere(d),
             "lifetimes_exchangeable": lifetimes_exchangeable(d),
-            "condition_q_everywhere": all(condition_w(d, quality, t) for t in breakpoints(d)),
+            "condition_q_everywhere": all(condition_w(d, quality, t) for t in d.breakpoints),
         }
         if has_ties(d):
             with pytest.raises(TiesError):
@@ -299,7 +298,7 @@ def test_witnesses_are_listed_in_report_order(support_laws):
     for d in support_laws:
         reports = [diagnose(d)]
         if d.n <= 4:
-            reports.append(verify_theorems(d.n, d, SystemClass.SEMICOHERENT))
+            reports.append(verify_theorems(d, SystemClass.SEMICOHERENT))
         for report in reports:
             keys = list(report.witnesses)
             assert keys == [key for key in WITNESS_ORDER if key in keys], d
@@ -339,7 +338,7 @@ def fresh_laws():
 
 def walk_length(d, witnesses):
     """Breakpoints up to the one where both state conditions have their witness."""
-    bps = list(breakpoints(d))
+    bps = list(d.breakpoints)
     keys = ("states_exchangeable", "condition_q")
     if not all(key in witnesses for key in keys):
         return len(bps)
@@ -351,7 +350,7 @@ def test_diagnose_builds_supports_only_up_to_its_witnesses(support_calls):
     for d in fresh_laws():
         support_calls.clear()
         report = diagnose(d)
-        bps = list(breakpoints(d))
+        bps = list(d.breakpoints)
         # At most one support per breakpoint, in order, and none past the witnesses.
         assert support_calls == bps[: walk_length(d, report.witnesses)]
         walked.append(len(support_calls) == len(bps))
@@ -369,8 +368,8 @@ def test_verify_builds_one_support_per_breakpoint(support_calls):
     walked = []
     for d in fresh_laws():
         support_calls.clear()
-        report = verify_theorems(d.n, d, SystemClass.SEMICOHERENT)
-        bps = list(breakpoints(d))
+        report = verify_theorems(d, SystemClass.SEMICOHERENT)
+        bps = list(d.breakpoints)
         # One stream, shared by the condition walk and the representation scans: at most
         # one support per breakpoint, in order, and at least the condition walk's.
         assert support_calls == bps[: len(support_calls)]

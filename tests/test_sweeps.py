@@ -28,7 +28,6 @@ from sigrel import (
     ReliabilityCurve,
     TiesError,
     appendix_basis,
-    breakpoints,
     diagnose,
     enumerate_systems,
     format_rational,
@@ -112,7 +111,7 @@ def reliability_by_support(phi, d, t):
 
 def curves_by_state_distributions(d, systems):
     """One dense state table per interval, shared by the systems."""
-    bps = breakpoints(d)
+    bps = d.breakpoints
     # On (0, b_1) every component is alive, so evaluating at b_1 / 2 is exact.
     tables = [states_by_atoms(d, t) for t in (bps[0] / 2, *bps)]
     return [
@@ -124,7 +123,7 @@ def curves_by_state_distributions(d, systems):
 def weak_scan_by_permutation(d):
     if has_ties(d):
         raise TiesError("weak exchangeability needs a distribution without ties")
-    bps = breakpoints(d)
+    bps = d.breakpoints
     skipped = []
     for sigma in permutations(range(d.n)):
         members = []
@@ -354,14 +353,14 @@ def test_reliability_curve_matches_state_distributions(all_laws):
         systems = systems_for(d.n)
         want = curves_by_state_distributions(d, systems)
         assert [reliability_curve(phi, d) for phi in systems] == want, d
-        bps = breakpoints(d)
+        bps = d.breakpoints
         for t in (bps[0] / 2, *bps):
             assert list(state_distribution(d, t).probs) == states_by_atoms(d, t), (d, t)
 
 
 def test_system_reliability_matches_full_state_sum(all_laws):
     for d in all_laws:
-        bps = breakpoints(d)
+        bps = d.breakpoints
         for t in (bps[0] / 2, bps[len(bps) // 2], bps[-1] + 1):
             probs = states_by_atoms(d, t)
             for phi in systems_for(d.n):
@@ -374,7 +373,7 @@ def test_system_reliability_builds_no_state_support(monkeypatch):
     """The reliability at one time reads the failure ranks, as the curve does,
     on a tie-free law, a tied law and a constant system alike."""
     cases = [
-        (phi, d, (breakpoints(d)[0] / 2, *breakpoints(d)))
+        (phi, d, (d.breakpoints[0] / 2, *d.breakpoints))
         for phi, d in (
             (k_out_of_n(3, 2), shifted_ladders_dist()),
             (k_out_of_n(3, 2), tied_laws()[1]),
