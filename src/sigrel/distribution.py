@@ -33,13 +33,12 @@ from .rationals import (
     state_table,
 )
 from .record import Record
-from .signature import WeightFunction
+from .signature import QualityFunction, WeightFunction
 from .structure import check_count, check_range, component_mask, level_indices, require_same_count
 
 __all__ = [
     "ORDERING_LIMIT",
     "LifetimeDistribution",
-    "QualityFunction",
     "StateDistribution",
     "condition_w",
     "distribution_from_json",
@@ -74,8 +73,10 @@ class LifetimeDistribution(Record):
     rationals, duplicate vectors merged, atoms sorted. Equality is therefore
     a canonical-form comparison. Merging and sorting read each lifetime x as
     the int x * L, L the lcm of the lifetime denominators, which keeps order
-    and distinctness. These grid vectors and the cached views of the law take
-    no part in equality and hashing.
+    and distinctness. The same pass sets ``breakpoints``, the sorted distinct
+    lifetimes; ``denominator``, D, the lcm of the atom probabilities; and
+    ``ranked_atoms``, per atom the breakpoint rank of each lifetime and the
+    probability times D. These views take no part in equality and hashing.
     """
 
     n: int
@@ -111,32 +112,21 @@ class LifetimeDistribution(Record):
             )
         L = math.lcm(*(x.denominator for xs, _ in parsed for x in xs))
         merged: dict[tuple[int, ...], Atom] = {}
+        value: dict[int, Fraction] = {}  # grid value -> lifetime
         for xs, p in parsed:  # merged and sorted on int keys: Fractions hash and compare slowly
             key = tuple(x.numerator * (L // x.denominator) for x in xs)
+            value.update(zip(key, xs))
             if key in merged:
                 p += merged[key][1]
             merged[key] = xs, p
-        grid = sorted(merged)
-        object.__setattr__(self, "atoms", tuple(map(merged.__getitem__, grid)))
-        object.__setattr__(self, "_grid", tuple(grid))
-
-    @cached_property
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        """Sorted distinct lifetime values; state vectors only change there."""
-        value = {g: x for key, (xs, _) in zip(self._grid, self.atoms) for g, x in zip(key, xs)}
-        return tuple(map(value.__getitem__, sorted(value)))
-
-    @cached_property
-    def denominator(self) -> int:
-        """D, the least common denominator of the atom probabilities."""
-        return math.lcm(*(p.denominator for _, p in self.atoms))
-
-    @cached_property
-    def ranked_atoms(self) -> tuple[RankedAtom, ...]:
-        """Per atom, the breakpoint rank of each lifetime and the probability times D."""
-        rank = {g: b for b, g in enumerate(sorted({g for key in self._grid for g in key}))}
-        D, atoms = self.denominator, zip(self._grid, self.atoms)
-        return tuple((tuple(map(rank.__getitem__, key)), int(p * D)) for key, (_, p) in atoms)
+        rank = {g: b for b, g in enumerate(sorted(value))}  # keys ascend, for the breakpoints
+        atoms = sorted(merged.items())
+        D = math.lcm(*(p.denominator for _, p in merged.values()))
+        ranked = tuple((tuple(map(rank.__getitem__, key)), int(p * D)) for key, (_, p) in atoms)
+        object.__setattr__(self, "atoms", tuple(atom for _, atom in atoms))
+        object.__setattr__(self, "breakpoints", tuple(map(value.__getitem__, rank)))
+        object.__setattr__(self, "denominator", D)
+        object.__setattr__(self, "ranked_atoms", ranked)
 
     @cached_property
     def state_chains(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -156,28 +146,6 @@ class LifetimeDistribution(Record):
     def cdfs(self) -> tuple[tuple[int, ...], ...]:
         """:func:`order_stat_cdfs` over all atoms, as tuples."""
         return tuple(map(tuple, order_stat_cdfs(self, self.ranked_atoms)))
-
-
-class QualityFunction(WeightFunction, uncompared=("from_tied",)):
-    """Relative quality of every component subset, packed-index order: the
-    :class:`~sigrel.signature.WeightFunction` of the probability signature.
-
-    values[mask] is the probability that every component in the subset
-    outlives every component outside it; the empty and full subsets carry
-    the conventional value 1. ``from_tied`` records whether the source
-    distribution had tied lifetimes, in which case signature operations
-    must refuse the function; it takes no part in equality.
-    """
-
-    from_tied: bool = False
-    _noun = "values"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.values[0] != 1 or self.values[-1] != 1:
-            raise ValueError("the empty and full subsets must have quality 1")
-        if any(not 0 <= v.numerator <= v.denominator for v in self.values):
-            raise ValueError("quality values must lie in [0, 1]")
 
 
 class StateDistribution(Record):

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 __all__ = ["format_rational", "parse_rational"]
 
@@ -63,7 +63,7 @@ def check_sequence(values: object, field: str, entries: str) -> None:
     """The one rule for a field that is a sequence of ``entries``: a string or bytes would
     be read as its characters, so it is refused, as is a value that cannot be iterated;
     the message names the ``field``."""
-    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
+    if isinstance(values, (str, bytes, bytearray)) or not isinstance(values, Iterable):
         raise ValueError(f"{field} must be a sequence of {entries}, got {values!r}")
 
 

@@ -20,7 +20,7 @@ class Record:
         bodies = [vars(c).get("__annotations__", {}) for c in reversed(cls.__mro__)]
         cls._fields = tuple(dict.fromkeys(f for body in bodies for f in body))
         cls._compared = tuple(f for f in cls._fields if f not in uncompared)
-        cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields if f in dir(cls)}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields, name = self._fields, type(self).__name__

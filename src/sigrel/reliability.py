@@ -210,9 +210,9 @@ class TheoremCheck(Record):
     def __post_init__(self) -> None:
         if self.relation not in ("iff", "if"):
             raise ValueError(f"relation must be 'iff' or 'if', got {self.relation!r}")
-        for side, value in (("lhs", self.lhs), ("rhs", self.rhs)):
-            if not isinstance(value, bool):
-                raise ValueError(f"{side} must be a bool, got {value!r}")
+        for field, kind in (("lhs", bool), ("rhs", bool), ("name", str)):  # sides first
+            if not isinstance(value := getattr(self, field), kind):
+                raise ValueError(f"{field} must be a {kind.__name__}, got {value!r}")
 
     @property
     def consistent(self) -> bool:
@@ -268,6 +268,10 @@ class DiagnosisReport(Record):
     systems_checked: int | None = None
     class_rank: int | None = None
     theorem_checks: tuple[TheoremCheck, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.system_class, (SystemClass, type(None))):
+            raise ValueError(f"unknown system class {self.system_class!r}")
 
     @property
     def mode(self) -> str:

@@ -13,19 +13,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import pairwise
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from .errors import TiesError
 from .rationals import format_rational, parse_rationals, state_table
 from .record import Record
 from .structure import StructureFunction, check_count, check_range, require_same_count
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .distribution import QualityFunction
-
 __all__ = [
+    "QualityFunction",
     "Signature",
     "WeightFunction",
     "boland_signature",
@@ -70,7 +68,8 @@ class Signature(Record):
 
 class WeightFunction(Record):
     """A rational weight for every packed state index of an n-component system; the
-    relative quality, :class:`~sigrel.distribution.QualityFunction`, is one."""
+    relative quality, :class:`QualityFunction`, is one. Construction sets ``denominator``,
+    the lcm of the weight denominators, and ``numerators``, the weights times it as ints."""
 
     n: int
     values: tuple[Fraction, ...]
@@ -79,7 +78,11 @@ class WeightFunction(Record):
     def __post_init__(self) -> None:
         check_count(self.n)
         coerced = state_table(self.n, self.values, f"{self._noun} for n={self.n}")
+        D = math.lcm(*(v.denominator for v in coerced))
+        scaled = tuple(v.numerator * (D // v.denominator) for v in coerced)
         object.__setattr__(self, "values", coerced)
+        object.__setattr__(self, "denominator", D)
+        object.__setattr__(self, "numerators", scaled)
 
     @classmethod
     @lru_cache(maxsize=None, typed=True)
@@ -91,16 +94,6 @@ class WeightFunction(Record):
         check_count(n)
         levels = [Fraction(1, math.comb(n, k)) for k in range(n + 1)]
         return cls(n, tuple(levels[mask.bit_count()] for mask in range(1 << n)))
-
-    @cached_property
-    def denominator(self) -> int:
-        """Least common denominator of the weights."""
-        return math.lcm(*(v.denominator for v in self.values))
-
-    @cached_property
-    def numerators(self) -> tuple[int, ...]:
-        """The weights times :attr:`denominator`, as ints."""
-        return tuple(v.numerator * (self.denominator // v.denominator) for v in self.values)
 
     def signature_numerators(self, phi: StructureFunction) -> tuple[int, ...]:
         """:func:`weighted_signature` of ``phi`` times :attr:`denominator`, as ints:
@@ -114,6 +107,28 @@ class WeightFunction(Record):
             if bits[index] == "1":
                 levels[index.bit_count()] += weights[index]
         return tuple(a - b for a, b in pairwise(reversed(levels)))
+
+
+class QualityFunction(WeightFunction, uncompared=("from_tied",)):
+    """Relative quality of every component subset, packed-index order: the
+    :class:`WeightFunction` of the probability signature.
+
+    values[mask] is the probability that every component in the subset
+    outlives every component outside it; the empty and full subsets carry
+    the conventional value 1. ``from_tied`` records whether the source
+    distribution had tied lifetimes, in which case signature operations
+    must refuse the function; it takes no part in equality.
+    """
+
+    from_tied: bool = False
+    _noun = "values"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.values[0] != 1 or self.values[-1] != 1:
+            raise ValueError("the empty and full subsets must have quality 1")
+        if any(not 0 <= v.numerator <= v.denominator for v in self.values):
+            raise ValueError("quality values must lie in [0, 1]")
 
 
 def phi_level(phi: StructureFunction, k: int) -> Fraction:
@@ -159,7 +174,7 @@ def weighted_signature(phi: StructureFunction, w: WeightFunction) -> Signature:
 
 
 def probability_signature(
-    phi: StructureFunction, quality: "QualityFunction"
+    phi: StructureFunction, quality: QualityFunction
 ) -> Signature:
     """Signature of a semicoherent system, levels weighted by a relative quality function.
 
@@ -169,7 +184,7 @@ def probability_signature(
     quality of the full component set is 1 by convention.
     """
     phi.require_semicoherent("signature")
-    if not hasattr(quality, "from_tied"):  # a relative quality records whether its law tied
+    if not isinstance(quality, QualityFunction):
         raise ValueError(
             f"probability signature needs a relative quality, not a {type(quality).__name__}"
         )
@@ -180,6 +195,6 @@ def probability_signature(
     return weighted_signature(phi, quality)
 
 
-def signatures_agree(phi: StructureFunction, quality: "QualityFunction") -> bool:
+def signatures_agree(phi: StructureFunction, quality: QualityFunction) -> bool:
     """Exact equality of the design and probability signatures of ``phi``."""
     return probability_signature(phi, quality) == boland_signature(phi)

@@ -3,16 +3,18 @@ against the Fraction and bit-at-a-time loops they replaced.
 
 The reference functions below are the earlier library code, kept here as
 oracles: the canonical form of a law by merging and sorting Fraction
-vectors, its breakpoints by sorting the distinct Fraction lifetimes, the
-reliability curve by bisecting each atom's Fraction system lifetime into the
-breakpoints, the relative quality by a dense Fraction table filled atom by
-atom, the probability-signature oracle by locating each Fraction system
-lifetime among the sorted lifetimes, and the truth-table builders by one
-shift per state index. Every comparison is exact. A guard counts Fraction
+vectors, its breakpoints by sorting the distinct Fraction lifetimes, its D,
+its ranks and the scale of a weight function from their Fraction
+definitions, the reliability curve by bisecting each atom's Fraction system
+lifetime into the breakpoints, the relative quality by a dense Fraction
+table filled atom by atom, the probability-signature oracle by locating each
+Fraction system lifetime among the sorted lifetimes, and the truth-table
+builders by one shift per state index. Every comparison is exact. A guard counts Fraction
 comparisons on a 100-atom n = 10 law with 1,000 distinct lifetimes.
 """
 
 import bisect
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate
@@ -66,10 +68,22 @@ def breakpoints_by_fractions(d):
     return tuple(sorted({x for xs, _ in d.atoms for x in xs}))
 
 
+def denominator_by_fractions(d):
+    return math.lcm(*(p.denominator for _, p in d.atoms))
+
+
 def ranked_atoms_by_fractions(d):
     rank = {t: b for b, t in enumerate(breakpoints_by_fractions(d))}
-    D = d.denominator
+    D = denominator_by_fractions(d)
     return tuple((tuple(rank[x] for x in xs), int(p * D)) for xs, p in d.atoms)
+
+
+def scale_by_fractions(w):
+    """(denominator, numerators) of a weight function: the least D with every w(x) * D an int."""
+    D = math.lcm(*(v.denominator for v in w.values))
+    scaled = [v * D for v in w.values]
+    assert all(v.denominator == 1 for v in scaled)
+    return D, tuple(map(int, scaled))
 
 
 def curve_by_lifetimes(phi, d):
@@ -189,12 +203,13 @@ def laws(theorem_corpus):
 # --- comparisons: the law, curve, quality and oracle ---------------------------
 
 
-def test_canonical_form_matches_fraction_sort():
+def test_canonical_form_matches_fraction_sort(theorem_corpus):
     seen_large = False
-    for n, atoms in raw_laws():
+    for n, atoms in raw_laws() + [(d.n, d.atoms) for _, d in theorem_corpus]:
         d = LifetimeDistribution(n, tuple(atoms))
         assert d.atoms == canonical_atoms_by_fractions(atoms)
         assert d.breakpoints == breakpoints_by_fractions(d)
+        assert d.denominator == denominator_by_fractions(d)
         assert d.ranked_atoms == ranked_atoms_by_fractions(d)
         assert d == LifetimeDistribution(n, canonical_atoms_by_fractions(atoms))
         seen_large |= len({x.denominator for xs, _ in d.atoms for x in xs}) >= 10
@@ -244,6 +259,7 @@ def test_relative_quality_matches_dense_fraction_loop(laws):
     for d in laws:
         got, want = relative_quality(d), quality_by_atoms(d)
         assert got == want
+        assert (got.denominator, got.numerators) == scale_by_fractions(want)
         assert got.from_tied == want.from_tied == has_ties(d)
 
 
@@ -338,13 +354,21 @@ def test_path_sets_k_out_of_n_and_monomials_match_state_loops():
 
 
 def test_level_numerators_match_per_index_shifts(theorem_corpus):
+    rng = random.Random(3535)
     weights = [WeightFunction.symmetric(3)]
     weights += [relative_quality(d) for _, d in theorem_corpus[::20]]
+    # Arbitrary weights: any sign, zeros, unrelated denominators.
+    weights += [
+        WeightFunction(3, [Fraction(rng.randint(-9, 9), rng.choice(PRIMES)) for _ in range(8)])
+        for _ in range(5)
+    ]
     systems = enumerate_systems(3, SystemClass.COHERENT) + tuple(systems_for(3))
     cases = [(w, phi) for w in weights for phi in systems]
     cases.append(
         (WeightFunction.symmetric(10), from_path_sets(10, [[1, 2, 3], [4, 5], [6, 7, 8], [2, 9, 10]]))
     )
+    for w in {w for w, _ in cases} | {WeightFunction.symmetric(n) for n in range(1, 13)}:
+        assert (w.denominator, w.numerators) == scale_by_fractions(w)
     for w, phi in cases:
         levels, n = level_numerators_by_shifts(w, phi), w.n
         # Differenced from the top: entry k is W(n - k + 1) - W(n - k).

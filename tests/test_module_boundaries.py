@@ -1,8 +1,9 @@
-"""Modules of the package import only public names from one another, and
-nothing from outside the package but the standard library; the package
-exports each module's ``__all__`` once."""
+"""Modules of the package import only public names from one another, without a
+cycle, and nothing from outside the package but the standard library; the
+package exports each module's ``__all__`` once."""
 
 import ast
+import graphlib
 import importlib
 import sys
 from pathlib import Path
@@ -58,6 +59,24 @@ def test_package_needs_only_the_standard_library():
     assert modules
     offenders = [hit for path in modules for hit in third_party_imports(path)]
     assert offenders == []
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports, read from every ``from .x import`` or
+    ``from . import x`` node, those under ``if TYPE_CHECKING`` included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def test_imports_between_package_modules_are_acyclic():
+    graph = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert graph["reliability"] >= {"distribution", "signature", "structure"}
+    # Raises CycleError, naming the modules of a cycle, if there is one.
+    graphlib.TopologicalSorter(graph).prepare()
 
 
 MODULES = ("distribution", "errors", "rationals", "reliability", "signature", "structure")

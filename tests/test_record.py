@@ -202,7 +202,7 @@ def test_uncompared_fields():
     assert StructureFunction(2, 0b1000) != StructureFunction(3, 0b1000_0000)
     # Equal fields of different classes are not equal.
     assert WeightFunction(2, values) != QualityFunction(2, values)
-    # The law's grid vectors and cached views take no part either.
+    # The law's views take no part either.
     d = shifted_ladders_dist()
     fresh = LifetimeDistribution(d.n, d.atoms)
     d.ranked_atoms
@@ -378,6 +378,14 @@ ERRORS += [
     (lambda: TheoremCheck("x", "iff", True, "no"), "rhs must be a bool, got 'no'"),
     (lambda: TheoremCheck("x", "if", False, None), "rhs must be a bool, got None"),
     (lambda: TheoremCheck("x", "if", False, 0), "rhs must be a bool, got 0"),
+]
+# The name is a string too, and a report names a SystemClass or none: a class given by
+# its value would report the "verified" mode and fail in to_json.
+ERRORS += [
+    (lambda: TheoremCheck(None, "iff", True, True), "name must be a str, got None"),
+    (lambda: TheoremCheck(1, "if", False, True), "name must be a str, got 1"),
+    (lambda: DiagnosisReport(*report_args()[:13], "coherent"), "unknown system class 'coherent'"),
+    (lambda: DiagnosisReport(*report_args()[:13], 3), "unknown system class 3"),
 ]
 
 
