@@ -8,10 +8,17 @@ from fractions import Fraction
 
 __all__ = ["format_rational", "parse_rational"]
 
-# Largest |decimal exponent| in a string such as "1e4300": Python's default
-# int_max_str_digits, so no expansion outgrows a literal the interpreter accepts.
-_EXPONENT_LIMIT = 4300
+# Python's default int_max_str_digits: an int of more digits can be neither read from
+# nor written to a string, so a numerator and a denominator stay below 10**4300. A
+# string's decimal exponent is held to the same limit before it is expanded.
+_DIGIT_LIMIT = 4300
+_BOUND = 10**_DIGIT_LIMIT
+_TOO_LONG = f"a numerator or denominator of more digits than the limit of {_DIGIT_LIMIT}"
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _too_long(q: Fraction) -> bool:
+    return max(abs(q.numerator), q.denominator) >= _BOUND
 
 
 def parse_rational(value: object) -> Fraction:
@@ -19,8 +26,9 @@ def parse_rational(value: object) -> Fraction:
 
     Accepts Fractions, ints, and strings such as ``"3/8"`` or ``"2"``.
     Floats are rejected: they would smuggle binary rounding into code that
-    relies on exact equality. So are bools, Decimals and a decimal exponent
-    beyond ±4300. Every record and every input file reads its rationals here.
+    relies on exact equality. So are bools, Decimals, a decimal exponent beyond
+    ±4300 and a string whose numerator or denominator has more than 4300 digits.
+    Every record and every input file reads its rationals here.
     """
     if isinstance(value, Fraction):
         return value
@@ -32,15 +40,18 @@ def parse_rational(value: object) -> Fraction:
         exponent = _EXPONENT.search(value)
         # The length test keeps int() off exponents with thousands of digits.
         digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
-        if len(digits) > len(str(_EXPONENT_LIMIT)) or int(digits or 0) > _EXPONENT_LIMIT:
+        if len(digits) > len(str(_DIGIT_LIMIT)) or int(digits or 0) > _DIGIT_LIMIT:
             raise ValueError(
                 f"not a rational: {value!r} has a decimal exponent beyond the "
-                f"limit of {_EXPONENT_LIMIT}"
+                f"limit of {_DIGIT_LIMIT}"
             )
         try:
-            return Fraction(value.strip())
+            q = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
+        if _too_long(q):
+            raise ValueError(f"not a rational: {value!r} has {_TOO_LONG}")
+        return q
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -54,8 +65,11 @@ def parse_time(value: object) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical ``a/b`` form of :func:`parse_rational`'s value, denominator always shown."""
+    """Canonical ``a/b`` form of :func:`parse_rational`'s value, denominator always shown;
+    a value that :func:`parse_rational` would refuse as a string is refused too."""
     value = parse_rational(value)
+    if _too_long(value):
+        raise ValueError(f"cannot write a rational with {_TOO_LONG}")
     return f"{value.numerator}/{value.denominator}"
 
 

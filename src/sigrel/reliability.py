@@ -293,23 +293,25 @@ class DiagnosisReport(Record):
         return out
 
 
-def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
-    """Evaluate the conditions and predict the representation verdicts.
-
-    No systems are enumerated: each verdict is what the corresponding
-    equivalence forces for the family of all semicoherent systems given the
-    measured conditions. Tie-dependent entries are None for tied inputs.
-    The condition walk builds each state support only when it reaches it.
-    """
-    _, fields = evaluate_conditions(d, (state_support(d, t) for t in d.breakpoints))
+def _predicted_verdicts(fields: dict) -> dict:
+    """The verdicts the equivalences force for all semicoherent systems from the conditions
+    ``fields`` of :func:`evaluate_conditions`, None where they need a tie-free law; what
+    :func:`diagnose` reports and :func:`verify_theorems` checks its measurements against."""
     ties, states = fields["has_ties"], fields["states_exchangeable_everywhere"]
+    return {
+        "boland_repr_all_systems": states,
+        "prob_repr_all_systems": None if ties else fields["condition_q_everywhere"],
+        "both_representations": None if ties else fields["q_symmetric"] and states,
+    }
+
+
+def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
+    """Evaluate the conditions and report their :func:`_predicted_verdicts`; no
+    systems are enumerated. The condition walk builds each state support only
+    when it reaches it."""
+    _, fields = evaluate_conditions(d, (state_support(d, t) for t in d.breakpoints))
     return DiagnosisReport(
-        n=d.n,
-        breakpoints=d.breakpoints,
-        **fields,
-        boland_repr_all_systems=states,
-        prob_repr_all_systems=None if ties else fields["condition_q_everywhere"],
-        both_representations=None if ties else fields["q_symmetric"] and states,
+        n=d.n, breakpoints=d.breakpoints, **fields, **_predicted_verdicts(fields)
     )
 
 
@@ -399,10 +401,12 @@ def verify_theorems(d: LifetimeDistribution, system_class: SystemClass) -> Diagn
     rank = class_rank(n, system_class)
     relation = "iff" if rank == (1 << n) - 1 else "if"
 
-    states = fields["states_exchangeable_everywhere"]
+    states, predicted = fields["states_exchangeable_everywhere"], _predicted_verdicts(fields)
     found = {"boland_repr": representation_witness(symmetric, boland_scan)}
     boland_all = found["boland_repr"] is None
-    claims = [("boland_repr_iff_states_exchangeable", boland_all, states)]
+    claims = [
+        ("boland_repr_iff_states_exchangeable", boland_all, predicted["boland_repr_all_systems"])
+    ]
     prob_all = both = None
     if not ties:
         found["prob_repr"] = representation_witness(weights, prob_scan)
@@ -421,17 +425,13 @@ def verify_theorems(d: LifetimeDistribution, system_class: SystemClass) -> Diagn
         agree_all = phi is None
         both = boland_all and prob_all
         claims += [
-            ("prob_repr_iff_condition_q", prob_all, fields["condition_q_everywhere"]),
+            ("prob_repr_iff_condition_q", prob_all, predicted["prob_repr_all_systems"]),
             ("signatures_agree_iff_q_symmetric", agree_all, fields["q_symmetric"]),
-            (
-                "both_reprs_iff_agreement_and_state_exchangeability",
-                both,
-                agree_all and states,
-            ),
+            ("both_reprs_iff_agreement_and_state_exchangeability", both, agree_all and states),
             (
                 "both_reprs_iff_q_symmetry_and_state_exchangeability",
                 both,
-                fields["q_symmetric"] and states,
+                predicted["both_representations"],
             ),
         ]
     witnesses.update((key, wit) for key, wit in found.items() if wit is not None)

@@ -16,6 +16,7 @@ import pytest
 from sigrel import (
     TheoremInconsistencyError,
     distribution_to_json,
+    format_rational,
     parse_rational,
     system_to_json,
 )
@@ -406,10 +407,16 @@ class TestErrorPaths:
 
 
 class TestDecimalExponentLimit:
-    """Decimal exponents past the limit are refused before any expansion."""
+    """Decimal exponents past the limit are refused before any expansion, and values
+    whose numerator or denominator has more than 4300 digits when they are read."""
 
     def test_parse_rational_bounds_the_exponent(self):
-        assert parse_rational("1e4300") == 10**4300
+        for text, value in (("1e4299", 10**4299), ("0.1e4300", 10**4299)):
+            assert parse_rational(text) == value
+            assert format_rational(parse_rational(text)) == f"{value}/1"
+        for text in ("1e4300", "99e4299", "1e-4300"):
+            with pytest.raises(ValueError, match="limit of 4300"):
+                parse_rational(text)
         assert parse_rational("25e-4300") == Fraction(25, 10**4300)
         assert parse_rational("1.5E+0_0_3") == 1500
         for text in ("1e4301", "1e-4301", "2E9_999", "1e" + "9" * 5000):
@@ -432,6 +439,25 @@ class TestDecimalExponentLimit:
         assert code == 2
         assert err["error"] == "usage"
         assert "limit of 4300" in err["detail"]
+
+    def test_time_past_the_digit_limit_exit_2(self, files, capsys):
+        argv = ["reliability", "--system", files["series2"], "--dist", files["pairs"]]
+        code, err = run_error(capsys, [*argv, "--t", "1e4300"])
+        assert code == 2
+        assert err["error"] == "usage"
+        assert "limit of 4300" in err["detail"]
+
+    def test_lifetime_past_the_digit_limit_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"n": 2, "atoms": [{"x": ["1e4300", "2"], "p": "1"}]}))
+        code, err = run_error(capsys, ["diagnose", "--dist", str(path)])
+        assert code == 1
+        assert err["error"] == "input"
+        assert "limit of 4300" in err["detail"]
+
+    def test_format_rational_refuses_what_it_cannot_write(self):
+        with pytest.raises(ValueError, match="cannot write .* limit of 4300"):
+            format_rational(Fraction(1, 10**4300))
 
 
 # The --help text of the top level and of each command at COLUMNS=80.

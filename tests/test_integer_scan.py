@@ -20,6 +20,7 @@ from sigrel import (
     SystemClass,
     TheoremCheck,
     WeightFunction,
+    diagnose,
     enumerate_systems,
     format_rational,
     order_stat_survival,
@@ -212,6 +213,8 @@ def test_integer_scan_matches_fraction_scan(theorem_corpus):
     for n, d, system_class in oracle_cases(theorem_corpus):
         got = verify_theorems(d, system_class).to_json()
         assert got == verify_by_fractions(n, d, system_class), (d, system_class)
+        if got["class_rank"] == (1 << n) - 1:  # the verdicts diagnose predicts
+            assert got["verdicts"] == diagnose(d).to_json()["verdicts"], (d, system_class)
         reports.append(got)
         denominators.append(math.lcm(*(p.denominator for _, p in d.atoms)))
     # The corpus exercises every representation witness, laws with none of

@@ -1,6 +1,7 @@
 """Modules of the package import only public names from one another, without a
 cycle, and nothing from outside the package but the standard library; the
-package exports each module's ``__all__`` once."""
+package exports each module's ``__all__`` once, and no source line is longer than
+99 characters."""
 
 import ast
 import graphlib
@@ -96,3 +97,17 @@ def test_package_exports_each_module_all_once():
     exec("from sigrel import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(sigrel.__all__)
     assert "Record" not in sigrel.__all__ and not hasattr(sigrel, "Record")
+
+
+def test_no_source_line_is_longer_than_99_characters():
+    """One width for every line, so that a count of the package's lines compares
+    like with like."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    offenders = [
+        f"{path.name}:{number} has {len(line)} characters"
+        for path in modules
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 99
+    ]
+    assert offenders == []

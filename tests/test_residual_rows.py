@@ -26,6 +26,7 @@ from sigrel import (
     TheoremCheck,
     WeightFunction,
     appendix_basis,
+    diagnose,
     enumerate_systems,
     format_rational,
     from_path_sets,
@@ -179,6 +180,8 @@ def test_residual_rows_match_integer_scan(residual_corpus):
         for system_class in classes_for(d.n):
             got = verify_theorems(d, system_class).to_json()
             assert got == verify_by_integer_scan(d.n, d, system_class), (d, system_class)
+            if got["class_rank"] == (1 << d.n) - 1:  # the verdicts diagnose predicts
+                assert got["verdicts"] == diagnose(d).to_json()["verdicts"], (d, system_class)
             reports.append(got)
     # Every representation witness and its absence occur, at n = 5 too, under
     # both classes, with and without ties.
