@@ -103,17 +103,13 @@ def _stopping_entry(phi: StructureFunction, chain: Iterable[tuple[int, int]]) ->
 
 def system_lifetime(phi: StructureFunction, lifetimes: Sequence[object]) -> Fraction:
     """Failure time of the system under one realization of component lifetimes: the
-    least lifetime x at which phi is 0 on the components whose lifetimes exceed x.
+    breakpoint at which the state chain of the one-atom law stops phi.
 
     The system needs the semicoherent boundary values, otherwise it might never fail.
     """
     phi.require_semicoherent("system lifetime")
-    xs = parse_rationals(lifetimes, "lifetimes")
-    if len(xs) != phi.n:
-        raise ValueError(f"expected {phi.n} lifetimes, got {len(xs)}")
-    if any(x <= 0 for x in xs):
-        raise ValueError("lifetimes must be strictly positive")
-    return min(x for x in xs if not phi.value(sum(1 << i for i, y in enumerate(xs) if y > x)))
+    d = LifetimeDistribution(phi.n, ((lifetimes, 1),))
+    return d.breakpoints[_stopping_entry(phi, d.state_chains[0])[0]]
 
 
 def probability_signature_oracle(

@@ -28,6 +28,15 @@ def make_dist(n, rows):
     return LifetimeDistribution(n, atoms)
 
 
+def lifetime_by_definition(phi, lifetimes):
+    """The system's failure time from its definition, on Fraction lifetimes: the least
+    lifetime x at which phi is 0 on the components whose lifetimes exceed x. It shares
+    no code with the state chains, so the oracles that read it check them from outside."""
+    phi.require_semicoherent("system lifetime")
+    xs = [Fraction(x) for x in lifetimes]
+    return min(x for x in xs if not phi.value(sum(1 << i for i, y in enumerate(xs) if y > x)))
+
+
 def orbit_dist(probs):
     """Distribution on the six orderings of (1,2,3) with the given weights."""
     rows = [(xs, p) for xs, p in zip(ORBIT_VECTORS, probs) if p]

@@ -6,9 +6,10 @@ oracles: the canonical form of a law by merging and sorting Fraction
 vectors, its breakpoints by sorting the distinct Fraction lifetimes, its D,
 its ranks and the scale of a weight function from their Fraction
 definitions, the reliability curve by bisecting each atom's Fraction system
-lifetime into the breakpoints, the relative quality by a dense Fraction
-table filled atom by atom, the probability-signature oracle by locating each
-Fraction system lifetime among the sorted lifetimes, and the truth-table
+lifetime (``lifetime_by_definition``, the earlier ``system_lifetime``) into
+the breakpoints, the relative quality by a dense Fraction table filled atom
+by atom, the probability-signature oracle by locating each Fraction system
+lifetime among the sorted lifetimes, and the truth-table
 builders by one shift per state index. Every comparison is exact. A guard counts Fraction
 comparisons on a 100-atom n = 10 law with 1,000 distinct lifetimes.
 """
@@ -47,7 +48,9 @@ from sigrel import (
 )
 from sigrel.structure import _low_side_mask, _monomial_table, _monotone_tables
 
-from conftest import make_dist, random_no_ties, shifted_ladders_dist, staggered_pairs_dist
+from conftest import (
+    lifetime_by_definition, make_dist, random_no_ties, shifted_ladders_dist, staggered_pairs_dist,
+)
 from test_integer_scan import PRIMES, coprime_law
 from test_sweeps import systems_for, tied_laws
 
@@ -92,7 +95,7 @@ def curve_by_lifetimes(phi, d):
         return ReliabilityCurve(bps, (Fraction(phi.value(0)),) * (len(bps) + 1))
     failing = [Fraction(0)] * len(bps)
     for xs, p in d.atoms:
-        failing[bisect.bisect_left(bps, system_lifetime(phi, xs))] += p
+        failing[bisect.bisect_left(bps, lifetime_by_definition(phi, xs))] += p
     return ReliabilityCurve(bps, tuple(accumulate(failing, sub, initial=Fraction(1))))
 
 
@@ -113,7 +116,7 @@ def quality_by_atoms(d):
 def oracle_by_lifetimes(phi, d):
     acc = [Fraction(0)] * d.n
     for xs, p in d.atoms:
-        acc[sorted(xs).index(system_lifetime(phi, xs))] += p
+        acc[sorted(xs).index(lifetime_by_definition(phi, xs))] += p
     return Signature(tuple(acc))
 
 
@@ -237,7 +240,7 @@ def test_state_chains_hold_the_working_set_after_each_distinct_rank(laws):
 
 
 def test_system_lifetime_is_where_the_one_atom_curve_drops_to_zero():
-    # system_lifetime and the curve share no code: one reads Fraction lifetimes, the
+    # The definition and the curve share no code: one reads Fraction lifetimes, the
     # other the state chain of a one-atom law.
     rng = random.Random(3131)
     kinds = set()
@@ -251,7 +254,35 @@ def test_system_lifetime_is_where_the_one_atom_curve_drops_to_zero():
             for phi in systems:
                 curve = reliability_curve(phi, d)
                 drop = curve.breakpoints[curve.values.index(0) - 1]
-                assert system_lifetime(phi, xs) == drop, (phi, xs)
+                assert lifetime_by_definition(phi, xs) == drop, (phi, xs)
+    assert kinds == {False, True}
+
+
+def realizations(rng, n, count):
+    """Seeded lifetime vectors at n, half of them drawn from few values so that they tie."""
+    out = []
+    for i in range(count):
+        top = 2 * n if i % 2 else n // 2 + 1
+        out.append(tuple(Fraction(rng.randint(1, top), rng.randint(1, 3)) for _ in range(n)))
+    return out
+
+
+def test_system_lifetime_matches_its_definition():
+    rng = random.Random(4747)
+    kinds = set()
+    for n in (2, 3, 4, 5, 6, 7, 8):
+        if n <= 4:
+            systems = [StructureFunction(n, table) for table in _monotone_tables(n)]
+            systems = [phi for phi in systems if phi.semicoherent]
+        else:
+            systems = [k_out_of_n(n, k) for k in range(1, n + 1)]
+            for _ in range(6):
+                paths = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(4)]
+                systems.append(from_path_sets(n, paths[: rng.randint(1, 4)]))
+        for xs in realizations(rng, n, 10):
+            kinds.add(len(set(xs)) < n)
+            for phi in systems:
+                assert system_lifetime(phi, xs) == lifetime_by_definition(phi, xs), (phi, xs)
     assert kinds == {False, True}
 
 

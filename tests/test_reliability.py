@@ -45,7 +45,7 @@ from sigrel import (
 from sigrel import reliability
 from sigrel.cli import run
 
-from conftest import make_dist, orbit_dist, random_no_ties
+from conftest import lifetime_by_definition, make_dist, orbit_dist, random_no_ties
 
 F = Fraction
 
@@ -58,7 +58,7 @@ def atom_scan_reliability(phi, d, t):
     """Independent oracle: sum the atoms whose system lifetime exceeds t."""
     t = Fraction(t)
     return sum(
-        (p for xs, p in d.atoms if system_lifetime(phi, xs) > t),
+        (p for xs, p in d.atoms if lifetime_by_definition(phi, xs) > t),
         Fraction(0),
     )
 
@@ -85,6 +85,24 @@ class TestSystemLifetime:
             system_lifetime(k_out_of_n(3, 1), (1, 2))
         with pytest.raises(ValueError):
             system_lifetime(k_out_of_n(3, 1), (0, 1, 2))
+
+    @pytest.mark.parametrize(
+        "bits, lifetimes, message",
+        [
+            ("01111111", "123", "lifetimes must be a sequence of rationals, got '123'"),
+            ("01111111", 12, "lifetimes must be a sequence of rationals, got 12"),
+            ("01111111", (1, 2), "atom ((1, 2), 1) has 2 lifetimes, expected 3"),
+            ("01111111", (1, 2, 3, 4), "atom ((1, 2, 3, 4), 1) has 4 lifetimes, expected 3"),
+            ("01111111", (0, 1, 2), "lifetimes must be strictly positive"),
+            ("01111111", (1, "-1/2", 2), "lifetimes must be strictly positive"),
+            ("00000000", (1, 2, 3), "system lifetime needs value 0 at the all-failed state"),
+            ("11111111", (1, 2), "system lifetime needs value 0 at the all-failed state"),
+        ],
+    )
+    def test_refusals_name_the_rule(self, bits, lifetimes, message):
+        """The lifetimes are refused by the one-atom law's rules, after the boundary rule."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            system_lifetime(from_truth_table(3, bits), lifetimes)
 
 
 class TestProbabilitySignatureOracle:

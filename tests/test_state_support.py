@@ -16,6 +16,7 @@ condition walk and its representation scan share.
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -47,8 +48,12 @@ from sigrel.distribution import (
 from sigrel.structure import level_indices
 
 from conftest import exchangeable_mixture, make_dist, random_no_ties
+from test_int_ranks import quality_by_atoms
 from test_integer_scan import coprime_law
-from test_sweeps import perturbed_corpus, perturbed_exchangeable, states_by_atoms, tied_laws  # noqa: F401
+from test_sweeps import (  # noqa: F401
+    perturbed_corpus, perturbed_exchangeable, states_by_atoms, tied_laws, weak_scan_by_permutation,
+    weak_witness_dict,
+)
 
 # --- oracles: the dense Fraction tables -------------------------------------
 
@@ -305,6 +310,84 @@ def test_witnesses_are_listed_in_report_order(support_laws):
             seen.update(zip(keys, keys[1:]))
     # Each neighbouring pair of keys occurs side by side in some report.
     assert set(zip(WITNESS_ORDER, WITNESS_ORDER[1:])) <= seen, seen
+
+
+# --- laws whose first witness lies past a partial scan ------------------------
+
+
+def moved_pair_mixture(h, tail=0):
+    """Two exchangeable blocks on components 1..h, lifetimes 1..h at weight 1 and 2, 4, ..., 2h
+    at weight 2, every ordering of each, with half an atom's mass of the first block moved from
+    (2, 1, 3, ..., h) to (1, 2, ..., h). Components h + 1..h + tail fail after all of them.
+
+    The move changes only the quality and the state probabilities of the two sets that keep
+    every component but 1 or 2, so each first witness is one of them: past 2**6 at h = 7."""
+    total = 3 * math.factorial(h)
+    rest = tuple(range(2 * h + 1, 2 * h + 1 + tail))
+    rows = {}
+    for order in permutations(range(1, h + 1)):
+        rows[order + rest] = Fraction(1, total)
+        rows[tuple(2 * v for v in order) + rest] = Fraction(2, total)
+    moved = Fraction(1, 2 * total)
+    rows[(*range(1, h + 1), *rest)] += moved
+    rows[(2, 1, *range(3, h + 1), *rest)] -= moved
+    return make_dist(h + tail, rows.items())
+
+
+def first_state_witnesses_by_tables(d):
+    """:func:`condition_witnesses_by_tables` read at the first breakpoint alone."""
+    t = d.breakpoints[0]
+    states = state_exchangeability_by_table(d, t)
+    condition = condition_w_by_table(d, relative_quality(d), t)
+    return {
+        "states_exchangeable": {"t": format_rational(t), **state_witness_dict(d.n, states)},
+        "condition_q": {"t": format_rational(t), **condition_w_witness_dict(d.n, condition)},
+    }
+
+
+def index_of(state):
+    return sum(bit << i for i, bit in enumerate(state))
+
+
+def test_q_symmetry_and_condition_q_witnesses_past_the_first_64_states():
+    d = moved_pair_mixture(7)
+    witnesses = diagnose(d).witnesses
+    quality, symmetric = quality_by_atoms(d).values, WeightFunction.symmetric(7).values
+    mask = next(x for x in range(1 << 7) if quality[x] != symmetric[x])
+    assert witnesses["q_symmetric"] == {
+        "subset": [i + 1 for i in range(7) if mask >> i & 1],
+        "value": format_rational(quality[mask]),
+        "symmetric_value": format_rational(symmetric[mask]),
+    }
+    want = first_state_witnesses_by_tables(d)
+    assert {key: witnesses[key] for key in want} == want
+    assert mask == index_of(want["condition_q"]["state"]) == 0b1111101
+
+
+@pytest.mark.parametrize("tail", [2, 3])
+def test_condition_q_witness_past_the_first_64_states(tail):
+    """With components 7..n outliving the rest, every state below 2**6 has probability and
+    quality 0, so condition (Q) first fails past them."""
+    d = moved_pair_mixture(6, tail)
+    want = first_state_witnesses_by_tables(d)
+    assert {key: diagnose(d).witnesses[key] for key in want} == want
+    assert index_of(want["condition_q"]["state"]) == (1 << 6 + tail) - 1 - 0b10
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_weak_witness_at_the_last_order_statistic(n):
+    """Components fail in the order 1..n or n..1, on the lifetimes 1..n or 1..n - 1, n + 1,
+    a quarter each, with a sixteenth moved between the two lifetime vectors of the first
+    order: only the last order statistic depends on the order."""
+    low, high = tuple(range(1, n + 1)), (*range(1, n), n + 1)
+    quarter, moved = Fraction(1, 4), Fraction(1, 16)
+    d = make_dist(n, [(low, quarter + moved), (high, quarter - moved), (low[::-1], quarter),
+                      (high[::-1], quarter)])
+    report = diagnose(d)
+    _, witness, skipped = weak_scan_by_permutation(d)
+    assert report.witnesses["weakly_exchangeable"] == weak_witness_dict(witness)
+    assert report.skipped_orderings == skipped == ()
+    assert witness[:2] == (low, n)
 
 
 # --- one support per breakpoint ---------------------------------------------
