@@ -125,9 +125,9 @@ class QualityFunction(WeightFunction, uncompared=("from_tied",)):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.values[0] != 1 or self.values[-1] != 1:
+        if not self.numerators[0] == self.numerators[-1] == self.denominator:
             raise ValueError("the empty and full subsets must have quality 1")
-        if any(not 0 <= v.numerator <= v.denominator for v in self.values):
+        if min(self.numerators) < 0 or max(self.numerators) > self.denominator:
             raise ValueError("quality values must lie in [0, 1]")
 
 

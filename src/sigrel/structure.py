@@ -343,34 +343,40 @@ def _monomial_table(n: int, subset: int) -> int:
     return table
 
 
-def _pairing_map(n: int) -> dict[int, int]:
-    """Fixed-point-free pairing of components used by the coherent basis.
+def _partner(n: int, subset: int) -> int:
+    """Subset whose monomial the coherent spanning family ORs with ``subset``'s.
 
-    All cycles have odd length, which is what keeps the resulting family
-    linearly independent; n = 4 uses a special non-bijective map because no
-    fixed-point-free permutation of 4 elements has only odd cycles.
+    The full set is its own partner (the series system). A subset of at most
+    n - 2 members takes [n] minus its maximum, and [n] \\ {k} takes
+    [n] \\ {pair(k)}, where pair steps from k to k + 1, and from the top of
+    k's run low..high back to low. Its cycles are odd, which keeps the family
+    linearly independent: one n-cycle for odd n, (1 2 3) and (4 ... n) for
+    even n, and 1, 2, 3, 4 -> 2, 3, 4, 2 for n = 4, since no fixed-point-free
+    permutation of 4 elements has only odd cycles.
     """
-    if n % 2 == 1:
-        return {k: k % n + 1 for k in range(1, n + 1)}
-    if n == 4:
-        return {1: 2, 2: 3, 3: 4, 4: 2}
-    mapping = {1: 2, 2: 3, 3: 1}
-    for k in range(4, n + 1):
-        mapping[k] = k + 1 if k < n else 4
-    return mapping
+    full = (1 << n) - 1
+    if subset == full:
+        return full
+    if subset.bit_count() <= n - 2:
+        return full & ~(1 << (subset.bit_length() - 1))
+    k = (full & ~subset).bit_length()  # the missing component
+    if n % 2:
+        low, high = 1, n
+    elif n == 4:
+        low, high = 2, 4
+    else:
+        low, high = (1, 3) if k <= 3 else (4, n)
+    return full & ~(1 << ((k + 1 if k < high else low) - 1))
 
 
 def appendix_basis(n: int, system_class: SystemClass) -> list[StructureFunction]:
     """A spanning family of 2**n - 1 systems of the given class.
 
     SEMICOHERENT: the all-of-subset indicators for every nonempty subset.
-    COHERENT: for each nonempty proper subset A, the OR of the A indicator
-    with a covering (n-1)-subset indicator; the full set maps to the series
-    system. The partner of an (n-1)-subset [n] \\ {k} is [n] \\ {pair(k)};
-    smaller subsets take [n] minus their own maximum, which always has size
-    n - 1 and always covers [n] together with A. Every coherent-basis member
-    really is coherent: the two subsets jointly cover [n] and neither
-    contains the other.
+    COHERENT: for each nonempty subset A, the OR of the A indicator with the
+    indicator of its partner (:func:`_partner`): the full set gives the series
+    system, and every other A an (n-1)-subset that covers [n] together with A
+    without either containing the other, so every member really is coherent.
 
     Functions are returned ordered by subset bitmask.
     """
@@ -380,23 +386,10 @@ def appendix_basis(n: int, system_class: SystemClass) -> list[StructureFunction]
 def _basis_tables(n: int, system_class: SystemClass) -> list[int]:
     """Truth tables of :func:`appendix_basis`, in its order."""
     _check_size(n, system_class, "basis needs", "the spanning family", BASIS_LIMIT)
+    monomials = [_monomial_table(n, s) for s in range(1 << n)]
     if system_class is SystemClass.SEMICOHERENT:
-        return [_monomial_table(n, s) for s in range(1, 1 << n)]
-    full = (1 << n) - 1
-    tables = []
-    pairing = _pairing_map(n)
-    for subset in range(1, 1 << n):
-        if subset == full:
-            table = _monomial_table(n, full)
-        else:
-            if subset.bit_count() <= n - 2:
-                partner = full & ~(1 << (subset.bit_length() - 1))
-            else:
-                missing = (full & ~subset).bit_length()
-                partner = full & ~(1 << (pairing[missing] - 1))
-            table = _monomial_table(n, subset) | _monomial_table(n, partner)
-        tables.append(table)
-    return tables
+        return monomials[1:]
+    return [monomials[s] | monomials[_partner(n, s)] for s in range(1, 1 << n)]
 
 
 def echelon(rows: Iterable[Sequence[int]], limit: int) -> list[tuple[int, list[int]]]:

@@ -26,7 +26,7 @@ from sigrel import (
     system_to_json,
     rank_over_rationals,
 )
-from sigrel.structure import PATH_SET_LIMIT, _monotone_tables
+from sigrel.structure import PATH_SET_LIMIT, _basis_tables, _monomial_table, _monotone_tables
 
 
 def brute_force_tables(n, boundary, essential):
@@ -237,6 +237,44 @@ class TestEnumeration:
             enumerate_systems(ENUMERATION_LIMIT + 1, SystemClass.COHERENT)
 
 
+def pairing_map(n):
+    """Oracle: the fixed-point-free pairing of components, all of whose cycles
+    have odd length; n = 4 uses a map that is not a bijection, because no
+    fixed-point-free permutation of 4 elements has only odd cycles."""
+    if n % 2 == 1:
+        return {k: k % n + 1 for k in range(1, n + 1)}
+    if n == 4:
+        return {1: 2, 2: 3, 3: 4, 4: 2}
+    mapping = {1: 2, 2: 3, 3: 1}
+    for k in range(4, n + 1):
+        mapping[k] = k + 1 if k < n else 4
+    return mapping
+
+
+def basis_tables_by_pairing_map(n, system_class):
+    """Oracle: the spanning family's tables, one or two monomials per member.
+    The full set gives the series system; an (n-1)-subset [n] \\ {k} is ORed
+    with [n] \\ {pairing_map(n)[k]}, and a smaller subset with [n] minus its
+    own maximum."""
+    if system_class is SystemClass.SEMICOHERENT:
+        return [_monomial_table(n, s) for s in range(1, 1 << n)]
+    full = (1 << n) - 1
+    tables = []
+    pairing = pairing_map(n)
+    for subset in range(1, 1 << n):
+        if subset == full:
+            table = _monomial_table(n, full)
+        else:
+            if subset.bit_count() <= n - 2:
+                partner = full & ~(1 << (subset.bit_length() - 1))
+            else:
+                missing = (full & ~subset).bit_length()
+                partner = full & ~(1 << (pairing[missing] - 1))
+            table = _monomial_table(n, subset) | _monomial_table(n, partner)
+        tables.append(table)
+    return tables
+
+
 class TestBasis:
     def test_sizes(self):
         for n in range(3, 7):
@@ -274,6 +312,14 @@ class TestBasis:
             if (j & a_mask) == a_mask or (j & partner_mask) == partner_mask
         }
         assert {j for j in range(16) if phi.value(j)} == expected
+
+    def test_tables_match_the_pairing_map_construction(self):
+        """One partner rule gives the tables of the pairing-map construction,
+        for both classes at every n up to the limit."""
+        for system_class in SystemClass:
+            for n in range(system_class.min_components, BASIS_LIMIT + 1):
+                expected = basis_tables_by_pairing_map(n, system_class)
+                assert _basis_tables(n, system_class) == expected, (system_class, n)
 
     def test_coherent_basis_needs_three_components(self):
         with pytest.raises(ValueError):
