@@ -129,6 +129,8 @@ class QualityFunction(WeightFunction, uncompared=("from_tied",)):
             raise ValueError("the empty and full subsets must have quality 1")
         if min(self.numerators) < 0 or max(self.numerators) > self.denominator:
             raise ValueError("quality values must lie in [0, 1]")
+        if not isinstance(self.from_tied, bool):
+            raise ValueError(f"from_tied must be a bool, got {self.from_tied!r}")
 
 
 def phi_level(phi: StructureFunction, k: int) -> Fraction:

@@ -101,21 +101,6 @@ def _low_side_mask(n: int, var: int) -> int:
     return mask
 
 
-def _monotonicity_witness(n: int, table: int) -> tuple[int, int] | None:
-    """First covering pair (j, j | bit) where the table decreases, else None.
-
-    Checking single-bit repairs suffices: a function is monotone iff it is
-    monotone along every coordinate.
-    """
-    for var in range(n):
-        step = 1 << var
-        bad = table & ~(table >> step) & _low_side_mask(n, var)
-        if bad:
-            low = (bad & -bad).bit_length() - 1
-            return low, low | step
-    return None
-
-
 def check_count(n: object) -> None:
     """Refuse a component count that is not an int >= 1, a bool included."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -168,15 +153,17 @@ class StructureFunction(Record):
         size = 1 << self.n
         if type(self.table) is not int or not 0 <= self.table < (1 << size):
             raise ValueError("truth table must pack exactly 2**n binary entries")
-        witness = _monotonicity_witness(self.n, self.table)
-        if witness is not None:
-            raise NonMonotoneError(*witness)
-        essential = tuple(
-            var + 1
-            for var in range(self.n)
-            if (self.table ^ (self.table >> (1 << var))) & _low_side_mask(self.n, var)
-        )
-        object.__setattr__(self, "essential", essential)
+        # A table is monotone iff it is monotone along every coordinate; the witness is the
+        # first component, by index, along which the value drops, at its lowest such state.
+        essential = []
+        for var in range(self.n):
+            step, low = 1 << var, _low_side_mask(self.n, var)
+            if bad := self.table & ~(self.table >> step) & low:
+                j = (bad & -bad).bit_length() - 1
+                raise NonMonotoneError(j, j | step)
+            if (self.table ^ self.table >> step) & low:
+                essential.append(var + 1)
+        object.__setattr__(self, "essential", tuple(essential))
         semi = not (self.table & 1) and bool((self.table >> (size - 1)) & 1)
         object.__setattr__(self, "semicoherent", semi)
         object.__setattr__(

@@ -135,3 +135,38 @@ def test_cli_import_loads_no_slow_module():
     command = [sys.executable, "-I", "-S", "-B", "-c", probe, str(SRC.parent), *SLOW_MODULES]
     done = subprocess.run(command, capture_output=True, text=True, check=True)
     assert done.stdout.split() == []
+
+
+def unread_private_names(modules: list[Path]) -> list[str]:
+    """The module-level ``_``-prefixed functions, classes and constants of
+    ``modules`` that no module loads, as ``file:name``; dunder names are left out."""
+    defined, loaded = [], set()
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined += [
+                (path.name, name)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [f"{module}:{name}" for module, name in defined if name not in loaded]
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    """A refactor cannot leave behind a private helper, class or constant that
+    only the tests reach."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert unread_private_names(modules) == []

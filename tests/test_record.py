@@ -387,6 +387,15 @@ ERRORS += [
     (lambda: DiagnosisReport(*report_args()[:13], "coherent"), "unknown system class 'coherent'"),
     (lambda: DiagnosisReport(*report_args()[:13], 3), "unknown system class 3"),
 ]
+# A quality's tie flag is exactly True or False, as a claim's sides are: "no" would read
+# as tied. The boundary and range rules come first.
+ERRORS += [
+    (lambda: QualityFunction(2, (1, F(1, 2), F(1, 2), 1), from_tied="no"),
+     "from_tied must be a bool, got 'no'"),
+    (lambda: QualityFunction(1, (1, 1), from_tied=0), "from_tied must be a bool, got 0"),
+    (lambda: QualityFunction(1, (0, 1), from_tied=None),
+     "the empty and full subsets must have quality 1"),
+]
 
 
 @pytest.mark.parametrize("make, message", ERRORS, ids=range(len(ERRORS)))

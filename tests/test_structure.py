@@ -26,7 +26,13 @@ from sigrel import (
     system_to_json,
     rank_over_rationals,
 )
-from sigrel.structure import PATH_SET_LIMIT, _basis_tables, _monomial_table, _monotone_tables
+from sigrel.structure import (
+    PATH_SET_LIMIT,
+    _basis_tables,
+    _low_side_mask,
+    _monomial_table,
+    _monotone_tables,
+)
 
 
 def brute_force_tables(n, boundary, essential):
@@ -57,7 +63,72 @@ def brute_force_tables(n, boundary, essential):
     return keep
 
 
+def monotonicity_witness(n, table):
+    """Oracle: the first covering pair (j, j | bit) where the table decreases, else
+    None. Checking single-bit repairs suffices: a function is monotone iff it is
+    monotone along every coordinate."""
+    for var in range(n):
+        step = 1 << var
+        bad = table & ~(table >> step) & _low_side_mask(n, var)
+        if bad:
+            low = (bad & -bad).bit_length() - 1
+            return low, low | step
+    return None
+
+
+def essential_by_states(n, table):
+    """Oracle: component i is essential iff some state x in which it is failed has
+    table[x] != table[x | bit], one state at a time."""
+    return tuple(
+        i + 1
+        for i in range(n)
+        if any(
+            (table >> x & 1) != (table >> (x | 1 << i) & 1)
+            for x in range(1 << n)
+            if not x >> i & 1
+        )
+    )
+
+
+def construction_cases():
+    """Every table at n = 2, 3, every monotone table at n = 4, 5, and at n = 4..8
+    seeded random tables (drops at many indices), ORs of random monomials, and those
+    ORs with one entry flipped (a drop at one or two indices, or none)."""
+    for n in (2, 3):
+        yield from ((n, table) for table in range(1 << (1 << n)))
+    for n in (4, 5):
+        yield from ((n, table) for table in _monotone_tables(n))
+    rng = random.Random(2040)
+    for n in range(4, 9):
+        for _ in range(150):
+            yield n, rng.getrandbits(1 << n)
+            monotone = 0
+            for _ in range(rng.randint(1, 4)):
+                monotone |= _monomial_table(n, rng.randrange(1, 1 << n))
+            yield n, monotone
+            yield n, monotone ^ 1 << rng.randrange(1 << n)
+
+
 class TestConstruction:
+    def test_construction_matches_the_state_oracles(self):
+        """The one pass over the coordinates raises the oracle's witness, the lowest
+        drop along the first dropping component, and otherwise sets the essential
+        components that the per-state oracle finds."""
+        raised = 0
+        for n, table in construction_cases():
+            witness = monotonicity_witness(n, table)
+            try:
+                phi = StructureFunction(n, table)
+            except NonMonotoneError as exc:
+                assert (exc.low, exc.high) == witness, (n, table)
+                raised += 1
+                continue
+            assert witness is None, (n, table)
+            essential = essential_by_states(n, table)
+            assert phi.essential == essential, (n, table)
+            assert phi.coherent == (n >= 3 and len(essential) == n), (n, table)
+        assert raised > 1000
+
     def test_and_gate_flags(self):
         phi = from_truth_table(2, "0001")
         assert phi.semicoherent
