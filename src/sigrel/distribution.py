@@ -123,10 +123,10 @@ class LifetimeDistribution(Record):
         atoms = sorted(merged.items())
         D = math.lcm(*(p.denominator for _, p in merged.values()))
         ranked = tuple((tuple(map(rank.__getitem__, key)), int(p * D)) for key, (_, p) in atoms)
-        object.__setattr__(self, "atoms", tuple(atom for _, atom in atoms))
-        object.__setattr__(self, "breakpoints", tuple(map(value.__getitem__, rank)))
-        object.__setattr__(self, "denominator", D)
-        object.__setattr__(self, "ranked_atoms", ranked)
+        self._set(
+            atoms=tuple(atom for _, atom in atoms),
+            breakpoints=tuple(map(value.__getitem__, rank)), denominator=D, ranked_atoms=ranked,
+        )
 
     @cached_property
     def state_chains(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -162,8 +162,7 @@ class StateDistribution(Record):
             raise ValueError("state probabilities must be nonnegative")
         if sum(coerced) != 1:
             raise ValueError("state probabilities must sum to exactly 1")
-        object.__setattr__(self, "probs", coerced)
-        object.__setattr__(self, "t", parse_time(self.t))
+        self._set(probs=coerced, t=parse_time(self.t))
 
     def prob(self, index: int) -> Fraction:
         check_range(index, 0, (1 << self.n) - 1, "state index")

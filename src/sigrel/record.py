@@ -9,10 +9,10 @@ class Record:
 
     Fields are the constructor's parameters, in order, positional or keyword;
     a class attribute of the same name is the default. ``__post_init__`` runs
-    last and may replace fields with ``object.__setattr__``; no other code can
-    set or delete an attribute, while ``functools.cached_property`` still
-    caches in the instance dict. Equality and hashing compare the class and
-    the fields not named in the ``uncompared`` class keyword.
+    last and may replace fields and set derived views in one ``_set`` call; no
+    other code can set or delete an attribute, while ``functools.cached_property``
+    still caches in the instance dict. Equality and hashing compare the class
+    and the fields not named in the ``uncompared`` class keyword.
     """
 
     def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs: object) -> None:
@@ -38,6 +38,10 @@ class Record:
 
     def __post_init__(self) -> None:
         pass
+
+    def _set(self, **attributes: object) -> None:
+        """Store replaced fields and derived views: the one write, for ``__post_init__``."""
+        self.__dict__.update(attributes)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")

@@ -80,8 +80,7 @@ class ReliabilityCurve(Record):
             raise ValueError("need exactly one value per interval")
         if any(not 0 <= v.numerator <= v.denominator for v in vals):
             raise ValueError("curve values must lie in [0, 1]")
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "values", vals)
+        self._set(breakpoints=bps, values=vals)
 
     def value_at(self, t: object) -> Fraction:
         return self.values[bisect.bisect_right(self.breakpoints, parse_time(t))]

@@ -51,7 +51,7 @@ class Signature(Record):
         coerced = parse_rationals(self.values, "signature entries")
         if not coerced:
             raise ValueError("a signature needs at least one entry")
-        object.__setattr__(self, "values", coerced)
+        self._set(values=coerced)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -80,9 +80,7 @@ class WeightFunction(Record):
         coerced = state_table(self.n, self.values, f"{self._noun} for n={self.n}")
         D = math.lcm(*(v.denominator for v in coerced))
         scaled = tuple(v.numerator * (D // v.denominator) for v in coerced)
-        object.__setattr__(self, "values", coerced)
-        object.__setattr__(self, "denominator", D)
-        object.__setattr__(self, "numerators", scaled)
+        self._set(values=coerced, denominator=D, numerators=scaled)
 
     @classmethod
     @lru_cache(maxsize=None, typed=True)

@@ -63,10 +63,10 @@ ENUMERATION_LIMIT = 5
 # subprocess).
 BASIS_LIMIT = 12
 
-# A path-set system is tabulated as one OR of monomial masks, 2 ms at n = 18
-# and 7 ms at 20 with five paths; what follows is per state: its design
-# signature takes 0.13 s at n = 16, 0.71 s at 18 and 2.6 s at 20 (Python 3.11
-# on a 2-vCPU VM, in-process).
+# A path-set system is tabulated as one OR of monomial masks and built in 1-2 ms
+# at n = 18 and 8-14 ms at 20 with five paths; its design signature, per state,
+# takes 0.05 s at n = 16, 0.14-0.21 s at 18 and 0.56-0.83 s at 20 (Python 3.11
+# on a 2-vCPU VM, in-process and cold, the range of three runs).
 PATH_SET_LIMIT = 18
 
 
@@ -163,11 +163,10 @@ class StructureFunction(Record):
                 raise NonMonotoneError(j, j | step)
             if (self.table ^ self.table >> step) & low:
                 essential.append(var + 1)
-        object.__setattr__(self, "essential", tuple(essential))
-        semi = not (self.table & 1) and bool((self.table >> (size - 1)) & 1)
-        object.__setattr__(self, "semicoherent", semi)
-        object.__setattr__(
-            self, "coherent", self.n >= 3 and len(essential) == self.n
+        self._set(
+            essential=tuple(essential),
+            semicoherent=not (self.table & 1) and bool((self.table >> (size - 1)) & 1),
+            coherent=self.n >= 3 and len(essential) == self.n,
         )
 
     def require_semicoherent(self, what: str) -> None:

@@ -1,8 +1,8 @@
 """Modules of the package import only public names from one another, without a
 cycle, and nothing from outside the package but the standard library; the
 package exports each module's ``__all__`` once, no source line is longer than
-99 characters, and importing the CLI loads none of the standard library's slow
-modules."""
+99 characters, importing the CLI loads none of the standard library's slow
+modules, and only ``record.py`` writes a record's attributes."""
 
 import ast
 import graphlib
@@ -170,3 +170,32 @@ def test_every_private_module_name_is_read_in_the_package():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert unread_private_names(modules) == []
+
+
+# The ways around a record's frozen guard: ``object``'s setters, which the guard
+# overrides, the instance dict, and the builtins that reach either.
+BACK_DOORS = {"__setattr__", "__delattr__", "__dict__"}
+BUILTIN_WRITERS = {"setattr", "delattr", "vars"}
+
+
+def record_writes(path: Path) -> list[str]:
+    """Each place in ``path`` that names a back door or calls a builtin writer, as
+    ``file:line``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in BACK_DOORS:
+            found.append(f"{path.name}:{node.lineno} names {node.attr}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in BUILTIN_WRITERS:
+            found.append(f"{path.name}:{node.lineno} calls {node.func.id}")
+    return found
+
+
+def test_only_record_py_writes_a_record():
+    """``Record._set`` is the one write path of the frozen records, so that
+    ``__post_init__`` stores its replaced fields and derived views through it and
+    no other module bypasses the guard."""
+    modules = [path for path in sorted(SRC.glob("*.py")) if path.name != "record.py"]
+    assert modules
+    offenders = [hit for path in modules for hit in record_writes(path)]
+    assert offenders == []
