@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 from fractions import Fraction
-from itertools import accumulate, compress, pairwise, tee
+from itertools import accumulate, compress, islice, pairwise, tee
 from operator import mul, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -351,14 +351,14 @@ def verify_theorems(d: LifetimeDistribution, system_class: SystemClass) -> Diagn
     Both sides of each claim are linear in phi, so a claim is a set of
     integer rows over the states, broken by exactly the systems on which
     some row does not vanish: one residual row per breakpoint for each
-    representation, built as the echelon reads them from the columns of
+    representation, built as the echelon pulls them from the columns of
     ``d.cdfs`` and the supports (each built once, when its first reader reaches it),
     and one row per level for the signature agreement. A claim's witness is the
     first table of :func:`class_tables` that the rows' echelon basis does not
-    annihilate, at the origin of its first basis row that does not: earlier basis rows
-    combine earlier rows, which annihilate the table, and the first row that does not
-    is kept, reduced to a nonzero multiple of itself plus such rows. Only a witness
-    becomes a :class:`StructureFunction`. The class rank is :func:`class_rank`.
+    annihilate, at the origin of its first basis row that does not, which is the first
+    row that does not. The series system, which every row annihilates, is skipped; each
+    later table replays the kept basis rows and pulls more only while it survives them.
+    Only a witness becomes a :class:`StructureFunction`. The class rank is :func:`class_rank`.
     """
     n = d.n
     tables = class_tables(n, system_class)
@@ -369,14 +369,14 @@ def verify_theorems(d: LifetimeDistribution, system_class: SystemClass) -> Diagn
     L, Q = symmetric.denominator, weights.denominator
 
     def first_breaking(rows: Iterable[list[int]]) -> tuple[StructureFunction | None, int | None]:
-        # Every row is 0 at state 0 and sums to 0 on each level m = 1..n (both
-        # weight functions sum to 1 on each level, the quality on the tie-free
-        # laws it is used for), so the rows span at most 2**n - 1 - n dimensions.
-        basis = echelon(rows, (1 << n) - 1 - n)
-        if basis:
-            for table in tables:
+        # Every row is 0 at state 0 and at 2**n - 1, the only state where the series system
+        # tables[0] works, and sums to 0 on each level m = 1..n (both weight functions sum to 1
+        # on each level, the quality on tie-free laws): the rows span <= 2**n - 1 - n dimensions.
+        basis = tee(islice(echelon(rows), (1 << n) - 1 - n), 1)[0]
+        if any(basis.__copy__()):  # a tee's copy: no import of the copy module at start-up
+            for table in tables[1:]:
                 works = [table >> x & 1 for x in range(1 << n)]
-                for origin, row in basis:
+                for origin, row in basis.__copy__():  # the rows kept so far, then new ones
                     if sum(compress(row, works)):
                         return StructureFunction(n, table), origin
         return None, None

@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationBoundError, NonMonotoneError
 from .rationals import file_header
@@ -279,11 +279,11 @@ def _monotone_tables(n: int) -> tuple[int, ...]:
 
 
 def _check_size(n: int, system_class: SystemClass, needs: str, family: str, limit: int) -> None:
-    """Refuse, in this order, an unknown class, an int n below the class minimum, any other
-    bad count and n above ``limit``; ``needs`` and ``family`` word the two size messages."""
+    """Refuse, in this order, an unknown class, a non-bool int n below the class minimum, any
+    other bad count and n above ``limit``; ``needs`` and ``family`` word the size messages."""
     if not isinstance(system_class, SystemClass):
         raise ValueError(f"unknown system class {system_class!r}")
-    if isinstance(n, int) and n < system_class.min_components:
+    if isinstance(n, int) and not isinstance(n, bool) and n < system_class.min_components:
         raise ValueError(
             f"{system_class.value} {needs} at least {system_class.min_components} "
             f"components, got n={n}"
@@ -378,30 +378,28 @@ def _basis_tables(n: int, system_class: SystemClass) -> list[int]:
     return [monomials[s] | monomials[_partner(n, s)] for s in range(1, 1 << n)]
 
 
-def echelon(rows: Iterable[Sequence[int]], limit: int) -> list[tuple[int, list[int]]]:
-    """An echelon basis of the rows' span, reduced fraction-free, each row
-    divided by its gcd and paired with the index of the input row it reduced,
-    its origin; it stops at ``limit`` rows, which must bound the rank."""
-    kept: list[tuple[int, int, list[int]]] = []
+def echelon(rows: Iterable[Sequence[int]]) -> Iterator[tuple[int, list[int]]]:
+    """An echelon basis of the rows' span, reduced fraction-free: each row it keeps is
+    divided by its gcd and yielded at once with the index of the input row it reduced,
+    its origin. It reads a row only when pulled; callers bound it with ``islice``."""
+    kept: list[tuple[int, list[int]]] = []
     for origin, row in enumerate(rows):
-        if len(kept) == limit:
-            break
-        for _, pivot, basis_row in kept:
+        for pivot, basis_row in kept:
             if c := row[pivot]:
                 a = basis_row[pivot]
                 row = [a * u - c * v for u, v in zip(row, basis_row)]
         if g := math.gcd(*row):  # 0 only for the zero row
             row = [u // g for u in row]
-            kept.append((origin, next(j for j, u in enumerate(row) if u), row))
-    return [(origin, row) for origin, _, row in kept]
+            kept.append((next(j for j, u in enumerate(row) if u), row))
+            yield origin, row
 
 
 def rank_over_rationals(functions: Iterable[StructureFunction]) -> int:
     """Exact rank over the rationals of the functions' value vectors.
 
     Each function contributes the length-2**n row of its table entries, and
-    the rank is the length of their :func:`echelon` basis, which stops at the
-    number of columns that some row touches. The rank ignores the order of
+    the rank is the count of their :func:`echelon` basis, pulled at most up to
+    the number of columns that some row touches. The rank ignores the order of
     the rows, and rank(B + C) = rank(C) when every row of B is in C. So when
     the tables contain the coherent spanning family (3 <= n <=
     ``BASIS_LIMIT``), its 2**n - 1 tables go first, and the reduction stops
@@ -430,7 +428,7 @@ def _table_rank(n: int, tables: Sequence[int]) -> int:
     for table in distinct:
         touched |= table
     rows = ([table >> j & 1 for j in range(1 << n)] for table in tables)
-    return len(echelon(rows, touched.bit_count()))
+    return sum(1 for _ in islice(echelon(rows), touched.bit_count()))
 
 
 def system_to_json(phi: StructureFunction) -> dict:

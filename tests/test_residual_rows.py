@@ -4,22 +4,25 @@
 oracle: every system of the class, one at a time, with its integer signature
 mixture compared against its reliability at every breakpoint. The residual
 rows and the table enumeration must give the same reports and tables as the
-per-system scan and the filtered objects. ``rank_by_kernel`` is the earlier
-library rank, an elimination of sparse kernel functionals that is not seeded:
-``class_rank`` and ``rank_over_rationals``, both the seeded echelon, must
-give its ranks.
+per-system scan and the filtered objects. ``eager_first_breaking`` is the
+earlier library witness search, which builds the whole echelon basis before it
+looks at a table: the witness-first search must give its witnesses and origins.
+``rank_by_kernel`` is the earlier library rank, an elimination of sparse kernel
+functionals that is not seeded: ``class_rank`` and ``rank_over_rationals``, both
+the seeded echelon, must give its ranks.
 """
 
 import math
 import random
 from fractions import Fraction
-from itertools import compress, pairwise
+from itertools import compress, islice, pairwise
 from operator import mul
 
 import pytest
 
 from sigrel import (
     BASIS_LIMIT,
+    ENUMERATION_LIMIT,
     DiagnosisReport,
     StructureFunction,
     SystemClass,
@@ -48,7 +51,7 @@ from sigrel.structure import (
     echelon,
 )
 
-from conftest import exchangeable_mixture, random_no_ties
+from conftest import exchangeable_mixture, make_dist, random_no_ties
 from test_integer_scan import (
     REPRESENTATION_KEYS,
     classes_for,
@@ -145,6 +148,21 @@ def verify_by_integer_scan(n, d, system_class):
     ).to_json()
 
 
+# --- oracle: the eager witness search ----------------------------------------
+
+
+def eager_first_breaking(n, tables, rows):
+    """The whole echelon basis first, then the first table that some basis row does
+    not annihilate, with the origin of the first such row; (None, None) if none."""
+    basis = list(islice(echelon(rows), (1 << n) - 1 - n))
+    for table in tables:
+        works = [table >> x & 1 for x in range(1 << n)]
+        for origin, row in basis:
+            if sum(compress(row, works)):
+                return table, origin
+    return None, None
+
+
 # --- corpus -------------------------------------------------------------------
 
 
@@ -160,6 +178,29 @@ def seeded_n5_laws():
         coprime_law(rng, 5, 5),
         exchangeable_mixture(rng, 5),
     ]
+
+
+def small_grid_law(rng, n):
+    """A few atoms on the lifetimes 1..n - 1: ties inside and across atoms."""
+    rows = {tuple(rng.randint(1, n - 1) for _ in range(n)) for _ in range(rng.randint(2, 5))}
+    weights = [rng.randint(1, 5) for _ in rows]
+    return make_dist(n, [(xs, Fraction(w, sum(weights))) for xs, w in zip(sorted(rows), weights)])
+
+
+def witness_laws():
+    """The tied laws (n = 2..4) and seeded distinct-lifetime, exchangeable, comonotone,
+    generic and small-grid laws at n = 3..5."""
+    rng = random.Random(1010)
+    laws = tied_laws()
+    for n in (3, 4, 5):
+        laws += [
+            distinct_lifetime_law(rng, n, 6 * n),
+            exchangeable_mixture(rng, n),
+            comonotone_law(rng, n, 3),
+            random_no_ties(rng, n),
+            small_grid_law(rng, n),
+        ]
+    return laws
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +238,45 @@ def test_residual_rows_match_integer_scan(residual_corpus):
     assert {r["n"] for r in reports} == {2, 3, 4, 5}
 
 
+def test_witness_first_search_matches_the_eager_search():
+    """Each claim's witness and its time, the origin of its first breaking basis row, are
+    those of the eager search, under both classes; the series system is never one."""
+    origins = []
+    for d in witness_laws():
+        n, supports = d.n, [state_support(d, t) for t in d.breakpoints]
+        weights, fields = evaluate_conditions(d, supports)
+        symmetric = WeightFunction.symmetric(n)
+        scans = [("boland_repr", _residual_rows(symmetric, d, supports))]
+        if not fields["has_ties"]:
+            scans.append(("prob_repr", _residual_rows(weights, d, supports)))
+            L, Q = symmetric.denominator, weights.denominator
+            gap = [a * Q - b * L for a, b in zip(symmetric.numerators, weights.numerators)]
+            levels = [
+                [g * (x.bit_count() == m) for x, g in enumerate(gap)] for m in range(1, n + 1)
+            ]
+            scans.append(("signature_agreement", levels))
+        scans = [(key, list(rows)) for key, rows in scans]
+        for system_class in classes_for(n):
+            tables = class_tables(n, system_class)
+            witnesses = verify_theorems(d, system_class).witnesses
+            for key, rows in scans:
+                table, origin = eager_first_breaking(n, tables, rows)
+                if table is None:
+                    assert key not in witnesses, (d, system_class, key)
+                    continue
+                assert table != tables[0], (d, system_class, key)
+                found = witnesses[key]
+                assert found["system"] == system_to_json(StructureFunction(n, table))
+                if key != "signature_agreement":
+                    assert found["t"] == format_rational(d.breakpoints[origin]), (d, key)
+                    origins.append((n, system_class, origin))
+    # Witnesses under both classes at n = 3..5, some past the first breakpoint; at n = 2
+    # every row annihilates both systems, as it does the series system at every n.
+    expected = {(n, c) for n in (3, 4, 5) for c in SystemClass}
+    assert {(n, c) for n, c, _ in origins} == expected
+    assert any(origin > 0 for _, _, origin in origins)
+
+
 def test_class_tables_match_filtered_objects():
     for n, system_class in ALLOWED:
         systems = (StructureFunction(n, table) for table in _monotone_tables(n))
@@ -205,6 +285,18 @@ def test_class_tables_match_filtered_objects():
         assert [phi.table for phi in enumerate_systems(n, system_class)] == expected
     for n in (3, 4, 5):
         assert class_tables(n, SystemClass.COHERENT) is class_tables(n, SystemClass.SEMICOHERENT)
+
+
+def test_the_first_class_table_is_the_series_system(residual_corpus):
+    """The witness search skips ``class_tables(n, c)[0]``: it is the series system, which
+    works only at state 2**n - 1, where every residual row is 0."""
+    for c in SystemClass:
+        for n in range(c.min_components, ENUMERATION_LIMIT + 1):
+            assert class_tables(n, c)[0] == 1 << (2**n - 1), (n, c)
+    for d in residual_corpus:
+        supports = (state_support(d, t) for t in d.breakpoints)
+        rows = _residual_rows(WeightFunction.symmetric(d.n), d, supports)
+        assert all(row[-1] == 0 for row in rows), d
 
 
 def rank_by_kernel(n, tables):
@@ -316,7 +408,7 @@ def test_residual_rank_is_within_the_level_bound(residual_corpus):
                     assert sum(u for x, u in enumerate(row) if x.bit_count() == m) == 0
             rank = rank_by_fractions(rows)
             assert rank <= (1 << n) - 1 - n, (d, w)
-            assert len(echelon(rows, 1 << n)) == rank
+            assert len(list(islice(echelon(rows), 1 << n))) == rank
             ranks.append((n, rank))
     # Some laws reach the bound, so stopping there is not vacuous.
     assert any(rank == (1 << n) - 1 - n for n, rank in ranks if n >= 4)
@@ -327,7 +419,7 @@ def test_echelon_basis_spans_the_rows():
     rng = random.Random(31)
     for _ in range(50):
         rows = [[rng.randint(-3, 3) * (rng.random() < 0.6) for _ in range(8)] for _ in range(6)]
-        basis = [row for _, row in echelon(rows, 8)]
+        basis = [row for _, row in islice(echelon(rows), 8)]
         assert len(basis) == rank_by_fractions(rows) == rank_by_fractions(rows + basis)
         # Echelon: each kept row is zero at the pivot of every earlier one.
         leads = [next(j for j, u in enumerate(row) if u) for row in basis]
@@ -350,7 +442,7 @@ def test_echelon_origin_is_the_first_row_a_vector_breaks():
         ranks = [rank_by_fractions(rows[:i]) for i in range(len(rows) + 1)]
         rises = [i for i, (r, s) in enumerate(pairwise(ranks)) if s > r]
         for limit in (width, ranks[-1]):
-            basis = echelon(rows, limit)
+            basis = list(islice(echelon(rows), limit))
             origins = [origin for origin, _ in basis]
             # Origins strictly increase, each where the rank of the rows read so far rises.
             assert all(a < b for a, b in pairwise(origins))
@@ -414,9 +506,9 @@ def test_verify_builds_residual_rows_only_as_the_echelon_reads_them(monkeypatch)
     d = distinct_lifetime_law(random.Random(7), 5, 400)
     report = verify_theorems(d, SystemClass.COHERENT)
     assert len(d.breakpoints) == 2000 and not report.has_ties
-    # Two weight functions, one row per breakpoint each if every row were built;
-    # the echelon stops at rank 2**5 - 1 - 5 = 26.
-    assert 0 < len(built) <= len(d.breakpoints)
+    # Both witnesses lie at the first breakpoint, so each of the two representation
+    # scans reads one row of 2,000; building the full basis first read 519 each.
+    assert len(built) == 2
     # One pass per representation claim: a witness's breakpoint is an echelon
     # origin, so no rows are built again to find it.
     assert len(calls) == 2
@@ -425,3 +517,4 @@ def test_verify_builds_residual_rows_only_as_the_echelon_reads_them(monkeypatch)
     found = [key for key in ("boland_repr", "prob_repr") if key in report.witnesses]
     assert found
     assert survival_times == [parse_rational(report.witnesses[key]["t"]) for key in found]
+

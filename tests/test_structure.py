@@ -532,16 +532,30 @@ BASIS_REFUSALS = [
      f"the spanning family supports n <= {BASIS_LIMIT}, got n={BASIS_LIMIT + 1}"),
 ]
 
+# A bool count is below every class minimum, yet the count rule refuses it, with the same
+# wording in both families. Listed last, so that the cases above keep their ids.
+BOOL_COUNT_REFUSALS = [
+    (True, SystemClass.COHERENT, ValueError,
+     "component count must be a positive integer, got True"),
+    (True, SystemClass.SEMICOHERENT, ValueError,
+     "component count must be a positive integer, got True"),
+    (False, SystemClass.SEMICOHERENT, ValueError,
+     "component count must be a positive integer, got False"),
+]
+
 
 @pytest.mark.parametrize(
     "call, case",
     [(call, case) for call in (class_tables, enumerate_systems, class_rank)
      for case in ENUMERATION_REFUSALS]
-    + [(appendix_basis, case) for case in BASIS_REFUSALS],
+    + [(appendix_basis, case) for case in BASIS_REFUSALS]
+    + [(call, case) for call in (class_tables, enumerate_systems, class_rank, appendix_basis)
+       for case in BOOL_COUNT_REFUSALS],
 )
 def test_class_size_refusals(call, case):
     """An unknown class, n below the class minimum and n over the limit are
-    refused in that order, with the family's own wording."""
+    refused in that order, with the family's own wording; a bool count is
+    refused by the count rule, with its wording."""
     n, system_class, error, message = case
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc_info:
         call(n, system_class)
