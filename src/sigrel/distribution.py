@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import accumulate, pairwise, permutations
 from typing import Iterable, Iterator
 
-from .errors import EnumerationBoundError, TiesError
+from .errors import EnumerationBoundError, TheoremInconsistencyError, TiesError
 from .rationals import (
     check_sequence, file_header, format_rational, parse_rational, parse_rationals, parse_time,
     state_table,
@@ -448,7 +448,9 @@ def evaluate_conditions(
     is None for tied laws). ``witnesses`` maps each failed condition to its
     lexicographically first counterexample, rationals as strings, and
     ``skipped_orderings`` lists the zero-probability orderings before the weak
-    witness's, or all of them.
+    witness's, or all of them. The flags, K, S, L, W and Q in their order in ``fields``,
+    must meet the paper's implications (three only on tie-free laws): a broken one is a
+    bug, and :class:`TheoremInconsistencyError` names it.
     """
     if d.n > ORDERING_LIMIT:
         raise EnumerationBoundError(
@@ -474,14 +476,23 @@ def evaluate_conditions(
     }
     fields = {
         "has_ties": ties,
-        "q_symmetric": witnesses["q_symmetric"] is None,
-        "states_exchangeable_everywhere": state_wit is None,
-        "lifetimes_exchangeable": witnesses["lifetimes_exchangeable"] is None,
-        "weakly_exchangeable": None if ties else weak_wit is None,
-        "condition_q_everywhere": cond_wit is None,
+        "q_symmetric": (K := witnesses["q_symmetric"] is None),
+        "states_exchangeable_everywhere": (S := state_wit is None),
+        "lifetimes_exchangeable": (L := witnesses["lifetimes_exchangeable"] is None),
+        "weakly_exchangeable": (W := None if ties else weak_wit is None),
+        "condition_q_everywhere": (Q := cond_wit is None),
         "witnesses": {key: wit for key, wit in witnesses.items() if wit is not None},
         "skipped_orderings": tuple(skipped),
     }
+    clauses = {
+        "lifetimes_exchangeable_implies_states_exchangeable": L and not S,
+        "q_symmetry_implies_condition_q_iff_states_exchangeable": K and Q != S,
+        "lifetimes_exchangeable_implies_q_symmetry": L and not ties and not K,
+        "lifetimes_exchangeable_implies_weak_exchangeability": L and not ties and not W,
+        "weak_exchangeability_implies_condition_q": W and not Q,
+    }
+    if broken := [name for name, fails in clauses.items() if fails]:
+        raise TheoremInconsistencyError(f"the conditions break: {'; '.join(broken)}")
     return quality, fields
 
 

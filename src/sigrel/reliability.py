@@ -92,9 +92,9 @@ class ReliabilityCurve(Record):
         }
 
 
-def _stopping_entry(phi: StructureFunction, chain: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """The first (rank, state) entry of an atom's state chain, one of
-    :attr:`LifetimeDistribution.state_chains`, at which the semicoherent ``phi`` is 0."""
+def _stopping_entry(phi: StructureFunction, chain: Iterable[tuple]) -> tuple[int, int] | None:
+    """The first (rank, state) entry of a :attr:`LifetimeDistribution.state_chains` chain where
+    ``phi`` is 0: (-1, all working) for the table 0, and None only for the all-ones table."""
     for entry in chain:
         if not phi.table >> entry[1] & 1:
             return entry
@@ -132,33 +132,29 @@ def probability_signature_oracle(
 def _system_survivals(phi: StructureFunction, d: LifetimeDistribution) -> list[int]:
     """P(the system works) times D on (0, b_1), then from each breakpoint on.
 
-    Each atom's mass leaves at the breakpoint rank of the component whose
-    failure stops the system; one cumulative sum gives every value.
+    Each atom's mass leaves in slot r + 1 if its chain stops phi at rank r (slot 0: down from
+    the start) and stays if it never does; one cumulative sum from D gives the values after D.
     """
-    if not phi.semicoherent:
-        # A monotone system without the semicoherent boundary values is constant.
-        return [phi.value(0) * d.denominator] * (len(d.breakpoints) + 1)
-    failing = [0] * len(d.breakpoints)
+    require_same_count("system and distribution", phi, d)
+    failing = [0] * (len(d.breakpoints) + 1)
     for chain, (_, p) in zip(d.state_chains, d.ranked_atoms):
-        failing[_stopping_entry(phi, chain)[0]] += p
-    # On (0, b_1) every component works, and so does the system.
-    return list(accumulate(failing, sub, initial=d.denominator))
+        if stop := _stopping_entry(phi, chain):
+            failing[stop[0] + 1] += p
+    return list(accumulate(failing, sub, initial=d.denominator))[1:]
 
 
 def system_reliability(
     phi: StructureFunction, d: LifetimeDistribution, t: object
 ) -> Fraction:
     """Probability that the system works at time t: its lifetime exceeds t."""
-    require_same_count("system and distribution", phi, d)
-    interval = bisect.bisect_right(d.breakpoints, parse_time(t))
-    return Fraction(_system_survivals(phi, d)[interval], d.denominator)
+    alive = _system_survivals(phi, d)  # first: a count mismatch is refused before t
+    return Fraction(alive[bisect.bisect_right(d.breakpoints, parse_time(t))], d.denominator)
 
 
 def reliability_curve(
     phi: StructureFunction, d: LifetimeDistribution
 ) -> ReliabilityCurve:
     """Full survival curve of the system, one exact value per interval."""
-    require_same_count("system and distribution", phi, d)
     alive = _system_survivals(phi, d)
     return ReliabilityCurve(d.breakpoints, tuple(Fraction(a, d.denominator) for a in alive))
 

@@ -20,7 +20,7 @@ from sigrel import (
     parse_rational,
     system_to_json,
 )
-from sigrel import cli
+from sigrel import cli, distribution
 from sigrel.cli import run
 from sigrel.structure import from_path_sets, from_truth_table
 
@@ -185,6 +185,15 @@ class TestDiagnoseCommand:
             "prob_repr_all_systems": True,
             "both_representations": True,
         }
+
+    def test_inconsistency_exit_3(self, files, capsys, monkeypatch):
+        """A condition routine that contradicts the paper's implications: the tied law
+        is neither lifetime nor state exchangeable, and is reported as the first only."""
+        monkeypatch.setattr(distribution, "_lifetime_exchangeability_witness", lambda d: None)
+        code, err = run_error(capsys, ["diagnose", "--dist", files["tied"]])
+        assert code == 3
+        detail = "the conditions break: lifetimes_exchangeable_implies_states_exchangeable"
+        assert err == {"error": "inconsistency", "detail": detail}
 
 
 class TestOrderingLimit:

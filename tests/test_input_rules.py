@@ -219,6 +219,7 @@ def test_component_count_refusals():
     message = "^system and distribution disagree on component count$"
     for call in (
         lambda: system_reliability(phi, law, 1),
+        lambda: system_reliability(phi, law, 0),  # the count before the time
         lambda: reliability_curve(phi, law),
         lambda: probability_signature_oracle(phi, law),
     ):

@@ -46,6 +46,7 @@ from sigrel import (
     system_lifetime,
     weighted_phi_level,
 )
+from sigrel.reliability import _stopping_entry
 from sigrel.structure import _low_side_mask, _monomial_table, _monotone_tables
 
 from conftest import (
@@ -220,12 +221,26 @@ def test_canonical_form_matches_fraction_sort(theorem_corpus):
 
 
 def test_reliability_curve_matches_lifetime_bisect(laws):
-    constant = 0
+    constants = set()  # the library sweeps the chains for these too; the oracle does not
     for d in laws:
         for phi in systems_for(d.n):
             assert reliability_curve(phi, d) == curve_by_lifetimes(phi, d), (phi, d)
-            constant += not phi.semicoherent
-    assert constant
+            if not phi.semicoherent:
+                constants.add((phi.table == 0, has_ties(d)))
+    assert constants == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_stopping_entry_of_the_constant_systems():
+    """No chain stops the all-ones table, and every chain stops the table 0 at its first
+    entry, rank -1 with every component working."""
+    tied_and_untied = [make_dist(3, [((1, 1, 2), 1)]), staggered_pairs_dist()]
+    assert [has_ties(d) for d in tied_and_untied] == [True, False]
+    for d in tied_and_untied:
+        full = (1 << d.n) - 1
+        ones, zero = StructureFunction(d.n, (1 << (full + 1)) - 1), StructureFunction(d.n, 0)
+        for chain in d.state_chains:
+            assert _stopping_entry(ones, chain) is None
+            assert _stopping_entry(zero, chain) == (-1, full)
 
 
 def test_state_chains_hold_the_working_set_after_each_distinct_rank(laws):

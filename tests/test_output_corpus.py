@@ -4,8 +4,10 @@
 by the seeded generators of ``tests/conftest.py`` and ``perfbench/workloads.py``:
 ``diagnose`` at n = 2..8, ties included; ``verify_theorems`` under both classes at
 n = 2..5; the curve, one time value and the probability signature beside its atom
-oracle, for a k-out-of-n and a path-set system; ``appendix_basis`` with its rank at
-n <= 6; the frozen records' instance state; and the refusals, each with its message.
+oracle, for a k-out-of-n and a path-set system; the curve and two time values, before
+the first breakpoint and at a middle one, for both constant systems (the table 0 and
+the all-ones table); ``appendix_basis`` with its rank at n <= 6; the frozen records'
+instance state; and the refusals, each with its message.
 A call's JSON is the payload the command line would print for it, or, for a refusal,
 the exception's class and message.
 
@@ -245,6 +247,16 @@ def calls():
                 ]
                 if shape != "tied":
                     found.append((f"prob-signature {label}", partial(prob_signature, phi, d)))
+            # The two monotone systems outside the semicoherent class, at no cost of rng draws.
+            before = d.breakpoints[0] / 2
+            for value in (0, 1):
+                phi = StructureFunction(n, (1 << (1 << n)) - 1 if value else 0)
+                label = f"constant {value} on {shape} n={n}"
+                found.append((f"curve {label}", partial(curve, phi, d)))
+                found += [
+                    (f"reliability at {t} {label}", partial(reliability_at, phi, d, t))
+                    for t in (before, middle)
+                ]
     found += [
         (f"basis {c.value} n={n}", partial(basis, n, c))
         for n in range(2, 7)
@@ -304,6 +316,7 @@ def calls():
         "basis n='3'": lambda: appendix_basis("3", SystemClass.SEMICOHERENT),
         "oracle count mismatch": lambda: probability_signature_oracle(k_out_of_n(4, 2), d3),
         "curve count mismatch": lambda: reliability_curve(k_out_of_n(4, 2), d3),
+        "reliability count mismatch at 0": lambda: system_reliability(k_out_of_n(4, 2), d3, 0),
         "oracle of a constant system": lambda: probability_signature_oracle(
             StructureFunction(3, 0), d3
         ),
