@@ -267,8 +267,8 @@ def relative_quality(d: LifetimeDistribution) -> QualityFunction:
     A subset outlives the rest in an atom exactly when it is the working set of an
     entry of the atom's state chain; every chain starts at all and ends at none, so
     those get the conventional 1. The sums are ints over D, kept for the at most n + 1
-    subsets per atom that get mass. Computed for tied distributions as well; the
-    result then carries ``from_tied`` so that signature operations can refuse it.
+    subsets per atom that get mass. Computed for tied distributions as well, whose
+    chains skip a level: the result's ``from_tied`` then lets signatures refuse it.
     """
     sums: dict[int, int] = {}
     for chain, (_, p) in zip(d.state_chains, d.ranked_atoms):
@@ -277,7 +277,7 @@ def relative_quality(d: LifetimeDistribution) -> QualityFunction:
     values = [Fraction(0)] * (1 << d.n)
     for mask, p in sums.items():
         values[mask] = Fraction(p, d.denominator)
-    return QualityFunction(d.n, tuple(values), from_tied=has_ties(d))
+    return QualityFunction(d.n, tuple(values))
 
 
 def is_q_symmetric(q: QualityFunction) -> bool:

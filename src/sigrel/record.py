@@ -12,14 +12,13 @@ class Record:
     last and may replace fields and set derived views in one ``_set`` call; no
     other code can set or delete an attribute, while ``functools.cached_property``
     still caches in the instance dict. Equality and hashing compare the class
-    and the fields not named in the ``uncompared`` class keyword.
+    and every field; derived views take no part.
     """
 
-    def __init_subclass__(cls, uncompared: tuple[str, ...] = (), **kwargs: object) -> None:
+    def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         bodies = [vars(c).get("__annotations__", {}) for c in reversed(cls.__mro__)]
         cls._fields = tuple(dict.fromkeys(f for body in bodies for f in body))
-        cls._compared = tuple(f for f in cls._fields if f not in uncompared)
         cls._defaults = {f: getattr(cls, f) for f in cls._fields if f in dir(cls)}
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -50,7 +49,7 @@ class Record:
         raise AttributeError(f"cannot delete {name!r} of a frozen {type(self).__name__}")
 
     def _key(self) -> tuple:
-        return tuple(self.__dict__[f] for f in self._compared)
+        return tuple(self.__dict__[f] for f in self._fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

@@ -107,18 +107,17 @@ class WeightFunction(Record):
         return tuple(a - b for a, b in pairwise(reversed(levels)))
 
 
-class QualityFunction(WeightFunction, uncompared=("from_tied",)):
+class QualityFunction(WeightFunction):
     """Relative quality of every component subset, packed-index order: the
     :class:`WeightFunction` of the probability signature.
 
     values[mask] is the probability that every component in the subset
     outlives every component outside it; the empty and full subsets carry
-    the conventional value 1. ``from_tied`` records whether the source
-    distribution had tied lifetimes, in which case signature operations
-    must refuse the function; it takes no part in equality.
+    the conventional value 1. A tie-free law's quality sums to 1 on every
+    level, and a tie makes some level sum fall short, so construction sets
+    ``from_tied`` iff a level sum is not 1; signature operations refuse those.
     """
 
-    from_tied: bool = False
     _noun = "values"
 
     def __post_init__(self) -> None:
@@ -127,8 +126,10 @@ class QualityFunction(WeightFunction, uncompared=("from_tied",)):
             raise ValueError("the empty and full subsets must have quality 1")
         if min(self.numerators) < 0 or max(self.numerators) > self.denominator:
             raise ValueError("quality values must lie in [0, 1]")
-        if not isinstance(self.from_tied, bool):
-            raise ValueError(f"from_tied must be a bool, got {self.from_tied!r}")
+        levels = [0] * (self.n + 1)
+        for x, value in enumerate(self.numerators):
+            levels[x.bit_count()] += value
+        self._set(from_tied=any(level != self.denominator for level in levels))
 
 
 def phi_level(phi: StructureFunction, k: int) -> Fraction:

@@ -78,6 +78,25 @@ def random_no_ties(rng, n, min_atoms=4, max_atoms=10):
     return make_dist(n, rows)
 
 
+def tied_law(rng, n):
+    """One to four atoms on lifetimes 1..3: ties inside atoms, and repeated vectors that
+    the law merges."""
+    weights = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
+    rows = [(tuple(rng.choices(range(1, 4), k=n)), Fraction(w, sum(weights))) for w in weights]
+    return make_dist(n, rows)
+
+
+def ordering_set_laws():
+    """Every nonempty set of the twelve orderings of (1, 2, 3) and (1, 2, 4), with equal
+    weights: 4,095 tie-free laws at n = 3."""
+    vectors = [*permutations((1, 2, 3)), *permutations((1, 2, 4))]
+    laws = []
+    for mask in range(1, 1 << len(vectors)):
+        chosen = [v for i, v in enumerate(vectors) if mask >> i & 1]
+        laws.append(make_dist(3, [(v, Fraction(1, len(chosen))) for v in chosen]))
+    return laws
+
+
 def exchangeable_mixture(rng, n):
     """Mixture of uniform-over-orderings blocks: exchangeable lifetimes."""
     n_blocks = rng.randint(1, 3)

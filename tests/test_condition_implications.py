@@ -23,7 +23,7 @@ import pytest
 from sigrel import TheoremInconsistencyError, diagnose
 from sigrel import distribution
 
-from conftest import exchangeable_mixture, make_dist, random_no_ties
+from conftest import exchangeable_mixture, make_dist, ordering_set_laws, random_no_ties
 
 
 def implications(r):
@@ -55,11 +55,7 @@ def check(laws):
 
 
 def test_conditions_imply_each_other_on_every_ordering_set_at_n3():
-    vectors = [*permutations((1, 2, 3)), *permutations((1, 2, 4))]
-    laws = []
-    for mask in range(1, 1 << len(vectors)):
-        chosen = [v for i, v in enumerate(vectors) if mask >> i & 1]
-        laws.append(make_dist(3, [(v, Fraction(1, len(chosen))) for v in chosen]))
+    laws = ordering_set_laws()
     assert len(laws) == 4095
     check(laws)
 

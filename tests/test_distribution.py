@@ -31,7 +31,9 @@ from conftest import (
     exchangeable_mixture,
     make_dist,
     orbit_dist,
+    ordering_set_laws,
     random_no_ties,
+    tied_law,
 )
 from test_sweeps import tied_laws
 
@@ -188,6 +190,22 @@ class TestRelativeQuality:
     def test_tied_input_is_marked(self):
         q = relative_quality(make_dist(2, [((1, 1), 1)]))
         assert q.from_tied
+
+    def test_tie_flag_is_read_from_the_level_sums(self):
+        """Each level of a law's quality sums to at most 1, and to 1 on every level iff
+        the law has no ties: a tied atom's chain skips a level. ``from_tied`` is that
+        fact, so it equals :func:`has_ties` on every law."""
+        rng = random.Random(4431)
+        tied = [tied_law(rng, n) for n in range(2, 9) for _ in range(6)]
+        free = [random_no_ties(rng, n) for n in range(4, 10) for _ in range(4)]
+        assert {d.n for d in tied if has_ties(d)} == set(range(2, 9))
+        for d in ordering_set_laws() + tied + free:
+            q = relative_quality(d)
+            sums = [F(0)] * (d.n + 1)
+            for mask, value in enumerate(q.values):
+                sums[mask.bit_count()] += value
+            assert max(sums) == 1
+            assert q.from_tied == has_ties(d) == (min(sums) < 1), d
 
 
 class TestQSymmetry:

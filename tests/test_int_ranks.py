@@ -110,8 +110,7 @@ def quality_by_atoms(d):
             if xs[order[j]] > xs[order[j + 1]]:
                 values[mask] += p
     values[0] = values[-1] = Fraction(1)
-    tied = any(len(set(xs)) < d.n for xs, _ in d.atoms)
-    return QualityFunction(d.n, tuple(values), from_tied=tied)
+    return QualityFunction(d.n, tuple(values))
 
 
 def oracle_by_lifetimes(phi, d):

@@ -4,10 +4,12 @@
 by the seeded generators of ``tests/conftest.py`` and ``perfbench/workloads.py``:
 ``diagnose`` at n = 2..8, ties included; ``verify_theorems`` under both classes at
 n = 2..5; the curve, one time value and the probability signature beside its atom
-oracle, for a k-out-of-n and a path-set system; the curve and two time values, before
-the first breakpoint and at a middle one, for both constant systems (the table 0 and
-the all-ones table); ``appendix_basis`` with its rank at n <= 6; the frozen records'
-instance state; and the refusals, each with its message.
+oracle, for a k-out-of-n and a path-set system, and on tied laws the probability
+signature under the quality rebuilt from its values; the curve and two time values,
+before the first breakpoint and at a middle one, for both constant systems (the table 0
+and the all-ones table); ``appendix_basis`` with its rank at n <= 6; the frozen records'
+instance state; the probability signature under two qualities built by hand, one level
+summing above 1 and one below; and the refusals, each with its message.
 A call's JSON is the payload the command line would print for it, or, for a refusal,
 the exception's class and message.
 
@@ -39,6 +41,7 @@ from sigrel import (
     StructureFunction,
     SystemClass,
     TheoremCheck,
+    TiesError,
     WeightFunction,
     appendix_basis,
     boland_signature,
@@ -75,6 +78,7 @@ from conftest import (
     random_no_ties,
     shifted_ladders_dist,
     staggered_pairs_dist,
+    tied_law,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -91,14 +95,6 @@ def perfbench_workloads():
     sys.modules[spec.name] = module  # dataclasses looks its module up here
     spec.loader.exec_module(module)
     return module
-
-
-def tied_law(rng, n):
-    """One to four atoms on lifetimes 1..3: ties inside atoms, and repeated vectors that
-    the law merges."""
-    weights = [rng.randint(1, 5) for _ in range(rng.randint(1, 4))]
-    rows = [(tuple(rng.choices(range(1, 4), k=n)), Fraction(w, sum(weights))) for w in weights]
-    return make_dist(n, rows)
 
 
 def laws(rng, bench):
@@ -171,6 +167,20 @@ def prob_signature(phi, d):
         "atom_oracle": list(atom_oracle.as_strings()),
         "agree": quality_based == atom_oracle,
     }
+
+
+def rebuilt_quality(d):
+    """The relative quality of ``d`` rebuilt from its values alone."""
+    q = relative_quality(d)
+    return QualityFunction(q.n, q.values)
+
+
+def quality_signature(phi, build):
+    """The probability signature under the quality ``build`` returns, or its ties refusal."""
+    try:
+        return list(probability_signature(phi, build()).as_strings())
+    except TiesError as exc:
+        return {"refused": type(exc).__name__, "message": str(exc)}
 
 
 def report(d, system_class=None):
@@ -247,6 +257,9 @@ def calls():
                 ]
                 if shape != "tied":
                     found.append((f"prob-signature {label}", partial(prob_signature, phi, d)))
+                else:
+                    rebuilt = partial(quality_signature, phi, partial(rebuilt_quality, d))
+                    found.append((f"prob-signature of the rebuilt quality {label}", rebuilt))
             # The two monotone systems outside the semicoherent class, at no cost of rng draws.
             before = d.breakpoints[0] / 2
             for value in (0, 1):
@@ -270,6 +283,7 @@ def calls():
         "Signature": lambda: boland_signature(phi3),
         "WeightFunction": lambda: WeightFunction.symmetric(3),
         "QualityFunction": lambda: relative_quality(d3),
+        "QualityFunction of ties": lambda: relative_quality(tied3),
         "LifetimeDistribution": lambda: random_no_ties(rng, 3),
         "StateDistribution": lambda: state_distribution(d3, d3.breakpoints[1]),
         "ReliabilityCurve": lambda: reliability_curve(phi3, d3),
@@ -286,6 +300,12 @@ def calls():
         "StructureFunction projection": lambda: from_truth_table(3, "01010101"),
     }
     found += [(f"record {name}", partial(record_state, build)) for name, build in records.items()]
+    # Qualities built by hand whose level 1 sums to more and to less than 1.
+    for level_sum, entry in (("3/2", "1/2"), ("3/4", "1/4")):
+        values = (1, entry, entry, "1/3", entry, "1/3", "1/3", 1)
+        build = partial(QualityFunction, 3, values)
+        label = f"prob-signature of a quality with level sum {level_sum}"
+        found.append((label, partial(quality_signature, phi3, build)))
     refused = {
         "verify coherent n=2": lambda: verify_theorems(d2, SystemClass.COHERENT),
         "verify n=6": lambda: verify_theorems(random_no_ties(rng, 6), SystemClass.SEMICOHERENT),

@@ -2,7 +2,7 @@
 
 Each keeps the semantics it had as a frozen dataclass: positional and keyword
 construction with the same defaults, no assignment or deletion, equality and
-hashing over the compared fields only (identity for DiagnosisReport), the
+hashing over the class and every field (identity for DiagnosisReport), the
 ``Name(field=value, ...)`` repr, and pickle and copy round trips. Importing
 the command line must not load ``dataclasses`` or ``inspect``. Every
 constructor error keeps its message, including which error wins when an
@@ -77,7 +77,7 @@ CASES = [
         ("n", "atoms"),
         (2, (((F(1), F(2)), F(1, 2)), ((F(2), F(1)), F(1, 2)))),
     ),
-    (QualityFunction, ("n", "values", "from_tied"), (2, (F(1), F(1, 4), F(3, 4), F(1)), True)),
+    (QualityFunction, ("n", "values"), (2, (F(1), F(1, 4), F(3, 4), F(1)))),
     (StateDistribution, ("n", "t", "probs"), (1, F(1), (F(1, 2), F(1, 2)))),
     (ReliabilityCurve, ("breakpoints", "values"), ((F(1), F(2)), (F(1), F(1, 2), F(0)))),
     (TheoremCheck, ("name", "relation", "lhs", "rhs"), ("claim", "iff", True, False)),
@@ -123,7 +123,7 @@ def test_positional_and_keyword_construction(cls, fields, args):
 @pytest.mark.parametrize("cls, fields, args", CASES, ids=IDS)
 def test_missing_or_unknown_argument_is_a_type_error(cls, fields, args):
     args = arguments(args)
-    required = len(args) - {QualityFunction: 1, DiagnosisReport: 4}.get(cls, 0)
+    required = len(args) - {DiagnosisReport: 4}.get(cls, 0)
     with pytest.raises(TypeError):
         cls(*args[: required - 1])
     with pytest.raises(TypeError):
@@ -135,15 +135,17 @@ def test_missing_or_unknown_argument_is_a_type_error(cls, fields, args):
 
 
 def test_defaults():
-    values = (F(1), F(1, 4), F(3, 4), F(1))
-    assert QualityFunction(2, values).from_tied is False
     args = report_args()
     report = DiagnosisReport(*args[:13])
     assert (report.system_class, report.systems_checked, report.class_rank) == (None, None, None)
     assert report.theorem_checks == ()
-    # The derived flags of a structure function are not constructor arguments.
+    # The derived flags of a structure function and a quality are not constructor arguments.
     with pytest.raises(TypeError):
         StructureFunction(3, k_out_of_n(3, 2).table, semicoherent=True)
+    with pytest.raises(TypeError):
+        QualityFunction(1, (1, 1), from_tied=False)
+    with pytest.raises(TypeError):
+        QualityFunction(1, (1, 1), True)
 
 
 @pytest.mark.parametrize("cls, fields, args", CASES, ids=IDS)
@@ -190,11 +192,8 @@ def test_equality_and_hashing(cls, fields, args):
     assert a != args and a.__eq__(args) is NotImplemented
 
 
-def test_uncompared_fields():
+def test_equality_reads_the_class_and_fields_not_derived_views():
     values = (F(1), F(1, 4), F(3, 4), F(1))
-    tied, untied = QualityFunction(2, values, True), QualityFunction(2, values)
-    assert tied == untied and hash(tied) == hash(untied)
-    assert QualityFunction(2, (F(1), F(1, 2), F(1, 2), F(1))) != untied
     # Flags derived from the table take no part; n and the table do.
     phi = k_out_of_n(3, 2)
     assert phi == StructureFunction(3, phi.table)
@@ -224,7 +223,7 @@ def test_repr_example():
         "TheoremCheck(name='claim', relation='iff', lhs=True, rhs=False)"
     )
     assert repr(QualityFunction(1, (1, 1))) == (
-        "QualityFunction(n=1, values=(Fraction(1, 1), Fraction(1, 1)), from_tied=False)"
+        "QualityFunction(n=1, values=(Fraction(1, 1), Fraction(1, 1)))"
     )
 
 
@@ -386,15 +385,6 @@ ERRORS += [
     (lambda: TheoremCheck(1, "if", False, True), "name must be a str, got 1"),
     (lambda: DiagnosisReport(*report_args()[:13], "coherent"), "unknown system class 'coherent'"),
     (lambda: DiagnosisReport(*report_args()[:13], 3), "unknown system class 3"),
-]
-# A quality's tie flag is exactly True or False, as a claim's sides are: "no" would read
-# as tied. The boundary and range rules come first.
-ERRORS += [
-    (lambda: QualityFunction(2, (1, F(1, 2), F(1, 2), 1), from_tied="no"),
-     "from_tied must be a bool, got 'no'"),
-    (lambda: QualityFunction(1, (1, 1), from_tied=0), "from_tied must be a bool, got 0"),
-    (lambda: QualityFunction(1, (0, 1), from_tied=None),
-     "the empty and full subsets must have quality 1"),
 ]
 
 

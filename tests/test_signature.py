@@ -1,6 +1,7 @@
 """Design and probability signatures, level averages, weighted levels."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -8,6 +9,7 @@ from itertools import permutations
 import pytest
 
 from sigrel import (
+    QualityFunction,
     Signature,
     SystemClass,
     TiesError,
@@ -26,7 +28,7 @@ from sigrel import (
 )
 from sigrel.structure import StructureFunction, _monotone_tables
 
-from conftest import random_no_ties
+from conftest import make_dist, random_no_ties
 
 
 def bridge():
@@ -166,8 +168,6 @@ class TestProbabilitySignature:
         assert sig.values == (Fraction(1, 4), Fraction(3, 4), 0)
 
     def test_symmetric_quality_recovers_design_signature(self, shifted_ladders):
-        from sigrel import QualityFunction
-
         sym = QualityFunction(
             3, tuple(Fraction(1, math.comb(3, m.bit_count())) for m in range(8))
         )
@@ -183,12 +183,31 @@ class TestProbabilitySignature:
                     assert sum(probability_signature(phi, q).values) == 1
 
     def test_tied_quality_refused(self):
-        from conftest import make_dist
-
         tied = make_dist(2, [((1, 1), 1)])
         q = relative_quality(tied)
         with pytest.raises(TiesError):
             probability_signature(k_out_of_n(2, 1), q)
+
+    def test_equal_qualities_are_refused_alike(self):
+        """The tie flag is read from the values, so a tied law's quality rebuilt from
+        them, or pickled and loaded, is equal to it and refused the same way."""
+        half = Fraction(1, 2)
+        q = relative_quality(make_dist(3, [((1, 1, 2), half), ((1, 2, 3), half)]))
+        phi = k_out_of_n(3, 2)
+        for same in (q, QualityFunction(q.n, q.values), pickle.loads(pickle.dumps(q))):
+            assert same == q and hash(same) == hash(q) and same.from_tied
+            for call in (probability_signature, signatures_agree):
+                with pytest.raises(TiesError, match="^probability signature is undefined"):
+                    call(phi, same)
+
+    @pytest.mark.parametrize("entry", ["1/2", "1/4"], ids=["above 1", "below 1"])
+    def test_quality_whose_level_sum_is_not_one_is_refused(self, entry):
+        """Level 1 sums to 3/2 or to 3/4 while the other levels sum to 1: no law has
+        that quality, and the signature under it is refused as a tied law's is."""
+        q = QualityFunction(3, (1, entry, entry, "1/3", entry, "1/3", "1/3", 1))
+        assert q.from_tied
+        with pytest.raises(TiesError):
+            probability_signature(k_out_of_n(3, 2), q)
 
 
 class TestAgreement:

@@ -74,7 +74,7 @@ def quality_by_masks(d):
             if max(xs[i] for i in outside) < min(xs[i] for i in inside):
                 acc += p
         values[mask] = acc
-    return QualityFunction(d.n, tuple(values), from_tied=has_ties(d))
+    return QualityFunction(d.n, tuple(values))
 
 
 def states_by_atoms(d, t):
