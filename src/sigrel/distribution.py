@@ -74,9 +74,12 @@ class LifetimeDistribution(Record):
     a canonical-form comparison. Merging and sorting read each lifetime x as
     the int x * L, L the lcm of the lifetime denominators, which keeps order
     and distinctness. The same pass sets ``breakpoints``, the sorted distinct
-    lifetimes; ``denominator``, D, the lcm of the atom probabilities; and
+    lifetimes; ``denominator``, D, the lcm of the atom probabilities;
     ``ranked_atoms``, per atom the breakpoint rank of each lifetime and the
-    probability times D. These views take no part in equality and hashing.
+    probability times D; and ``state_chains``, per atom the (rank, packed state)
+    pairs from (-1, all working) to the empty state, one per distinct rank: the
+    state once the components of that rank have failed. These views take no
+    part in equality and hashing.
     """
 
     n: int
@@ -123,25 +126,21 @@ class LifetimeDistribution(Record):
         atoms = sorted(merged.items())
         D = math.lcm(*(p.denominator for _, p in merged.values()))
         ranked = tuple((tuple(map(rank.__getitem__, key)), int(p * D)) for key, (_, p) in atoms)
-        self._set(
-            atoms=tuple(atom for _, atom in atoms),
-            breakpoints=tuple(map(value.__getitem__, rank)), denominator=D, ranked_atoms=ranked,
-        )
-
-    @cached_property
-    def state_chains(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per atom, (rank, packed state) pairs from (-1, all working) to the empty state, one
-        per distinct rank: the state once the components of that rank have failed."""
         chains = []
-        for ranks, _ in self.ranked_atoms:
+        for ranks, _ in ranked:
             state = (1 << self.n) - 1
             chain = {-1: state}
             for i in sorted(range(self.n), key=ranks.__getitem__):
                 state ^= 1 << i
                 chain[ranks[i]] = state  # a tie group keeps the state after all of it
             chains.append(tuple(chain.items()))
-        return tuple(chains)
+        self._set(
+            atoms=tuple(atom for _, atom in atoms),
+            breakpoints=tuple(map(value.__getitem__, rank)), denominator=D, ranked_atoms=ranked,
+            state_chains=tuple(chains),
+        )
 
+    # Lazy, unlike the chains: `reliability` and `prob-signature` never read it.
     @cached_property
     def cdfs(self) -> tuple[tuple[int, ...], ...]:
         """:func:`order_stat_cdfs` over all atoms, as tuples."""

@@ -191,7 +191,8 @@ def probability_signature(
         )
     if quality.from_tied:
         raise TiesError(
-            "probability signature is undefined for distributions with tied lifetimes"
+            "probability signature needs a quality that sums to 1 on every level, "
+            "which no law with tied lifetimes has"
         )
     return weighted_signature(phi, quality)
 

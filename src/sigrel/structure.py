@@ -58,8 +58,8 @@ ENUMERATION_LIMIT = 5
 
 # The spanning family has 2**n - 1 members of 2**n table entries each, so
 # every step up in n costs about four times the memory and time. At n = 12
-# the `basis` command already prints 17 MB of JSON and takes 0.5 s, or 7.5 s
-# and 170 MB peak RSS with the rank check (Python 3.11 on a 2-vCPU VM, in a
+# the `basis` command already prints 17 MB of JSON and takes 0.3 s, or 3.3-3.7 s
+# and 167 MB peak RSS with the rank check (Python 3.11 on a 2-vCPU VM, in a
 # subprocess).
 BASIS_LIMIT = 12
 
@@ -262,7 +262,6 @@ def k_out_of_n(n: int, k: int) -> StructureFunction:
     return StructureFunction(n, at_least[-1])
 
 
-@lru_cache(maxsize=None, typed=True)
 def _monotone_tables(n: int) -> tuple[int, ...]:
     """All monotone truth tables on n components, ascending as integers.
 
@@ -427,7 +426,7 @@ def _table_rank(n: int, tables: Sequence[int]) -> int:
     touched = 0
     for table in distinct:
         touched |= table
-    rows = ([table >> j & 1 for j in range(1 << n)] for table in tables)
+    rows = (list(map(int, format(table, f"0{1 << n}b")[::-1])) for table in tables)
     return sum(1 for _ in islice(echelon(rows), touched.bit_count()))
 
 

@@ -262,7 +262,7 @@ def test_probability_signature_needs_a_relative_quality():
         with pytest.raises(ValueError, match=message):
             probability_signature(phi, plain)
     tied = relative_quality(make_dist(3, [((1, 1, 2), 1)]))
-    with pytest.raises(TiesError, match="^probability signature is undefined"):
+    with pytest.raises(TiesError, match="^probability signature needs a quality that sums to 1"):
         probability_signature(k_out_of_n(3, 2), tied)
 
 

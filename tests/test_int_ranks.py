@@ -253,6 +253,18 @@ def test_state_chains_hold_the_working_set_after_each_distinct_rank(laws):
         assert list(d.state_chains) == want, d
 
 
+def test_the_merge_pass_sets_the_chains_and_the_first_read_sets_cdfs(laws):
+    """A fresh law holds its chains before any attribute is read; the order-statistic
+    sweep is built on its first read and kept."""
+    assert "state_chains" not in vars(LifetimeDistribution)
+    for d in laws:
+        fresh = LifetimeDistribution(d.n, d.atoms)
+        held = vars(fresh)
+        assert "state_chains" in held and "cdfs" not in held
+        assert held["state_chains"] == d.state_chains
+        assert fresh.cdfs is fresh.cdfs and held["cdfs"] == d.cdfs
+
+
 def test_system_lifetime_is_where_the_one_atom_curve_drops_to_zero():
     # The definition and the curve share no code: one reads Fraction lifetimes, the
     # other the state chain of a one-atom law.
