@@ -71,10 +71,11 @@ class LifetimeDistribution(Record):
 
     Atoms are canonicalized on construction: lifetimes coerced to exact
     rationals, duplicate vectors merged, atoms sorted. Equality is therefore
-    a canonical-form comparison. Merging and sorting read each lifetime x as
-    the int x * L, L the lcm of the lifetime denominators, which keeps order
-    and distinctness. The same pass sets ``breakpoints``, the sorted distinct
-    lifetimes; ``denominator``, D, the lcm of the atom probabilities;
+    a canonical-form comparison. The pass reads each lifetime x as the int
+    x * L and each probability p as the int mass p * P, L and P the lcms of
+    the lifetime and the probability denominators: the int keys keep order and
+    distinctness, and a merge adds masses. It sets ``breakpoints``, the sorted
+    distinct lifetimes; ``denominator``, D, the lcm of the merged probabilities;
     ``ranked_atoms``, per atom the breakpoint rank of each lifetime and the
     probability times D; and ``state_chains``, per atom the (rank, packed state)
     pairs from (-1, all working) to the empty state, one per distinct rank: the
@@ -91,7 +92,6 @@ class LifetimeDistribution(Record):
             raise ValueError("a distribution needs at least one atom")
         check_sequence(self.atoms, "atoms", "(lifetimes, probability) pairs")
         parsed: list[Atom] = []
-        total = Fraction(0)
         for entry in self.atoms:
             try:
                 lifetimes, prob = entry
@@ -108,24 +108,23 @@ class LifetimeDistribution(Record):
             if not 0 < p.numerator <= p.denominator:
                 raise ValueError(f"atom probability {p} is outside (0, 1]")
             parsed.append((xs, p))
-            total += p
-        if total != 1:
-            raise ValueError(
-                f"atom probabilities sum to {total}, off by {1 - total}"
-            )
+        P = math.lcm(*(p.denominator for _, p in parsed))
         L = math.lcm(*(x.denominator for xs, _ in parsed for x in xs))
-        merged: dict[tuple[int, ...], Atom] = {}
+        merged: dict[tuple[int, ...], tuple[tuple[Fraction, ...], int]] = {}  # lifetimes, p * P
         value: dict[int, Fraction] = {}  # grid value -> lifetime
         for xs, p in parsed:  # merged and sorted on int keys: Fractions hash and compare slowly
             key = tuple(x.numerator * (L // x.denominator) for x in xs)
             value.update(zip(key, xs))
-            if key in merged:
-                p += merged[key][1]
-            merged[key] = xs, p
+            merged[key] = xs, merged.get(key, (xs, 0))[1] + p.numerator * (P // p.denominator)
+        total = sum(m for _, m in merged.values())
+        if total != P:
+            raise ValueError(
+                f"atom probabilities sum to {Fraction(total, P)}, off by {Fraction(P - total, P)}"
+            )
         rank = {g: b for b, g in enumerate(sorted(value))}  # keys ascend, for the breakpoints
         atoms = sorted(merged.items())
-        D = math.lcm(*(p.denominator for _, p in merged.values()))
-        ranked = tuple((tuple(map(rank.__getitem__, key)), int(p * D)) for key, (_, p) in atoms)
+        D = P // math.gcd(P, *(m for _, m in merged.values()))  # merged masses may share a factor
+        ranked = tuple((tuple(map(rank.__getitem__, key)), m // (P // D)) for key, (_, m) in atoms)
         chains = []
         for ranks, _ in ranked:
             state = (1 << self.n) - 1
@@ -135,7 +134,7 @@ class LifetimeDistribution(Record):
                 chain[ranks[i]] = state  # a tie group keeps the state after all of it
             chains.append(tuple(chain.items()))
         self._set(
-            atoms=tuple(atom for _, atom in atoms),
+            atoms=tuple((xs, Fraction(m, P)) for _, (xs, m) in atoms),
             breakpoints=tuple(map(value.__getitem__, rank)), denominator=D, ranked_atoms=ranked,
             state_chains=tuple(chains),
         )

@@ -7,12 +7,12 @@ from __future__ import annotations
 class Record:
     """Immutable record whose fields are the annotations of its class bodies, bases first.
 
-    Fields are the constructor's parameters, in order, positional or keyword;
-    a class attribute of the same name is the default. ``__post_init__`` runs
-    last and may replace fields and set derived views in one ``_set`` call; no
-    other code can set or delete an attribute, while ``functools.cached_property``
-    still caches in the instance dict. Equality and hashing compare the class
-    and every field; derived views take no part.
+    Fields are the constructor's parameters, in order, positional or keyword; a
+    class attribute of the same name is the default. Each record's own
+    ``__post_init__`` runs last and may replace fields and set derived views in
+    one ``_set`` call; no other code can set or delete an attribute, while
+    ``functools.cached_property`` still caches in the instance dict. Equality
+    and hashing compare the class and every field; derived views take no part.
     """
 
     def __init_subclass__(cls, **kwargs: object) -> None:
@@ -34,9 +34,6 @@ class Record:
             raise TypeError(f"{name}() missing required arguments {missing}")
         self.__dict__.update((f, values[f]) for f in fields)
         self.__post_init__()
-
-    def __post_init__(self) -> None:
-        pass
 
     def _set(self, **attributes: object) -> None:
         """Store replaced fields and derived views: the one write, for ``__post_init__``."""

@@ -188,7 +188,7 @@ class StructureFunction(Record):
         """Truth table as a string of '0'/'1', index 0 first."""
         return format(self.table, f"0{1 << self.n}b")[::-1]
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return f"StructureFunction(n={self.n}, bits={self.bits()!r})"
 
 

@@ -11,7 +11,8 @@ the breakpoints, the relative quality by a dense Fraction table filled atom
 by atom, the probability-signature oracle by locating each Fraction system
 lifetime among the sorted lifetimes, and the truth-table
 builders by one shift per state index. Every comparison is exact. A guard counts Fraction
-comparisons on a 100-atom n = 10 law with 1,000 distinct lifetimes.
+comparisons on a 100-atom n = 10 law with 1,000 distinct lifetimes, and another the
+Fraction additions, subtractions and products while three laws are built: none.
 """
 
 import bisect
@@ -50,7 +51,8 @@ from sigrel.reliability import _stopping_entry
 from sigrel.structure import _low_side_mask, _monomial_table, _monotone_tables
 
 from conftest import (
-    lifetime_by_definition, make_dist, random_no_ties, shifted_ladders_dist, staggered_pairs_dist,
+    exchangeable_mixture, lifetime_by_definition, make_dist, random_no_ties, shifted_ladders_dist,
+    staggered_pairs_dist,
 )
 from test_integer_scan import PRIMES, coprime_law
 from test_sweeps import systems_for, tied_laws
@@ -375,6 +377,37 @@ def test_fraction_comparisons_stay_below_four_per_lifetime(monkeypatch):
     assert len(d.breakpoints) == 1000
     assert calls <= 4 * len(d.breakpoints)
     assert curve == curve_by_lifetimes(phi, d)
+
+
+def test_building_a_law_does_no_fraction_arithmetic(monkeypatch):
+    """Each probability is read once as an int mass: building a wide law, a many-atom
+    exchangeable law and a law whose merged probabilities reduce (1/4 + 1/4 beside 1/2,
+    so D = 2 below the input's 4) calls no Fraction +, - or *."""
+    rng = random.Random(4646)
+    obj = wide_law(rng, 10, 100)
+    merge_atoms = (((1, 2), "1/4"), (("1", "2"), Fraction(1, 4)), ((2, 1), "1/2"))
+    calls = []
+
+    def counting(name):
+        operation = getattr(Fraction, name)
+
+        def count(self, other):
+            calls.append(name)
+            return operation(self, other)
+        return count
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, counting(name))
+    wide = distribution_from_json(obj)
+    exchangeable = exchangeable_mixture(rng, 5)
+    merged = LifetimeDistribution(2, merge_atoms)
+    assert calls == []
+    assert Fraction(1, 4) + Fraction(1, 4) == Fraction(1, 2) and calls == ["__add__"]  # counted
+    monkeypatch.undo()
+    assert len(wide.breakpoints) == 1000 and len(exchangeable.atoms) >= 120
+    assert merged.atoms == canonical_atoms_by_fractions(merge_atoms)
+    assert merged.denominator == denominator_by_fractions(merged) == 2
+    assert merged.ranked_atoms == ranked_atoms_by_fractions(merged) == (((0, 1), 1), ((1, 0), 1))
 
 
 # --- comparisons: truth tables from masks ---------------------------------------
