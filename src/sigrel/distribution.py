@@ -441,14 +441,15 @@ def evaluate_conditions(
     walk stops reading them at the breakpoint where both state conditions
     have their witness. Returns (quality, fields): ``quality`` is
     :func:`relative_quality`, the weights of condition (Q), and ``fields`` holds
-    the condition keywords of :class:`~sigrel.reliability.DiagnosisReport`.
+    the condition and verdict keywords of :class:`~sigrel.reliability.DiagnosisReport`.
     Each flag is True iff its condition has no witness (weakly_exchangeable
     is None for tied laws). ``witnesses`` maps each failed condition to its
     lexicographically first counterexample, rationals as strings, and
     ``skipped_orderings`` lists the zero-probability orderings before the weak
     witness's, or all of them. The flags, K, S, L, W and Q in their order in ``fields``,
     must meet the paper's implications (three only on tie-free laws): a broken one is a
-    bug, and :class:`TheoremInconsistencyError` names it.
+    bug, and :class:`TheoremInconsistencyError` names it. The verdicts are the ones the
+    equivalences force for all semicoherent systems, None where they need a tie-free law.
     """
     if d.n > ORDERING_LIMIT:
         raise EnumerationBoundError(
@@ -479,6 +480,9 @@ def evaluate_conditions(
         "lifetimes_exchangeable": (L := witnesses["lifetimes_exchangeable"] is None),
         "weakly_exchangeable": (W := None if ties else weak_wit is None),
         "condition_q_everywhere": (Q := cond_wit is None),
+        "boland_repr_all_systems": S,
+        "prob_repr_all_systems": None if ties else Q,
+        "both_representations": None if ties else K and S,
         "witnesses": {key: wit for key, wit in witnesses.items() if wit is not None},
         "skipped_orderings": tuple(skipped),
     }

@@ -46,7 +46,7 @@ def parse_rational(value: object) -> Fraction:
                 f"limit of {_DIGIT_LIMIT}"
             )
         try:
-            q = Fraction(value.strip())
+            q = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
         if _too_long(q):

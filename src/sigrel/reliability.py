@@ -284,26 +284,12 @@ class DiagnosisReport(Record):
         return out
 
 
-def _predicted_verdicts(fields: dict) -> dict:
-    """The verdicts the equivalences force for all semicoherent systems from the conditions
-    ``fields`` of :func:`evaluate_conditions`, None where they need a tie-free law; what
-    :func:`diagnose` reports and :func:`verify_theorems` checks its measurements against."""
-    ties, states = fields["has_ties"], fields["states_exchangeable_everywhere"]
-    return {
-        "boland_repr_all_systems": states,
-        "prob_repr_all_systems": None if ties else fields["condition_q_everywhere"],
-        "both_representations": None if ties else fields["q_symmetric"] and states,
-    }
-
-
 def diagnose(d: LifetimeDistribution) -> DiagnosisReport:
-    """Evaluate the conditions and report their :func:`_predicted_verdicts`; no
-    systems are enumerated. The condition walk builds each state support only
-    when it reaches it."""
+    """Evaluate the conditions and report the verdicts they predict; no systems
+    are enumerated. The condition walk builds each state support only when it
+    reaches it."""
     _, fields = evaluate_conditions(d, (state_support(d, t) for t in d.breakpoints))
-    return DiagnosisReport(
-        n=d.n, breakpoints=d.breakpoints, **fields, **_predicted_verdicts(fields)
-    )
+    return DiagnosisReport(n=d.n, breakpoints=d.breakpoints, **fields)
 
 
 def _residual_rows(
@@ -392,11 +378,11 @@ def verify_theorems(d: LifetimeDistribution, system_class: SystemClass) -> Diagn
     rank = class_rank(n, system_class)
     relation = "iff" if rank == (1 << n) - 1 else "if"
 
-    states, predicted = fields["states_exchangeable_everywhere"], _predicted_verdicts(fields)
+    states = fields["states_exchangeable_everywhere"]
     found = {"boland_repr": representation_witness(symmetric, boland_scan)}
     boland_all = found["boland_repr"] is None
     claims = [
-        ("boland_repr_iff_states_exchangeable", boland_all, predicted["boland_repr_all_systems"])
+        ("boland_repr_iff_states_exchangeable", boland_all, fields["boland_repr_all_systems"])
     ]
     prob_all = both = None
     if not ties:
@@ -416,13 +402,13 @@ def verify_theorems(d: LifetimeDistribution, system_class: SystemClass) -> Diagn
         agree_all = phi is None
         both = boland_all and prob_all
         claims += [
-            ("prob_repr_iff_condition_q", prob_all, predicted["prob_repr_all_systems"]),
+            ("prob_repr_iff_condition_q", prob_all, fields["prob_repr_all_systems"]),
             ("signatures_agree_iff_q_symmetric", agree_all, fields["q_symmetric"]),
             ("both_reprs_iff_agreement_and_state_exchangeability", both, agree_all and states),
             (
                 "both_reprs_iff_q_symmetry_and_state_exchangeability",
                 both,
-                predicted["both_representations"],
+                fields["both_representations"],
             ),
         ]
     witnesses.update((key, wit) for key, wit in found.items() if wit is not None)
@@ -436,10 +422,7 @@ def verify_theorems(d: LifetimeDistribution, system_class: SystemClass) -> Diagn
     return DiagnosisReport(
         n=d.n,
         breakpoints=d.breakpoints,
-        **fields,
-        boland_repr_all_systems=boland_all,
-        prob_repr_all_systems=prob_all,
-        both_representations=both,
+        **fields | dict(zip(DiagnosisReport._verdicts, (boland_all, prob_all, both))),
         system_class=system_class,
         systems_checked=len(tables),
         class_rank=rank,

@@ -124,7 +124,8 @@ def verify_by_fractions(n, d, system_class):
     return DiagnosisReport(
         n=d.n,
         breakpoints=bps,
-        **fields,
+        # The conditions without their predicted verdicts: the oracle reports its own.
+        **{key: value for key, value in fields.items() if key not in DiagnosisReport._verdicts},
         boland_repr_all_systems=boland_all,
         prob_repr_all_systems=prob_all,
         both_representations=both,

@@ -35,6 +35,7 @@ from sigrel import (
     diagnose,
     format_rational,
     k_out_of_n,
+    parse_rational,
     system_lifetime,
 )
 from sigrel.record import Record
@@ -327,6 +328,11 @@ HOSTILE = [
     (Decimal("0.1"), "not a rational: Decimal('0.1')"),
     ("1e4301", "not a rational: '1e4301' has a decimal exponent beyond the limit of 4300"),
 ]
+# Strings that Fraction's grammar refuses alike on Python 3.10.13, 3.11.7, 3.12.1 and
+# 3.13.0, a numerator past the interpreter's 4,300-digit limit among them. Three strings
+# that the grammars read differently, "1_000", "3 /4" and "1.5E+0_0_3", are left out.
+REFUSED_STRINGS = ["3/", "/3", "3/0", "3//4", "3/-4", "0x10", "inf", "nan", "", "  ", "1__000"]
+HOSTILE += [(text, f"not a rational: {text!r}") for text in [*REFUSED_STRINGS, "1" + "0" * 4300]]
 RATIONAL_FIELDS = [
     lambda v: Signature((v,)),
     lambda v: ReliabilityCurve((v,), (1, 0)),
@@ -393,6 +399,25 @@ def test_constructor_error_messages(make, message):
     with pytest.raises(ValueError) as exc:
         make()
     assert str(exc.value) == message
+
+
+# Strings that the same four interpreters read alike: a sign, whitespace around the
+# value, a Unicode decimal digit, a decimal point, an exponent and 4,300 digits.
+READ_STRINGS = {
+    "plus sign": ("+3/4", F(3, 4)),
+    "spaces": (" 3/4 ", F(3, 4)),
+    "newline": (" 3/4\n", F(3, 4)),
+    "arabic-indic three": ("\u0663/4", F(3, 4)),
+    "negative zero": ("-0", 0),
+    "decimal point": ("1.5", F(3, 2)),
+    "exponent": ("1.5e1", 15),
+    "4300 digits": ("9" * 4300, 10**4300 - 1),
+}
+
+
+@pytest.mark.parametrize("text, value", READ_STRINGS.values(), ids=READ_STRINGS)
+def test_parse_rational_reads_these_strings(text, value):
+    assert parse_rational(text) == value
 
 
 def test_records_accept_fractions_ints_and_rational_strings():

@@ -485,7 +485,8 @@ class TestVerifyTheorems:
         def flipped(d, supports):
             weights, fields = evaluate_conditions(d, supports)
             states = not fields["states_exchangeable_everywhere"]
-            return weights, {**fields, "states_exchangeable_everywhere": states}
+            flips = ("states_exchangeable_everywhere", "boland_repr_all_systems")
+            return weights, {**fields, **dict.fromkeys(flips, states)}
 
         monkeypatch.setattr(reliability, "evaluate_conditions", flipped)
         name = "boland_repr_iff_states_exchangeable: lhs=True, rhs=False (iff)"
