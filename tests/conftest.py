@@ -1,9 +1,11 @@
-"""Shared distributions and randomized corpora for the test suite."""
+"""Shared distributions, randomized corpora and a loader for the ``tools/`` scripts."""
 
+import importlib.util
 import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,16 @@ ORBIT_VECTORS = [
 ]
 
 CORPUS_PER_GENERATOR = 100
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def load_tool(name):
+    """``tools/<name>.py`` as a module: the tools are scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(f"sigrel_{name}", TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_dist(n, rows):

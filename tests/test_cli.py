@@ -1,7 +1,6 @@
 """Command-line behavior: outputs, exit codes, error JSON, determinism."""
 
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from sigrel import cli, distribution
 from sigrel.cli import run
 from sigrel.structure import from_path_sets, from_truth_table
 
-from conftest import make_dist, shifted_ladders_dist, staggered_pairs_dist
+from conftest import load_tool, make_dist, shifted_ladders_dist, staggered_pairs_dist
 
 
 @pytest.fixture()
@@ -575,17 +574,14 @@ class TestModuleEntryPoint:
         assert code == 2
 
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
 def test_benchmark_calls_print_the_recorded_bytes(capsys, tmp_path):
     """Every call of every benchmark workload, built at the seed of
-    ``perfbench/digests.json``, exits 0 and prints stdout with the recorded sha256."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses looks its module up here
-    spec.loader.exec_module(workloads)
-    recorded = json.loads((BENCH / "digests.json").read_text())
+    ``perfbench/digests.json``, exits 0 and prints stdout with the recorded sha256.
+    The caches stay warm from call to call here, while ``tools/costs.py`` clears them
+    before each call, so together the two runs show no answer depending on them."""
+    costs = load_tool("costs")
+    workloads = costs.load_workloads()
+    recorded = json.loads((costs.BENCH / "digests.json").read_text())
     assert sorted(recorded["workloads"]) == sorted(workloads.WORKLOADS)
     for name, digests in recorded["workloads"].items():
         work = tmp_path / name

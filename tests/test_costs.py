@@ -7,21 +7,20 @@ compares every count, so a change in the work a call does fails here until the r
 is regenerated and the moved counts are named in CHANGES.md.
 """
 
-import importlib.util
+import ast
 import json
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import load_tool
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="code objects have co_qualname from 3.11")
 def test_each_benchmark_call_makes_the_recorded_calls(tmp_path):
-    spec = importlib.util.spec_from_file_location("sigrel_costs", ROOT / "tools" / "costs.py")
-    costs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(costs)
+    costs = load_tool("costs")
     recorded = json.loads(costs.RECORD.read_text())["workloads"]
     measured = costs.measure(tmp_path)
     assert sorted(measured) == sorted(recorded)
@@ -29,3 +28,34 @@ def test_each_benchmark_call_makes_the_recorded_calls(tmp_path):
         assert sorted(calls) == sorted(recorded[name]), name
         for label, counts in calls.items():
             assert counts == recorded[name][label], (name, label)
+
+
+def cached_functions(node, prefix):
+    """The qualified names of the functions under ``node`` that a ``functools`` cache
+    decorates, bare or called, as a name or an attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from cached_functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in child.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if getattr(target, "attr", getattr(target, "id", None)) in CACHE_DECORATORS:
+                    yield f"{prefix}{child.name}"
+            yield from cached_functions(child, f"{prefix}{child.name}.<locals>.")
+
+
+def test_the_cost_record_clears_every_function_cache():
+    """``CACHES`` in ``tools/costs.py`` names every ``cache``- or ``lru_cache``-decorated
+    function of ``src/sigrel``. A cache left off it would carry entries from one call to
+    the next, so a call's counts would depend on the calls before it, and the replay
+    above, which runs the calls in the recorded order, would not show it.
+    ``LifetimeDistribution.cdfs`` is a ``cached_property``: it caches on the law, and
+    each call parses a fresh law, so it needs no clearing and is not counted here."""
+    costs = load_tool("costs")
+    found = {
+        f"{path.stem}.{name}"
+        for path in sorted(costs.PACKAGE.glob("*.py"))
+        for name in cached_functions(ast.parse(path.read_text(encoding="utf-8")), "")
+    }
+    listed = {f"{c.__module__.rpartition('.')[2]}.{c.__qualname__}" for c in costs.CACHES}
+    assert found == listed

@@ -5,9 +5,11 @@ signatures as Fraction level sums taken straight from their definition, the
 reliability as a sum over the nonzero entries of a dense state table filled
 atom by atom, and the mixture over Fraction order-statistic survivals, each
 one pass over the atoms. The whole report must be equal, verdicts,
-witnesses and theorem checks included. The library's survivals, a bisect
-into the law's one order-statistic sweep, are checked against the same
-per-atom loop at every kind of time.
+witnesses and theorem checks included. ``oracle_report`` writes the report
+from the witnesses, here and in ``test_residual_rows.py``, so the two oracles
+differ only in their scans. The library's survivals, a bisect into the law's
+one order-statistic sweep, are checked against the same per-atom loop at
+every kind of time.
 """
 
 import math
@@ -43,6 +45,47 @@ from test_sweeps import (  # noqa: F401
 REPRESENTATION_KEYS = ("boland_repr", "prob_repr", "signature_agreement")
 
 
+def oracle_report(d, system_class, systems, fields, found):
+    """``verify_theorems``' JSON report of a scan of ``systems``, from ``d``'s condition
+    ``fields`` and the scan's three witnesses, ``found`` in ``REPRESENTATION_KEYS``
+    order, each None where no system broke it."""
+    ties, exch = fields["has_ties"], fields["states_exchangeable_everywhere"]
+    for key, wit in zip(REPRESENTATION_KEYS, found):
+        if wit is not None:
+            fields["witnesses"][key] = wit
+    boland_all, prob_all, agree_all = (wit is None for wit in found)
+    if ties:
+        prob_all = agree_all = None
+    both = None if ties else boland_all and prob_all
+    class_rank = rank_over_rationals(systems)
+    relation = "iff" if class_rank == (1 << d.n) - 1 else "if"
+    claims = [("boland_repr_iff_states_exchangeable", boland_all, exch)]
+    if not ties:
+        claims += [
+            ("prob_repr_iff_condition_q", prob_all, fields["condition_q_everywhere"]),
+            ("signatures_agree_iff_q_symmetric", agree_all, fields["q_symmetric"]),
+            ("both_reprs_iff_agreement_and_state_exchangeability", both, agree_all and exch),
+            (
+                "both_reprs_iff_q_symmetry_and_state_exchangeability",
+                both,
+                fields["q_symmetric"] and exch,
+            ),
+        ]
+    return DiagnosisReport(
+        n=d.n,
+        breakpoints=d.breakpoints,
+        # The conditions without their predicted verdicts: the oracle reports its own.
+        **{key: value for key, value in fields.items() if key not in DiagnosisReport._verdicts},
+        boland_repr_all_systems=boland_all,
+        prob_repr_all_systems=prob_all,
+        both_representations=both,
+        system_class=system_class,
+        systems_checked=len(systems),
+        class_rank=class_rank,
+        theorem_checks=tuple(TheoremCheck(name, relation, lhs, rhs) for name, lhs, rhs in claims),
+    ).to_json()
+
+
 # --- oracle: the Fraction scan ----------------------------------------------
 
 
@@ -60,7 +103,6 @@ def verify_by_fractions(n, d, system_class):
     systems = enumerate_systems(n, system_class)
     weights, fields = evaluate_conditions(d, [state_support(d, t) for t in d.breakpoints])
     assert weights == relative_quality(d)
-    witnesses = fields["witnesses"]
     bps = d.breakpoints
     ties = fields["has_ties"]
     symmetric = WeightFunction.symmetric(n)
@@ -98,42 +140,7 @@ def verify_by_fractions(n, d, system_class):
                 }
         if boland_wit and (ties or (prob_wit and agree_wit)):
             break
-    for key, wit in zip(REPRESENTATION_KEYS, (boland_wit, prob_wit, agree_wit)):
-        if wit is not None:
-            witnesses[key] = wit
-
-    boland_all = boland_wit is None
-    prob_all = None if ties else prob_wit is None
-    agree_all = None if ties else agree_wit is None
-    both = None if ties else boland_all and prob_all
-    class_rank = rank_over_rationals(systems)
-    relation = "iff" if class_rank == (1 << n) - 1 else "if"
-    exch = fields["states_exchangeable_everywhere"]
-    claims = [("boland_repr_iff_states_exchangeable", boland_all, exch)]
-    if not ties:
-        claims += [
-            ("prob_repr_iff_condition_q", prob_all, fields["condition_q_everywhere"]),
-            ("signatures_agree_iff_q_symmetric", agree_all, fields["q_symmetric"]),
-            ("both_reprs_iff_agreement_and_state_exchangeability", both, agree_all and exch),
-            (
-                "both_reprs_iff_q_symmetry_and_state_exchangeability",
-                both,
-                fields["q_symmetric"] and exch,
-            ),
-        ]
-    return DiagnosisReport(
-        n=d.n,
-        breakpoints=bps,
-        # The conditions without their predicted verdicts: the oracle reports its own.
-        **{key: value for key, value in fields.items() if key not in DiagnosisReport._verdicts},
-        boland_repr_all_systems=boland_all,
-        prob_repr_all_systems=prob_all,
-        both_representations=both,
-        system_class=system_class,
-        systems_checked=len(systems),
-        class_rank=class_rank,
-        theorem_checks=tuple(TheoremCheck(name, relation, lhs, rhs) for name, lhs, rhs in claims),
-    ).to_json()
+    return oracle_report(d, system_class, systems, fields, (boland_wit, prob_wit, agree_wit))
 
 
 # --- corpora ----------------------------------------------------------------

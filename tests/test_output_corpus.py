@@ -22,11 +22,9 @@ and names each changed label in CHANGES.md, with the reason.
 """
 
 import hashlib
-import importlib.util
 import json
 import pickle
 import random
-import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -73,6 +71,7 @@ from sigrel import (
 from conftest import (
     coset_mixture,
     exchangeable_mixture,
+    load_tool,
     make_dist,
     orbit_dist,
     random_no_ties,
@@ -81,25 +80,13 @@ from conftest import (
     tied_law,
 )
 
-ROOT = Path(__file__).resolve().parents[1]
 CORPUS = Path(__file__).with_name("output_corpus.json")
 SEED = 20261020
 
 
-def perfbench_workloads():
-    """``perfbench/workloads.py``, loaded read-only for its law generators."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses looks its module up here
-    spec.loader.exec_module(module)
-    return module
-
-
 def laws(rng, bench):
     """(name, law) pairs, n = 2..8: each generator at every n where it is cheap; ``bench``
-    is :func:`perfbench_workloads`."""
+    is ``perfbench/workloads.py``, loaded read-only for its law generators."""
     half, third = Fraction(1, 2), Fraction(1, 3)
     orbits = [(1, 0, 0, 0, 0, 0), (half, 0, 0, 0, half, 0), (third, 0, third, 0, 0, third)]
     found = [("staggered pairs", staggered_pairs_dist()), ("ladders", shifted_ladders_dist())]
@@ -227,7 +214,7 @@ def refusal(call):
 
 def calls():
     """(label, call) pairs; each call returns its JSON payload."""
-    rng, bench = random.Random(SEED), perfbench_workloads()
+    rng, bench = random.Random(SEED), load_tool("costs").load_workloads()
     found = []
     for name, d in laws(rng, bench):
         found.append((f"diagnose {name}", partial(report, d)))

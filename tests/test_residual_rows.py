@@ -2,7 +2,8 @@
 
 ``verify_by_integer_scan`` is the earlier library scan, kept here as the
 oracle: every system of the class, one at a time, with its integer signature
-mixture compared against its reliability at every breakpoint. The residual
+mixture compared against its reliability at every breakpoint, its report written
+by ``oracle_report`` of ``test_integer_scan.py`` from the witnesses. The residual
 rows and the table enumeration must give the same reports and tables as the
 per-system scan and the filtered objects. ``eager_first_breaking`` is the
 earlier library witness search, which builds the whole echelon basis before it
@@ -23,10 +24,8 @@ import pytest
 from sigrel import (
     BASIS_LIMIT,
     ENUMERATION_LIMIT,
-    DiagnosisReport,
     StructureFunction,
     SystemClass,
-    TheoremCheck,
     WeightFunction,
     appendix_basis,
     diagnose,
@@ -58,6 +57,7 @@ from test_integer_scan import (
     comonotone_law,
     coprime_law,
     distinct_lifetime_law,
+    oracle_report,
 )
 from test_sweeps import perturbed_corpus, perturbed_exchangeable, tied_laws  # noqa: F401
 
@@ -71,7 +71,7 @@ def verify_by_integer_scan(n, d, system_class):
     systems = enumerate_systems(n, system_class)
     supports = [state_support(d, t) for t in d.breakpoints]
     weights, fields = evaluate_conditions(d, supports)
-    ties, witnesses = fields["has_ties"], fields["witnesses"]
+    ties = fields["has_ties"]
     symmetric = WeightFunction.symmetric(n)
     D = d.denominator
     # P(X_(k:n) > t) times D at each breakpoint, read straight from the sweep.
@@ -111,42 +111,7 @@ def verify_by_integer_scan(n, d, system_class):
                 }
         if boland_wit and (ties or (prob_wit and agree_wit)):
             break
-    for key, wit in zip(REPRESENTATION_KEYS, (boland_wit, prob_wit, agree_wit)):
-        if wit is not None:
-            witnesses[key] = wit
-
-    boland_all = boland_wit is None
-    prob_all = None if ties else prob_wit is None
-    agree_all = None if ties else agree_wit is None
-    both = None if ties else boland_all and prob_all
-    rank = rank_over_rationals(systems)
-    relation = "iff" if rank == (1 << n) - 1 else "if"
-    exch = fields["states_exchangeable_everywhere"]
-    claims = [("boland_repr_iff_states_exchangeable", boland_all, exch)]
-    if not ties:
-        claims += [
-            ("prob_repr_iff_condition_q", prob_all, fields["condition_q_everywhere"]),
-            ("signatures_agree_iff_q_symmetric", agree_all, fields["q_symmetric"]),
-            ("both_reprs_iff_agreement_and_state_exchangeability", both, agree_all and exch),
-            (
-                "both_reprs_iff_q_symmetry_and_state_exchangeability",
-                both,
-                fields["q_symmetric"] and exch,
-            ),
-        ]
-    return DiagnosisReport(
-        n=d.n,
-        breakpoints=d.breakpoints,
-        # The conditions without their predicted verdicts: the oracle reports its own.
-        **{key: value for key, value in fields.items() if key not in DiagnosisReport._verdicts},
-        boland_repr_all_systems=boland_all,
-        prob_repr_all_systems=prob_all,
-        both_representations=both,
-        system_class=system_class,
-        systems_checked=len(systems),
-        class_rank=rank,
-        theorem_checks=tuple(TheoremCheck(name, relation, lhs, rhs) for name, lhs, rhs in claims),
-    ).to_json()
+    return oracle_report(d, system_class, systems, fields, (boland_wit, prob_wit, agree_wit))
 
 
 # --- oracle: the eager witness search ----------------------------------------
