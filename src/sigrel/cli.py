@@ -88,6 +88,7 @@ def _cmd_prob_signature(
     args: argparse.Namespace, phi: StructureFunction, d: LifetimeDistribution
 ) -> object:
     require_same_count("system and distribution", phi, d)  # before the 2**n qualities
+    phi.require_semicoherent("signature")  # also before them
     quality_based = probability_signature(phi, relative_quality(d))
     atom_oracle = probability_signature_oracle(phi, d)
     return {

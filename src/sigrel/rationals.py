@@ -87,12 +87,17 @@ def parse_rationals(values: Iterable[object], field: str) -> tuple[Fraction, ...
     return tuple(map(parse_rational, values))
 
 
+def check_table_length(n: int, count: int, noun: str) -> None:
+    """The one length rule for a table of ``count`` ``noun`` over n checked components."""
+    if count.bit_length() != n + 1 or count != 1 << n:  # only this bit length can be 2**n
+        raise ValueError(f"expected {1 << n if n < 64 else f'2**{n}'} {noun}, got {count}")
+
+
 def state_table(n: int, values: Iterable[object], noun: str) -> tuple[Fraction, ...]:
     """:func:`parse_rationals` of a table with one entry per packed state index of
     n components; ``noun`` names the entries in each refusal."""
     table = parse_rationals(values, noun)
-    if len(table) != 1 << n:
-        raise ValueError(f"expected {1 << n} {noun}, got {len(table)}")
+    check_table_length(n, len(table), noun)
     return table
 
 

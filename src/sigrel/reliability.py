@@ -30,7 +30,7 @@ from .distribution import (
 from .errors import TheoremInconsistencyError
 from .rationals import format_rational, parse_rationals, parse_time
 from .record import Record
-from .signature import Signature, WeightFunction, boland_signature, weighted_signature
+from .signature import Signature, WeightFunction, weighted_signature
 from .structure import (
     StructureFunction,
     SystemClass,
@@ -395,7 +395,7 @@ def verify_theorems(d: LifetimeDistribution, system_class: SystemClass) -> Diagn
         )
         found["signature_agreement"] = None if phi is None else {
             "system": system_to_json(phi),
-            "boland": boland_signature(phi).as_strings(),
+            "boland": weighted_signature(phi, symmetric).as_strings(),
             "probability": weighted_signature(phi, weights).as_strings(),
         }
         prob_all = found["prob_repr"] is None

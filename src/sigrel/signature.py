@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from itertools import pairwise
 from typing import Iterator
 
@@ -83,12 +82,9 @@ class WeightFunction(Record):
         self._set(values=coerced, denominator=D, numerators=scaled)
 
     @classmethod
-    @lru_cache(maxsize=None, typed=True)
     def symmetric(cls, n: int) -> "WeightFunction":
         """Level-uniform weights 1 / C(n, |x|); weighted sums become level averages.
-
-        One instance per n is built and shared; instances are frozen.
-        """
+        Each call checks n, then builds the table."""
         check_count(n)
         levels = [Fraction(1, math.comb(n, k)) for k in range(n + 1)]
         return cls(n, tuple(levels[mask.bit_count()] for mask in range(1 << n)))

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
+from functools import cache
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationBoundError, NonMonotoneError
-from .rationals import file_header
+from .rationals import check_table_length, file_header
 from .record import Record
 
 __all__ = [
@@ -90,7 +90,7 @@ class SystemClass(Enum):
         return 3 if self is SystemClass.COHERENT else 2
 
 
-@lru_cache(maxsize=None, typed=True)
+@cache
 def _low_side_mask(n: int, var: int) -> int:
     """Bitmask over all 2**n indices selecting those where component ``var`` is failed."""
     width = 2 << var
@@ -195,10 +195,7 @@ class StructureFunction(Record):
 def from_truth_table(n: int, bits: Sequence[int] | str) -> StructureFunction:
     """Build a structure function from its 2**n table entries, index 0 first."""
     check_count(n)
-    # Only a length of bit length n + 1 can be 2**n: test it before shifting.
-    if len(bits).bit_length() != n + 1 or len(bits) != 1 << n:
-        expected = 1 << n if n < 64 else f"2**{n}"
-        raise ValueError(f"expected {expected} table entries for n={n}, got {len(bits)}")
+    check_table_length(n, len(bits), f"table entries for n={n}")
     for j, entry in enumerate(bits):
         if type(entry) not in (int, str) or entry not in (0, 1, "0", "1"):
             raise ValueError(f"table entry {entry!r} at index {j} is not 0 or 1")
@@ -304,7 +301,7 @@ def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     return _class_tables(n)
 
 
-@lru_cache(maxsize=None, typed=True)
+@cache
 def _class_tables(n: int) -> tuple[int, ...]:
     tables = _monotone_tables(n)
     # Keep, one component at a time, the tables on which it is essential.

@@ -116,6 +116,24 @@ class TestProbSignatureCommand:
             "detail": "system and distribution disagree on component count",
         }
 
+    def test_non_semicoherent_system_exit_2_before_the_quality(
+        self, files, capsys, monkeypatch, tmp_path
+    ):
+        def unreachable(d):
+            raise AssertionError("the 2**n qualities were built")
+
+        monkeypatch.setattr(cli, "relative_quality", unreachable)
+        path = tmp_path / "all_failed.json"
+        path.write_text(json.dumps(system_to_json(from_truth_table(3, "0" * 8))))
+        code, err = run_error(
+            capsys, ["prob-signature", "--system", str(path), "--dist", files["ladders"]]
+        )
+        assert code == 2
+        assert err == {
+            "error": "precondition",
+            "detail": "signature needs value 0 at the all-failed state and 1 at the all-working state",
+        }
+
 
 class TestReliabilityCommand:
     def test_full_curve(self, files, capsys):

@@ -44,6 +44,16 @@ def cached_functions(node, prefix):
             yield from cached_functions(child, f"{prefix}{child.name}.<locals>.")
 
 
+def package_caches():
+    """``module.qualname`` of every cached function of ``src/sigrel``."""
+    costs = load_tool("costs")
+    return {
+        f"{path.stem}.{name}"
+        for path in sorted(costs.PACKAGE.glob("*.py"))
+        for name in cached_functions(ast.parse(path.read_text(encoding="utf-8")), "")
+    }
+
+
 def test_the_cost_record_clears_every_function_cache():
     """``CACHES`` in ``tools/costs.py`` names every ``cache``- or ``lru_cache``-decorated
     function of ``src/sigrel``. A cache left off it would carry entries from one call to
@@ -52,10 +62,13 @@ def test_the_cost_record_clears_every_function_cache():
     ``LifetimeDistribution.cdfs`` is a ``cached_property``: it caches on the law, and
     each call parses a fresh law, so it needs no clearing and is not counted here."""
     costs = load_tool("costs")
-    found = {
-        f"{path.stem}.{name}"
-        for path in sorted(costs.PACKAGE.glob("*.py"))
-        for name in cached_functions(ast.parse(path.read_text(encoding="utf-8")), "")
-    }
     listed = {f"{c.__module__.rpartition('.')[2]}.{c.__qualname__}" for c in costs.CACHES}
-    assert found == listed
+    assert package_caches() == listed
+
+
+def test_every_cache_is_private():
+    """A cache keys on its arguments before the function body runs, so a public cached
+    function would hash, and could answer, an argument that its checks would refuse.
+    Every cached function is private: a public entry point checks its inputs first."""
+    public = {name for name in package_caches() if not name.rpartition(".")[2].startswith("_")}
+    assert not public

@@ -1,7 +1,7 @@
 """Each input rule refuses a bad input with one message at every entry point:
 the file headers, the integer component count, level and index, the 1-based
-component range, the system/law component count, and the cache keys of the
-size-indexed tables."""
+component range, the system/law component count, the length of a 2**n table,
+and the cache keys of the size-indexed tables."""
 
 import ast
 import json
@@ -150,11 +150,12 @@ RANGES = {
     "group_reliability": (lambda c: group_reliability(LAW, [c], 1), 1, 3, "component"),
 }
 # (entry point, call, bad value, message): a bool, a float, and values below and
-# above the range; a count has no upper bound, so a string stands in for it.
+# above the range; a count has no upper bound, so a string and an unhashable list
+# stand in for it.
 INTEGER_REFUSALS = [
     (name, make, value, COUNT.format(value))
     for name, make in COUNTS.items()
-    for value in (True, 1.0, 0, -1, "1")
+    for value in (True, 1.0, 0, -1, "1", [1])
 ] + [
     (name, make, value, f"{noun} {value!r} out of range {low}..{high}")
     for name, (make, low, high, noun) in RANGES.items()
@@ -197,6 +198,28 @@ def test_integer_refusals(make, value, message):
     with pytest.raises(ValueError) as exc:
         make(value)
     assert str(exc.value) == message
+
+
+# (entry point, call on a two-entry table, the entries' noun in its message)
+LENGTHS = {
+    "WeightFunction": (COUNTS["WeightFunction"], "weights for n={}"),
+    "QualityFunction": (COUNTS["QualityFunction"], "values for n={}"),
+    "StateDistribution": (COUNTS["StateDistribution"], "state probabilities"),
+    "from_truth_table": (COUNTS["from_truth_table"], "table entries for n={}"),
+}
+LENGTH_REFUSALS = [(name, n) for name in LENGTHS for n in (70, 20_000)]
+
+
+@pytest.mark.parametrize(
+    "name, n", LENGTH_REFUSALS, ids=[f"{name}-{n}" for name, n in LENGTH_REFUSALS]
+)
+def test_length_refusals(name, n):
+    """Every table over the 2**n states is refused by one length rule, which tests the
+    length before it builds 2**n and writes 2**n, not its digits, past n = 63."""
+    make, noun = LENGTHS[name]
+    with pytest.raises(ValueError) as exc:
+        make(n)
+    assert str(exc.value) == f"expected 2**{n} {noun.format(n)}, got 2"
 
 
 @pytest.mark.parametrize("call", [class_tables, enumerate_systems, class_rank, appendix_basis])

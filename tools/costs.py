@@ -34,10 +34,10 @@ RECORD = ROOT / "tests" / "costs.json"
 BENCH = ROOT / "perfbench"
 sys.path.insert(0, str(ROOT / "src"))
 
-from sigrel import cli, signature, structure  # noqa: E402
+from sigrel import cli, structure  # noqa: E402
 
 PACKAGE = Path(cli.__file__).parent
-CACHES = (structure._class_tables, structure._low_side_mask, signature.WeightFunction.symmetric)
+CACHES = (structure._class_tables, structure._low_side_mask)
 
 
 def load_workloads():
