@@ -50,10 +50,10 @@ __all__ = [
 
 # Enumeration is exhaustive over all monotone functions, whose number grows
 # like the Dedekind sequence; five components (7581 functions) is the last
-# size that stays trivially cheap: `verify` at n = 5 takes 13-17 ms on an
-# 8-atom generic or a 3-atom comonotone law and 25 ms on a 240-atom
-# exchangeable one (Python 3.11 on a 2-vCPU VM, in-process, tables not yet
-# cached). Six components have 7,828,354 monotone functions.
+# size that stays trivially cheap: `verify` at n = 5, which enumerates the
+# class on every call, takes 7-12 ms on an 8-atom generic or a 3-atom
+# comonotone law and 16-28 ms on a 240-atom exchangeable one (Python 3.11 on a
+# 2-vCPU VM, in-process, best of nine). Six components have 7,828,354.
 ENUMERATION_LIMIT = 5
 
 # The spanning family has 2**n - 1 members of 2**n table entries each, so
@@ -295,14 +295,9 @@ def class_tables(n: int, system_class: SystemClass) -> tuple[int, ...]:
     Both classes range over monotone functions in which every component is
     essential (which forces the boundary values 0 and 1); COHERENT requires
     n >= 3 while SEMICOHERENT also admits n = 2, where the only two such
-    systems are the series and parallel pair. Every refusal precedes the cache.
+    systems are the series and parallel pair. Every refusal precedes the enumeration.
     """
     _check_size(n, system_class, "systems need", "enumeration", ENUMERATION_LIMIT)
-    return _class_tables(n)
-
-
-@cache
-def _class_tables(n: int) -> tuple[int, ...]:
     tables = _monotone_tables(n)
     # Keep, one component at a time, the tables on which it is essential.
     for var in range(n):
@@ -397,7 +392,7 @@ def rank_over_rationals(functions: Iterable[StructureFunction]) -> int:
     the rank is the count of their :func:`echelon` basis, pulled at most up to
     the number of columns that some row touches. The rank ignores the order of
     the rows, and rank(B + C) = rank(C) when every row of B is in C. So when
-    the tables contain the coherent spanning family (3 <= n <=
+    the tables contain the coherent spanning family and more (3 <= n <=
     ``BASIS_LIMIT``), its 2**n - 1 tables go first, and the reduction stops
     at full width after them instead of after thousands of other rows.
     """
@@ -409,14 +404,18 @@ def rank_over_rationals(functions: Iterable[StructureFunction]) -> int:
 
 
 def class_rank(n: int, system_class: SystemClass) -> int:
-    """``rank_over_rationals(enumerate_systems(n, system_class))``, from the tables."""
-    return _table_rank(n, class_tables(n, system_class))
+    """``rank_over_rationals(enumerate_systems(n, system_class))``, with its refusals. Each class
+    table is 0 at state 0, and from n = 3 the class holds the spanning family, of rank 2**n - 1."""
+    _check_size(n, system_class, "systems need", "enumeration", ENUMERATION_LIMIT)
+    return _table_rank(
+        n, _basis_tables(n, SystemClass.COHERENT) if n >= 3 else class_tables(n, system_class)
+    )
 
 
 def _table_rank(n: int, tables: Sequence[int]) -> int:
     """:func:`rank_over_rationals` of the systems with these truth tables."""
     distinct = set(tables)
-    if SystemClass.COHERENT.min_components <= n <= BASIS_LIMIT and len(distinct) >= (1 << n) - 1:
+    if SystemClass.COHERENT.min_components <= n <= BASIS_LIMIT and len(distinct) > (1 << n) - 1:
         basis = _basis_tables(n, SystemClass.COHERENT)
         if distinct.issuperset(basis):
             tables = basis + list(tables)

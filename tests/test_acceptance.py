@@ -27,7 +27,6 @@ from sigrel import (
     system_reliability,
     verify_theorems,
 )
-import sigrel.structure
 
 from conftest import orbit_dist, shifted_ladders_dist, staggered_pairs_dist
 
@@ -213,14 +212,12 @@ def test_criterion_6_iff_theorem_suite(capsys, theorem_corpus):
 
 def test_criterion_7_enumeration_counts(capsys):
     with verdict(capsys, 7, "enumeration counts"):
-        # Cold: each enumeration fills the enumeration's one cache.
-        sigrel.structure._class_tables.cache_clear()
+        # Every enumeration is built cold: the enumeration keeps no cache.
         start = time.perf_counter()
         assert len(enumerate_systems(2, SystemClass.SEMICOHERENT)) == 2
         assert len(enumerate_systems(3, SystemClass.COHERENT)) == 9
         assert len(enumerate_systems(4, SystemClass.COHERENT)) == 114
         assert time.perf_counter() - start < 2.0
-        assert sigrel.structure._class_tables.cache_info().misses == 3
 
 
 def test_criterion_8_exact_identities(capsys, theorem_corpus):

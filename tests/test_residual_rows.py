@@ -39,11 +39,10 @@ from sigrel import (
     system_to_json,
     verify_theorems,
 )
-from sigrel import reliability
+from sigrel import reliability, structure
 from sigrel.distribution import evaluate_conditions, state_support
 from sigrel.reliability import _residual_rows
 from sigrel.structure import (
-    _class_tables,
     _monotone_tables,
     class_rank,
     class_tables,
@@ -250,7 +249,7 @@ def test_class_tables_match_filtered_objects():
         assert list(class_tables(n, system_class)) == expected, (n, system_class)
         assert [phi.table for phi in enumerate_systems(n, system_class)] == expected
     for n in (3, 4, 5):
-        assert class_tables(n, SystemClass.COHERENT) is class_tables(n, SystemClass.SEMICOHERENT)
+        assert class_tables(n, SystemClass.COHERENT) == class_tables(n, SystemClass.SEMICOHERENT)
 
 
 def test_the_first_class_table_is_the_series_system(residual_corpus):
@@ -431,7 +430,6 @@ def test_verify_builds_structure_functions_only_for_witnesses(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(StructureFunction, "__post_init__", counting)
-    _class_tables.cache_clear()
     rng = random.Random(2718)
 
     exchangeable = exchangeable_mixture(rng, 5)
@@ -449,6 +447,26 @@ def test_verify_builds_structure_functions_only_for_witnesses(monkeypatch):
     for key in found:
         bits = report.witnesses[key]["system"]["bits"]
         assert int(bits[::-1], 2) in built
+
+
+def test_verify_enumerates_its_class_once(monkeypatch):
+    """The witness search reads the enumeration; the class rank reads the spanning family."""
+    enumerated = []
+    real = structure._monotone_tables
+
+    def counting(n):
+        enumerated.append(n)
+        return real(n)
+
+    monkeypatch.setattr(structure, "_monotone_tables", counting)
+    report = verify_theorems(random_no_ties(random.Random(5), 5), SystemClass.COHERENT)
+    assert report.systems_checked == 6894 and report.class_rank == 31
+    assert enumerated == [5]
+    enumerated.clear()
+    for n, system_class in ALLOWED:
+        if n >= 3:
+            assert class_rank(n, system_class) == (1 << n) - 1
+    assert enumerated == []
 
 
 def test_verify_builds_residual_rows_only_as_the_echelon_reads_them(monkeypatch):

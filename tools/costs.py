@@ -8,8 +8,8 @@ of ``perfbench/digests.json`` and runs each one in-process through ``sigrel.cli.
 under a ``sys.setprofile`` hook. The hook counts the calls of each plain function of
 ``src/sigrel``, keyed ``module.qualname``: generators, comprehensions and lambdas are
 not counted, since the interpreters count their frames differently (a generator once
-per resumption; Python 3.12 inlines comprehensions). The package's caches are cleared
-before each call, so a call's counts do not depend on the calls before it.
+per resumption; Python 3.12 inlines comprehensions). The package's caches, ``CACHES``,
+are cleared before each call, so a call's counts do not depend on the calls before it.
 
 Counts of work are exact, so the record shows a change in the work a call does where
 wall time cannot. ``tests/test_costs.py`` replays the calls and compares every count.
@@ -37,7 +37,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from sigrel import cli, structure  # noqa: E402
 
 PACKAGE = Path(cli.__file__).parent
-CACHES = (structure._class_tables, structure._low_side_mask)
+CACHES = (structure._low_side_mask,)
 
 
 def load_workloads():
